@@ -28,7 +28,6 @@ from .embedding import (
     OperationError,
     StructureError,
     boundary_cycle,
-    boundary_edges,
     boundary_vertices,
     canonical_anchor,
     contract_subgraph,
@@ -44,7 +43,6 @@ from .embedding import (
     side_in_open_disk,
     specified_walk,
     split_doubled_boundary_vertex,
-    switch_vertex,
     trace_faces,
 )
 from .families import (
@@ -64,12 +62,10 @@ from .orient import (
     OrientationError,
     ScheduleError,
     count_valid,
-    dspec_of,
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
     orientation_from_tails,
-    orientation_to_flow,
     prescription_ok,
     random_prescription,
     residue,
@@ -81,7 +77,6 @@ from .pgr import (
     parse_graph,
     parse_orientation,
     read_graph,
-    serialize_flow,
     serialize_graph,
     serialize_orientation,
     write_graph,

@@ -19,6 +19,7 @@ from .embedding import (
     EmbeddedGraph,
     OperationError,
     _balance_potentials,
+    _induced_connected,
     boundary_cycle,
     boundary_vertices,
     euler_characteristic,
@@ -67,20 +68,6 @@ def make_cut(g: EmbeddedGraph, side) -> EdgeCut:
         size=len(edges),
         robust=len(side) >= 2 and len(verts - side) >= 2,
     )
-
-
-def _induced_connected(g: EmbeddedGraph, side: frozenset[int]) -> bool:
-    start = min(side)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for d in g.rotation[x]:
-            y = g.dart_head(d)
-            if y in side and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(side)
 
 
 def _normal_side(g: EmbeddedGraph, side: frozenset[int]) -> bool:

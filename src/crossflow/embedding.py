@@ -146,19 +146,7 @@ class EmbeddedGraph:
         return self._key() == other._key()
 
     def is_connected(self) -> bool:
-        verts = self.vertices
-        if len(verts) <= 1:
-            return True
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            x = stack.pop()
-            for d in self.rotation[x]:
-                y = self.dart_head(d)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(verts)
+        return len(self.rotation) <= 1 or _induced_connected(self, self.rotation)
 
     def validate(self) -> None:
         """Raise StructureError if the stored data is malformed."""
@@ -260,6 +248,14 @@ def _as_facewalk(g: EmbeddedGraph, orbit: list[State]) -> FaceWalk:
     )
 
 
+def _canonical_walk(g: EmbeddedGraph, orbit: list[State], mirror: list[State]) -> FaceWalk:
+    """A face's canonical walk: of its two orbits, the one holding the
+    smallest state, started at that state."""
+    rep = min((orbit, mirror), key=lambda o: min(map(_state_key, o)))
+    k = rep.index(min(rep, key=_state_key))
+    return _as_facewalk(g, rep[k:] + rep[:k])
+
+
 def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
     """All faces of the embedding, one canonical walk per face.
 
@@ -293,29 +289,37 @@ def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
             raise StructureError("facial walk is its own mirror")
         taken.add(idx)
         taken.add(midx)
-        rep = min((orbits[idx], orbits[midx]), key=lambda o: min(map(_state_key, o)))
-        k = rep.index(min(rep, key=_state_key))
-        faces.append(_as_facewalk(g, rep[k:] + rep[:k]))
+        faces.append(_canonical_walk(g, orbits[idx], orbits[midx]))
     faces.sort(key=lambda f: _state_key(f.states[0]))
     return faces
 
 
-def face_lookup(g: EmbeddedGraph, faces: list[FaceWalk]) -> dict[State, int]:
-    """State -> face index, covering each face's walk and its mirror."""
-    table: dict[State, int] = {}
-    for i, f in enumerate(faces):
-        for st in f.states:
-            table[st] = i
-            table[_mirror(g, st)] = i
-    return table
+def _is_dart(g: EmbeddedGraph, d: Dart) -> bool:
+    return d[0] in g.edges and d[1] in (0, 1)
+
+
+def _face_through(g: EmbeddedGraph, state: State) -> FaceWalk:
+    """The walk ``trace_faces`` lists for the face whose orbit pair
+    contains ``state``, found by walking that face alone."""
+    orbit = _walk_from(g, state)
+    mirror = _walk_from(g, _mirror(g, state))
+    if mirror[0] in orbit:
+        raise StructureError("facial walk is its own mirror")
+    return _canonical_walk(g, orbit, mirror)
+
+
+def _faces_at(g: EmbeddedGraph, v: int) -> list[FaceWalk]:
+    """The faces at ``v``, in ``trace_faces`` order."""
+    faces = {_face_through(g, (d, s)) for d in g.rotation[v] for s in (1, -1)}
+    return sorted(faces, key=lambda f: _state_key(f.states[0]))
 
 
 def face_of_anchor(g: EmbeddedGraph, faces: list[FaceWalk], anchor: Dart) -> int:
-    table = face_lookup(g, faces)
-    st = (anchor, 1)
-    if st not in table:
+    """Index in ``faces`` (as ``trace_faces`` returns them) of the face
+    that ``anchor`` names."""
+    if not _is_dart(g, anchor):
         raise StructureError(f"anchor {anchor} is not a dart of the graph")
-    return table[st]
+    return faces.index(_face_through(g, (anchor, 1)))
 
 
 def canonical_anchor(g: EmbeddedGraph, face: FaceWalk) -> Dart:
@@ -344,13 +348,6 @@ def boundary_vertices(g: EmbeddedGraph) -> set[int]:
     out: set[int] = set()
     for i in range(len(g.specified)):
         out.update(specified_walk(g, i).tails)
-    return out
-
-
-def boundary_edges(g: EmbeddedGraph) -> set[int]:
-    out: set[int] = set()
-    for i in range(len(g.specified)):
-        out.update(specified_walk(g, i).edge_ids())
     return out
 
 
@@ -448,6 +445,22 @@ def _balance_potentials(g: EmbeddedGraph, verts: set[int]) -> dict[int, int] | N
     return pot
 
 
+def _induced_connected(g: EmbeddedGraph, verts) -> bool:
+    """Whether the non-empty vertex set ``verts`` induces a connected
+    subgraph."""
+    start = min(verts)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for d in g.rotation[x]:
+            y = g.dart_head(d)
+            if y in verts and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(verts)
+
+
 def side_in_open_disk(g: EmbeddedGraph, side) -> bool:
     """True iff the subgraph induced by ``side`` fits in an open disk,
     i.e. every induced cycle is contractible."""
@@ -457,16 +470,7 @@ def side_in_open_disk(g: EmbeddedGraph, side) -> bool:
     for v in verts:
         if v not in g.rotation:
             raise OperationError(f"unknown vertex {v}")
-    seen = {min(verts)}
-    stack = [min(verts)]
-    while stack:
-        x = stack.pop()
-        for d in g.rotation[x]:
-            y = g.dart_head(d)
-            if y in verts and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if seen != verts:
+    if not _induced_connected(g, verts):
         raise DisconnectedError("side does not induce a connected subgraph")
     return _balance_potentials(g, verts) is not None
 
@@ -498,21 +502,10 @@ def is_contractible_chord(g: EmbeddedGraph, e: int) -> bool:
 # ------------------------------------------------------------- switching
 
 
-def switch_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
+def _switch_inplace(g: EmbeddedGraph, v: int) -> None:
     """Reverse the local orientation at ``v``: flip the sign of every
     non-loop edge at ``v`` and reverse its rotation.  The embedding is
     unchanged; only its description moves."""
-    if v not in g.rotation:
-        raise OperationError(f"unknown vertex {v}")
-    out = g.copy()
-    for e, (a, b) in out.edges.items():
-        if (a == v) != (b == v):
-            out.sign[e] = -out.sign[e]
-    out.rotation[v] = list(reversed(out.rotation[v]))
-    return out
-
-
-def _switch_inplace(g: EmbeddedGraph, v: int) -> None:
     for e, (a, b) in g.edges.items():
         if (a == v) != (b == v):
             g.sign[e] = -g.sign[e]
@@ -541,15 +534,13 @@ def _resign_all_positive(g: EmbeddedGraph, track: list[State]) -> None:
 
 def _reanchor(g: EmbeddedGraph, witnesses: list[State | None]) -> None:
     """Set g.specified from witness states, canonically, deduplicated."""
-    faces = trace_faces(g)
-    table = face_lookup(g, faces)
     anchors: list[Dart] = []
     for w in witnesses:
         if w is None:
             continue
-        if w not in table:
+        if not _is_dart(g, w[0]):
             raise StructureError("face witness was lost by the operation")
-        a = canonical_anchor(g, faces[table[w]])
+        a = canonical_anchor(g, _face_through(g, w))
         if a not in anchors:
             anchors.append(a)
     g.specified = anchors
@@ -596,15 +587,13 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     for i in range(len(g.specified)):
         witnesses.append(_witness_for_face(specified_walk(g, i), dead))
     if any(w is None for w in witnesses):
-        # boundary entirely at v: fall back to any surviving side of a face
-        # incident to v, which joins the same merged face
+        # boundary entirely at v: fall back to the first surviving side of a
+        # face incident to v, which joins the merged face
         repl = None
-        faces = trace_faces(g)
-        for f in faces:
-            if v in f.tails:
-                repl = _witness_for_face(f, dead)
-                if repl is not None:
-                    break
+        for f in _faces_at(g, v):
+            repl = _witness_for_face(f, dead)
+            if repl is not None:
+                break
         witnesses = [repl if w is None else w for w in witnesses]
     out = g.copy()
     for e in dead:
@@ -664,23 +653,14 @@ def _delete_loop_inplace(g: EmbeddedGraph, e: int) -> None:
 
 
 def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
-    faces = trace_faces(g)
-    best = None
-    for f in faces:
-        if v in f.tails:
-            a = canonical_anchor(g, f)
-            if best is None or a < best:
-                best = a
-    if best is None:
+    faces = _faces_at(g, v)
+    if not faces:
         raise StructureError("no face is incident to the merged vertex")
-    return best
+    return min(canonical_anchor(g, f) for f in faces)
 
 
 def contract_subgraph(
-    g: EmbeddedGraph,
-    side,
-    new_face_anchor: Dart | None = None,
-    face_policy: str | None = None,
+    g: EmbeddedGraph, side, face_policy: str | None = None
 ) -> EmbeddedGraph:
     """Contract the connected subgraph induced by ``side`` to one vertex.
 
@@ -689,22 +669,13 @@ def contract_subgraph(
     order in which the remaining edges leave the contracted patch.  A
     specified face that loses only part of its boundary keeps its identity;
     if its entire boundary is swallowed the caller must choose a
-    replacement, either via ``new_face_anchor`` or with
-    ``face_policy="at-merged"`` (canonical face at the new vertex).
+    replacement with ``face_policy="at-merged"`` (canonical face at the new
+    vertex).
     """
     verts = set(side)
     if not verts or not verts <= set(g.rotation):
         raise OperationError("side must be a non-empty set of vertices")
-    seen = {min(verts)}
-    stack = [min(verts)]
-    while stack:
-        x = stack.pop()
-        for d in g.rotation[x]:
-            y = g.dart_head(d)
-            if y in verts and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if seen != verts:
+    if not _induced_connected(g, verts):
         raise DisconnectedError("side does not induce a connected subgraph")
     if len(verts) == len(g.rotation):
         raise OperationError("cannot contract the whole graph")
@@ -723,7 +694,7 @@ def contract_subgraph(
         witnesses.append(w)
         if w is None:
             swallowed.append(i)
-    if swallowed and new_face_anchor is None and face_policy != "at-merged":
+    if swallowed and face_policy != "at-merged":
         raise OperationError(
             "contraction swallows the specified face; choose a replacement"
         )
@@ -754,14 +725,11 @@ def contract_subgraph(
     for v in verts:
         out.labels.pop(v, None)
     _reanchor(out, [w for w in witnesses if w is not None] or [None])
-    for i in swallowed:
-        anchor = new_face_anchor
-        if anchor is None:
-            anchor = _face_at_vertex_anchor(out, fresh)
-        elif anchor[0] not in out.edges:
-            raise OperationError("replacement face anchor is not a dart")
-        if anchor not in out.specified:
-            out.specified.insert(i, anchor)
+    if swallowed:
+        anchor = _face_at_vertex_anchor(out, fresh)
+        for i in swallowed:
+            if anchor not in out.specified:
+                out.specified.insert(i, anchor)
     return out
 
 
@@ -886,9 +854,7 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     if chi != 2:
         raise OperationError("boundary visits do not cut the crosscap")
     _resign_all_positive(out, track)
-    faces = trace_faces(out)
-    table = face_lookup(out, faces)
-    shared = faces[table[track[0]]]
+    shared = _face_through(out, track[0])
     pos = {t: i for i, t in enumerate(shared.tails)}
     if v not in pos or fresh not in pos:
         raise StructureError("cut-open face does not meet both vertex copies")
@@ -914,15 +880,11 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
             out.edges[eid] = (a, v)
     if any(s != 1 for s in out.sign.values()) or euler_characteristic(out) != 2:
         raise StructureError("re-identification broke the plane embedding")
-    faces = trace_faces(out)
-    table = face_lookup(out, faces)
     anchors = []
     for dep in (dep_v, dep_w):
-        dep = (dep[0], dep[1])
-        st = (dep, 1)
-        if st not in table:
+        if not _is_dart(out, dep):
             raise StructureError("lost a face after re-identification")
-        a = canonical_anchor(out, faces[table[st]])
+        a = canonical_anchor(out, _face_through(out, (dep, 1)))
         if a not in anchors:
             anchors.append(a)
     if len(anchors) != 2:

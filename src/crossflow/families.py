@@ -21,9 +21,10 @@ import numpy as np
 from .cuts import check_class
 from .embedding import (
     EmbeddedGraph,
+    _face_through,
+    _state_key,
     canonical_anchor,
     euler_characteristic,
-    trace_faces,
 )
 from .orient import DirectedVertexSpec
 
@@ -86,15 +87,13 @@ def disk_crosscap_graph(cycle: list[int], chords: list[tuple[int, int]]) -> Embe
     for v in cycle:
         headings[v].sort()
         g.rotation[v] = [(e, end) for _, e, end in headings[v]]
+    # a face walking the cycle once uses boundary edge 0 on one of its sides
     boundary_ids = set(range(m))
-    disk = [
-        f
-        for f in trace_faces(g)
-        if f.length == m and f.edge_ids() <= boundary_ids
-    ]
+    sides = (_face_through(g, ((0, 0), s)) for s in (1, -1))
+    disk = [f for f in sides if f.length == m and f.edge_ids() <= boundary_ids]
     if not disk:
         raise FamilyError("layout failed: the cycle does not bound a face")
-    g.specified = [canonical_anchor(g, disk[0])]
+    g.specified = [canonical_anchor(g, min(disk, key=lambda f: _state_key(f.states[0])))]
     return g
 
 

@@ -49,12 +49,6 @@ class DirectedVertexSpec:
         return r - 3 if r == 2 else r
 
 
-def dspec_of(g: EmbeddedGraph) -> DirectedVertexSpec | None:
-    if g.dvertex is None:
-        return None
-    return DirectedVertexSpec(vertex=g.dvertex, arcs=dict(g.darcs))
-
-
 @dataclass
 class Orientation:
     """Edge directions, possibly partial.
@@ -153,20 +147,6 @@ def is_valid_orientation(g: EmbeddedGraph, p: dict[int, int], o: Orientation) ->
     return True
 
 
-def orientation_to_flow(
-    g: EmbeddedGraph, o: Orientation, reference: Orientation
-) -> dict[int, int]:
-    """Nowhere-zero values against a reference direction: 1 where o agrees
-    with the reference, 2 where it is reversed."""
-    for name, ori in (("orientation", o), ("reference", reference)):
-        if not ori.is_total_for(g):
-            raise OrientationError(f"{name} is not total")
-    return {
-        e: 1 if o.direction[e][0] == reference.direction[e][0] else 2
-        for e in g.edges
-    }
-
-
 # ----------------------------------------------------------------- oracle
 
 
@@ -246,7 +226,8 @@ def oracle_solve(
         direction[e] = (u, v) if out[j] == 1 else (v, u)
     fixed = frozenset(g.darcs) | (partial.fixed if partial else frozenset())
     o = Orientation(direction=direction, fixed=fixed)
-    assert is_valid_orientation(g, p, o)
+    if not is_valid_orientation(g, p, o):
+        raise OrientationError("oracle search returned an invalid orientation")
     return o
 
 
@@ -373,21 +354,14 @@ def transfer_orientation(
     side,
     solved: Orientation,
     merged: int,
-    contracted: EmbeddedGraph | None = None,
-    prescription: dict[int, int] | None = None,
 ) -> Orientation:
     """Map a valid orientation of the side-contracted graph back onto g.
 
     Every surviving edge keeps its id across contraction, so each gets the
     solved direction with ``merged`` replaced by its own endpoint inside
-    ``side``; edges interior to the side stay undirected.  When the
-    contracted graph and its prescription are supplied, ``solved`` is
-    validated against them first.
+    ``side``; edges interior to the side stay undirected.
     """
     side = set(side)
-    if contracted is not None and prescription is not None:
-        if not is_valid_orientation(contracted, prescription, solved):
-            raise OrientationError("solved orientation is invalid for the contraction")
     direction: dict[int, tuple[int, int]] = {}
     for e, (t, h) in solved.direction.items():
         if e not in g.edges:

@@ -227,8 +227,3 @@ def parse_orientation(text: str) -> dict[int, int]:
             raise PgrError(f"duplicate direction for edge {e}", ln)
         tails[e] = _parse_int(tok[1], "tail vertex", ln)
     return tails
-
-
-def serialize_flow(values: dict[int, int]) -> str:
-    """Flow text: one `<edge_id> <1|2>` line per edge."""
-    return "".join(f"{e} {values[e]}\n" for e in sorted(values))

@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cuts import CUT_VERTEX_CEILING, _induced_connected, enumerate_robust_cuts
+from .cuts import CUT_VERTEX_CEILING, enumerate_robust_cuts
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
     OperationError,
+    _induced_connected,
     boundary_cycle,
     contract_subgraph,
     specified_walk,

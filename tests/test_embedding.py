@@ -21,6 +21,8 @@ from crossflow.embedding import (
     EmbeddedGraph,
     OperationError,
     StructureError,
+    _face_through,
+    _mirror,
     boundary_cycle,
     canonical_anchor,
     contract_subgraph,
@@ -345,3 +347,9 @@ def test_random_graphs_trace_consistently(seed):
     # each (dart, orientation) state lands in exactly one reported orbit
     seen = [s for f in faces for s in f.states]
     assert len(seen) == len(set(seen)) == 2 * len(g.edges)
+    # walking one face from any of its states, or from their mirrors, gives
+    # the walk trace_faces lists for it
+    for f in faces:
+        for s in f.states:
+            assert _face_through(g, s) == f
+            assert _face_through(g, _mirror(g, s)) == f

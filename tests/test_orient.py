@@ -188,6 +188,19 @@ def test_oracle_bound_enforced():
         oracle_solve(g, {v: 0 for v in g.vertices}, bound=20)
 
 
+def test_oracle_rejects_a_wrong_kernel_hit(monkeypatch):
+    # the check must be an explicit raise, so that it also holds under -O
+    from crossflow import _kernels
+
+    def wrong_hit(lo, hi, cur, und, tgt, mode, out_dirs):
+        out_dirs[:] = 1  # every edge tail-at-lower: residues 1, 0, -1
+        return 1
+
+    monkeypatch.setattr(_kernels, "orient_search", wrong_hit)
+    with pytest.raises(OrientationError):
+        oracle_solve(triangle(), {0: 0, 1: 0, 2: 0})
+
+
 def test_invalid_prescription_short_circuits():
     g = triangle()
     assert oracle_solve(g, {0: 1, 1: 0, 2: 0}) is None

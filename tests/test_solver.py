@@ -1,5 +1,7 @@
 """The hybrid solver: strategy selection, reduction traces, replay."""
 
+import hashlib
+
 import pytest
 
 from crossflow.families import (
@@ -15,6 +17,7 @@ from crossflow.orient import (
     oracle_solve,
     random_prescription,
 )
+from crossflow.pgr import serialize_orientation
 from crossflow.solver import (
     DEFAULT_THRESHOLD,
     STEP_KINDS,
@@ -278,3 +281,32 @@ def test_replay_flags_tampered_digest():
     rep = replay(g, bad)
     assert not rep.matches
     assert rep.mismatch_index == 0
+
+
+# ------------------------------------------------------------ golden traces
+
+GOLDEN_TRACE_DIGEST = "e39060d3dc33699f8f947c301e9491aa9cb3c5bded2e81c7d6bab4f1a1053599"
+
+
+def _golden_instances():
+    for seed in range(100):
+        g, p = gen_random_pt(seed, 12)
+        yield f"rpt{seed}", g, p
+    for i in (21, 51):
+        for name, g in ((f"B{i}", gen_circulant_b(i)), (f"A{i}", gen_a(i))):
+            for seed in range(3):
+                yield f"{name}/p{seed}", g, random_prescription(g, seed)
+    g, p, _ = gen_counterexample(0)
+    yield "CE0", g, p
+
+
+def test_golden_traces_replay_byte_for_byte():
+    # The digest was taken before face tracking was reworked; any change in
+    # the steps, their arguments, the outcome or the orientation shows here.
+    h = hashlib.sha256()
+    for key, g, p in _golden_instances():
+        o, trace = solve(g, p)
+        h.update(f"{key}\n{serialize_trace(trace)}".encode())
+        if o is not None:
+            h.update(serialize_orientation(o.tails()).encode())
+    assert h.hexdigest() == GOLDEN_TRACE_DIGEST
