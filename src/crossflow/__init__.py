@@ -8,8 +8,8 @@ exhaustive oracle, and a hybrid solver emitting replayable traces.
 """
 
 from .cuts import (
-    CUT_VERTEX_CEILING,
     ClassReport,
+    CutBudgetError,
     EdgeCut,
     boundary_connectivity,
     check_class,

@@ -1,41 +1,18 @@
-"""Hot numeric kernels: exhaustive orientation search and bitmask cut scan.
-
-Both kernels are compiled with numba when it is importable; setting
-CROSSFLOW_NO_NUMBA=1 (or any non-empty value) forces the fallback path.
-The orientation search falls back to the same source uncompiled; the cut
-scan falls back to a vectorized numpy implementation, since a plain
-Python mask loop would not be usable at the 24-vertex ceiling.
-
-benchmarks/bench_kernels.py times each pair against the other.
+"""Numeric kernels in plain Python and numpy: the exhaustive orientation
+search, and the scan of all 2^(n-1) bipartitions that the tests use as
+the reference for ``cuts._scan_masks`` (nothing in the package calls it).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = bool(os.environ.get("CROSSFLOW_NO_NUMBA"))
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+# Nothing is compiled.  solvebench's environment stamp and its list of
+# kernels timed as measured still read this flag.
+USING_NUMBA = False
 
 
-def orient_search_py(lo, hi, cur, und, tgt, mode, out_dirs):
+def orient_search(lo, hi, cur, und, tgt, mode, out_dirs):
     """Backtracking search over directions of the undirected edges.
 
     Edge j runs between vertex indices lo[j] and hi[j] (lo[j] < hi[j]
@@ -121,46 +98,15 @@ def orient_search_py(lo, hi, cur, und, tgt, mode, out_dirs):
     return count
 
 
-def cut_scan_loop(iu, iv, nfree, ntotal, max_size, min_side):
+_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+
+def cut_scan(iu, iv, nfree, ntotal, max_size, min_side):
     """Masks (over the nfree non-anchor vertices) whose vertex set cuts at
     most max_size edges with both sides of order >= min_side.  Edge j joins
     vertex indices iu[j], iv[j]; the anchor vertex carries index nfree and
     is always on the complement side, so each bipartition shows up exactly
-    once.  Ascending mask order."""
-    cap = 1024
-    out = np.empty(cap, dtype=np.int64)
-    k = 0
-    m = iu.shape[0]
-    for mask in range(1, 1 << nfree):
-        x = mask
-        pc = 0
-        while x:
-            x &= x - 1
-            pc += 1
-        if pc < min_side or ntotal - pc < min_side:
-            continue
-        cnt = 0
-        for j in range(m):
-            if ((mask >> iu[j]) & 1) != ((mask >> iv[j]) & 1):
-                cnt += 1
-                if cnt > max_size:
-                    break
-        if cnt <= max_size:
-            if k == cap:
-                cap *= 2
-                grown = np.empty(cap, dtype=np.int64)
-                grown[:k] = out[:k]
-                out = grown
-            out[k] = mask
-            k += 1
-    return out[:k]
-
-
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def cut_scan_numpy(iu, iv, nfree, ntotal, max_size, min_side):
-    """Vectorized equivalent of cut_scan_loop, chunked to bound memory."""
+    once.  Ascending mask order; vectorized and chunked to bound memory."""
     total = 1 << int(nfree)
     chunk = 1 << 16
     parts = []
@@ -184,10 +130,3 @@ def cut_scan_numpy(iu, iv, nfree, ntotal, max_size, min_side):
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
 
-
-if USING_NUMBA:
-    orient_search = njit(cache=True)(orient_search_py)
-    cut_scan = njit(cache=True)(cut_scan_loop)
-else:
-    orient_search = orient_search_py
-    cut_scan = cut_scan_numpy

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success or orientation found, 1 a definite negative (proven
-none / invalid / class fails), 2 engine refusal (size threshold), 3 input
-error.  Results go to stdout or ``-o``; diagnostics go to stderr.
+none / invalid / class fails), 2 engine refusal (oracle threshold or cut
+search budget), 3 input error.  Results go to stdout or ``-o``; diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .cuts import check_class, classify_cut, enumerate_robust_cuts
+from .cuts import CutBudgetError, check_class, classify_cut, enumerate_robust_cuts
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
@@ -384,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliInputError, PgrError, FamilyError) as exc:
         _say(f"input error: {exc}")
         return 3
-    except (SolverRefusal, OracleBoundError) as exc:
+    except (SolverRefusal, OracleBoundError, CutBudgetError) as exc:
         _say(f"refused: {exc}")
         return 2
     except (EmbeddingError, OrientationError) as exc:

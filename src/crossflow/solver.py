@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cuts import CUT_VERTEX_CEILING, enumerate_robust_cuts
+from .cuts import CutBudgetError, enumerate_robust_cuts
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
@@ -235,11 +235,16 @@ def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
 def _pick_cut_side(g: EmbeddedGraph, p: dict[int, int]) -> frozenset[int] | None:
     """First 2-robust cut of size <= 5 with a contractible side that avoids
     the protected and directed vertices; among a cut's two sides, prefer
-    the smaller (then lexicographically smaller) qualifying one."""
-    if not 4 <= len(g.vertices) <= CUT_VERTEX_CEILING:
+    the smaller (then lexicographically smaller) qualifying one.  An
+    enumeration over its step budget counts as no usable cut."""
+    if len(g.vertices) < 4:
+        return None
+    try:
+        found = enumerate_robust_cuts(g, 5)
+    except CutBudgetError:
         return None
     avoid = {g.tvertex, g.dvertex} - {None}
-    for cut in enumerate_robust_cuts(g, 5):
+    for cut in found:
         sides = sorted(
             (cut.side, cut.complement),
             key=lambda s: (len(s), sorted(s)),

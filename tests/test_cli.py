@@ -6,6 +6,7 @@ Exit code contract: 0 solved/valid, 1 proven none/invalid/class fails,
 
 import pytest
 
+from conftest import cycle_graph
 from crossflow.cli import main
 from crossflow.families import gen_circulant_b, gen_counterexample
 from crossflow.pgr import parse_graph, read_graph, serialize_graph, write_graph
@@ -211,6 +212,15 @@ def test_cuts_report_format(ce_file, capsys):
     for line in out.strip().splitlines():
         assert line.startswith("cut size=")
         assert " type=" in line and " side=" in line
+
+
+def test_cuts_over_search_budget_exit2(tmp_path, capsys):
+    path = tmp_path / "c30.pgr"
+    write_graph(path, cycle_graph(30))
+    code, out, err = run(capsys, "cuts", str(path), "--max", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("refused:") and "Traceback" not in err
 
 
 def test_faces_report(b7_file, capsys):

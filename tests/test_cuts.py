@@ -7,6 +7,7 @@ algorithm, against which the package's versions are checked.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -16,7 +17,9 @@ from conftest import (
     triangle,
     wheel,
 )
+from crossflow import _kernels
 from crossflow.cuts import (
+    CutBudgetError,
     EdgeCut,
     OperationError,
     boundary_connectivity,
@@ -27,8 +30,9 @@ from crossflow.cuts import (
     edge_connectivity,
     enumerate_robust_cuts,
     make_cut,
+    _scan_masks,
 )
-from crossflow.embedding import boundary_vertices
+from crossflow.embedding import EmbeddedGraph, boundary_vertices
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.orient import random_prescription
 
@@ -156,6 +160,73 @@ def test_size_cap_refused_on_large_graphs():
     g = build_graph({i: (i, (i + 1) % 30) for i in range(30)})
     with pytest.raises(OperationError):
         enumerate_robust_cuts(g, max_size=7, min_side=2)
+
+
+def reference_sides(g, max_size, min_side):
+    """The sides the 2^(n-1) bitmask scan finds, in its mask order."""
+    verts = g.vertices
+    free = verts[1:]
+    index = {v: i for i, v in enumerate(free)}
+    index[verts[0]] = len(free)
+    iu = np.array([index[u] for u, _ in g.edges.values()], dtype=np.int64)
+    iv = np.array([index[v] for _, v in g.edges.values()], dtype=np.int64)
+    masks = _kernels.cut_scan(iu, iv, len(free), len(verts), max_size, min_side)
+    return [frozenset(v for i, v in enumerate(free) if int(m) >> i & 1) for m in masks]
+
+
+def without_edges(g, rng):
+    """A copy of g with a random non-empty set of edges removed, which
+    leaves it disconnected or with isolated vertices more often than not."""
+    h = g.copy()
+    k = int(rng.integers(1, len(h.edges) + 1))
+    for e in rng.choice(sorted(h.edges), size=k, replace=False):
+        e = int(e)
+        del h.edges[e], h.sign[e]
+        for v in h.rotation:
+            h.rotation[v] = [d for d in h.rotation[v] if d[0] != e]
+    h.specified = []
+    h.validate()
+    return h
+
+
+def _differential_graphs():
+    for seed in range(100):
+        yield gen_random_pt(seed, 12)[0]
+    for k in range(3):
+        yield gen_counterexample(k)[0]
+    rng = np.random.default_rng(7)
+    for seed in range(40):
+        g = random_multigraph(seed, max_vertices=10, max_extra=8)
+        yield g
+        yield without_edges(g, rng)
+
+
+def test_scan_masks_matches_bitmask_reference():
+    # one scan per graph at the loosest bounds; the scan's answer for
+    # tighter (k, m) is that list filtered by cut size and side order,
+    # in the same mask order, which spares CE2's 2^23 masks 20 rescans
+    for g in _differential_graphs():
+        n = len(g.vertices)
+        loose = [(s, len(cut_edges(g, s))) for s in reference_sides(g, 6, 1)]
+        for k in range(7):
+            for m in (1, 2, 3):
+                want = [s for s, c in loose if c <= k and m <= len(s) <= n - m]
+                assert _scan_masks(g, k, m) == want, (g.vertices, k, m)
+
+
+def test_counterexample_cuts_above_old_ceiling():
+    g = gen_counterexample(3)[0]
+    assert len(g.vertices) == 30
+    cuts = enumerate_robust_cuts(g, 5)
+    assert [c.size for c in cuts] == [5, 5]
+    assert [c.side for c in cuts] == [frozenset({0, 1}), frozenset({0, 16})]
+
+
+def test_edgeless_graph_over_budget_is_refused():
+    g = EmbeddedGraph()
+    g.rotation = {v: [] for v in range(1500)}
+    with pytest.raises(CutBudgetError):
+        enumerate_robust_cuts(g, 5)
 
 
 def test_cut_fields_consistent():

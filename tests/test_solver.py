@@ -171,6 +171,16 @@ def test_solve_threshold_refusal():
     assert "8" in str(exc.value) or "threshold" in str(exc.value).lower()
 
 
+def test_counterexample_above_old_ceiling_still_refused():
+    # CE3 has 30 vertices; its two 5-cuts, {0, 1} and {0, 16}, have the
+    # protected vertex 0 on one side and the directed vertex on the other,
+    # so neither side may be contracted and the oracle threshold refuses it
+    g, p, dspec = gen_counterexample(3)
+    assert len(g.vertices) == 30
+    with pytest.raises(SolverRefusal):
+        solve(g, p)
+
+
 def test_solve_agrees_with_oracle_on_corpus():
     for seed in range(60):
         g, p = gen_random_pt(seed, 9)
