@@ -88,9 +88,6 @@ class EmbeddedGraph:
         u, v = self.edges[e]
         return u == v
 
-    def dart_tail(self, d: Dart) -> int:
-        return self.edges[d[0]][d[1]]
-
     def dart_head(self, d: Dart) -> int:
         return self.edges[d[0]][1 - d[1]]
 
@@ -578,8 +575,14 @@ def delete_edge(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
 
 
 def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
-    """Delete a vertex with all incident edges.  A specified face whose
-    boundary uses the vertex merges with every face at the vertex."""
+    """Delete a vertex with all incident edges.
+
+    A specified face keeps an edge side of its boundary that survives; one
+    whose whole boundary is at the vertex takes the first surviving side of
+    a face at the vertex, in ``trace_faces`` order.  On the plane and the
+    projective plane the faces at the vertex all merge into that one face;
+    on other surfaces they can stay apart, and the choice then follows
+    trace order rather than the geometry."""
     if v not in g.rotation:
         raise OperationError(f"unknown vertex {v}")
     dead = {d[0] for d in g.rotation[v]}

@@ -245,9 +245,17 @@ def count_valid(g: EmbeddedGraph, p: dict[int, int], bound: int = 24) -> int:
 # --------------------------------------------------- greedy direct-and-delete
 
 
+def _digest_line(e: int, uv: tuple[int, int]) -> str:
+    return f"{e} {uv[0]} {uv[1]}"
+
+
+def _digest_of_lines(lines) -> str:
+    """Digest of edge lines already in ascending edge-id order."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def _abstract_digest(edges: dict[int, tuple[int, int]]) -> str:
-    text = "\n".join(f"{e} {u} {v}" for e, (u, v) in sorted(edges.items()))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _digest_of_lines(_digest_line(e, uv) for e, uv in sorted(edges.items()))
 
 
 def greedy_direct_and_delete(
@@ -269,12 +277,23 @@ def greedy_direct_and_delete(
 
     ``step_log``, when given, accumulates (kind, args, digest) triples of
     the working multigraph after each step, for solver traces.
+
+    The sweep is O(|E| log Δ); each logged step also hashes the remaining
+    edge list for its trace digest.
     """
     if not prescription_ok(g, p):
         raise OrientationError("prescription is malformed")
     if g.darcs:
         raise ScheduleError("greedy schedules do not handle forced arcs")
     edges = dict(g.edges)
+    if step_log is not None:
+        # digest lines stay in ascending id order: seeded sorted, and lifted
+        # ids from next_edge_id() exceed every existing id
+        lines = {e: _digest_line(e, edges[e]) for e in sorted(edges)}
+    inc: dict[int, set[int]] = {v: set() for v in g.rotation}
+    for e, (a, b) in edges.items():
+        inc[a].add(e)
+        inc[b].add(e)
     ep = dict(g.edges)
     lifted: list[tuple[int, int, int, int, int, int]] = []
     next_id = g.next_edge_id()
@@ -290,13 +309,19 @@ def greedy_direct_and_delete(
             raise ScheduleError(f"edges {e1},{e2} do not meet at {v}")
         if u == w:
             raise ScheduleError("lift would create a loop")
-        del edges[e1]
-        del edges[e2]
+        for e in (e1, e2):
+            for x in edges.pop(e):
+                inc[x].discard(e)
         edges[next_id] = (u, w)
         ep[next_id] = (u, w)
+        inc[u].add(next_id)
+        inc[w].add(next_id)
         lifted.append((next_id, e1, e2, u, v, w))
         if step_log is not None:
-            step_log.append(("LiftPair", (e1, e2, v), _abstract_digest(edges)))
+            del lines[e1]
+            del lines[e2]
+            lines[next_id] = _digest_line(next_id, (u, w))
+            step_log.append(("LiftPair", (e1, e2, v), _digest_of_lines(lines.values())))
         next_id += 1
 
     direction: dict[int, tuple[int, int]] = {}
@@ -304,7 +329,8 @@ def greedy_direct_and_delete(
     for v in order:
         if v not in cur:
             raise ScheduleError(f"schedule names missing vertex {v}", vertex=v)
-        mine = sorted(e for e, (a, b) in edges.items() if v in (a, b))
+        mine = sorted(inc[v])
+        inc[v].clear()
         k = len(mine)
         need = (2 * (p[v] - cur[v] + k)) % 3
         if need > k:
@@ -313,17 +339,19 @@ def greedy_direct_and_delete(
                 vertex=v,
             )
         for idx, e in enumerate(mine):
-            a, b = edges[e]
+            a, b = edges.pop(e)
             other = b if a == v else a
+            inc[other].discard(e)
             if idx < need:
                 direction[e] = (other, v)
                 cur[other] -= 1
             else:
                 direction[e] = (v, other)
                 cur[other] += 1
-            del edges[e]
         if step_log is not None:
-            step_log.append(("OrientDeleteVertex", (v,), _abstract_digest(edges)))
+            for e in mine:
+                del lines[e]
+            step_log.append(("OrientDeleteVertex", (v,), _digest_of_lines(lines.values())))
 
     if edges:
         raise ScheduleError(f"{len(edges)} edges left undirected by the schedule")

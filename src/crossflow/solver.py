@@ -1,7 +1,8 @@
 """Hybrid valid-orientation solver with replayable traces.
 
 Strategy order, fixed here: a supplied or detected circulant schedule runs
-first (complete for those two families and linear-time), then robust-cut
+first (complete for those two families; the sweep is O(|E| log Δ), but
+each traced step also hashes the remaining edge list), then robust-cut
 contraction with orientation transfer, then the doubled-boundary-vertex
 split, then the exhaustive oracle under a configurable free-edge
 threshold.  Anything else is refused by name.  Every orientation leaving

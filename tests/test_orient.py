@@ -26,6 +26,7 @@ from crossflow.orient import (
     Orientation,
     OrientationError,
     ScheduleError,
+    _abstract_digest,
     count_valid,
     greedy_direct_and_delete,
     is_valid_orientation,
@@ -237,14 +238,46 @@ def test_greedy_a7_sample_prescriptions():
         assert is_valid_orientation(g, p, o)
 
 
+def _logged_steps_model(g, lifts, order):
+    """The step log a lift-then-sweep schedule should leave, from a working
+    edge dict rebuilt whole at every step."""
+    work = dict(g.edges)
+    next_id = g.next_edge_id()
+    steps = []
+    for e1, e2, v in lifts:
+        (a, b), (c, d) = work.pop(e1), work.pop(e2)
+        work[next_id] = (b if a == v else a, d if c == v else c)
+        next_id += 1
+        steps.append(("LiftPair", (e1, e2, v), _abstract_digest(work)))
+    for v in order:
+        work = {e: uv for e, uv in work.items() if v not in uv}
+        steps.append(("OrientDeleteVertex", (v,), _abstract_digest(work)))
+    return steps
+
+
 def test_greedy_step_log_kinds():
-    g = gen_circulant_b(7)
-    lifts, order = circulant_schedule(g, 7, with_subdivision=False)
-    log = []
-    greedy_direct_and_delete(g, {v: 0 for v in g.vertices}, lifts, order, step_log=log)
-    kinds = {k for k, _, _ in log}
-    assert kinds == {"LiftPair", "OrientDeleteVertex"}
-    assert len(log) == len(lifts) + len(order)
+    cases = []
+    for i in (5, 7, 9, 21, 51):
+        for gen, subdivided in ((gen_circulant_b, False), (gen_a, True)):
+            g = gen(i)
+            cases.append((g, *circulant_schedule(g, i, with_subdivision=subdivided)))
+    # parsed graphs need not insert edges in id order
+    g, lifts, order = cases[2]
+    shuffled = g.copy()
+    shuffled.edges = {e: g.edges[e] for e in sorted(g.edges, reverse=True)}
+    cases.append((shuffled, lifts, order))
+    for g, lifts, order in cases:
+        model = _logged_steps_model(g, lifts, order)
+        prescriptions = [{v: 0 for v in g.vertices}]
+        prescriptions += [random_prescription(g, seed) for seed in range(3)]
+        for p in prescriptions:
+            log = []
+            o = greedy_direct_and_delete(g, p, lifts, order, step_log=log)
+            assert is_valid_orientation(g, p, o)
+            assert o == greedy_direct_and_delete(g, p, lifts, order)
+            kinds = {k for k, _, _ in log}
+            assert kinds == {"LiftPair", "OrientDeleteVertex"}
+            assert log == model
 
 
 def test_greedy_rejects_missing_vertex():
