@@ -1,5 +1,7 @@
-"""Numeric kernels in plain Python and numpy: the exhaustive orientation
-search, and the scan of all 2^(n-1) bipartitions that the tests use as
+"""Numeric kernels in plain Python and numpy: the backtracking orientation
+search, which reads the oracle's witness once the frontier DP has found an
+instance orientable and counts valid orientations as the DP's test
+reference, and the scan of all 2^(n-1) bipartitions that the tests use as
 the reference for ``cuts._scan_masks`` (nothing in the package calls it).
 """
 
@@ -19,7 +21,14 @@ def orient_search(lo, hi, cur, und, tgt, mode, out_dirs):
     except for parallel bookkeeping; order fixed by the caller).  cur[v]
     holds the in-minus-out contribution of already-directed edges, und[v]
     the number of undirected edges at v; both are consumed in place.
-    Direction code 1 means tail at lo (edge runs lo -> hi), 2 the reverse.
+    lo, hi, cur, und and tgt are plain lists, which index faster than
+    numpy arrays here.  Direction code 1 means tail at lo (edge runs
+    lo -> hi), 2 the reverse; out_dirs is an int8 buffer of length m.
+
+    The search is exponential.  The oracle runs it only to read the
+    witness of an instance the frontier DP in ``orient`` has found
+    orientable, under its free-edge threshold; ``count_valid`` runs it
+    under its own edge bound.
 
     Feasibility pruning at each assignment, exact in both directions:
     a vertex with no undirected edges left must sit on its target residue
@@ -30,8 +39,8 @@ def orient_search(lo, hi, cur, und, tgt, mode, out_dirs):
     direction order and return 1, or return 0 when none exists.
     mode 1: return the number of valid completions.
     """
-    n = cur.shape[0]
-    m = lo.shape[0]
+    n = len(cur)
+    m = len(lo)
     for v in range(n):
         if und[v] == 0:
             if (cur[v] - tgt[v]) % 3 != 0:
@@ -41,7 +50,7 @@ def orient_search(lo, hi, cur, und, tgt, mode, out_dirs):
                 return 0
     if m == 0:
         return 1
-    dirs = np.zeros(m, dtype=np.int8)
+    dirs = [0] * m
     count = 0
     j = 0
     while j >= 0:

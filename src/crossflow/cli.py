@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success or orientation found, 1 a definite negative (proven
-none / invalid / class fails), 2 engine refusal (oracle threshold or cut
-search budget), 3 input error.  Results go to stdout or ``-o``; diagnostics
-go to stderr.
+none / invalid / class fails), 2 engine refusal (an orientable instance
+over the witness search threshold, the frontier DP's state budget, or the
+cut search budget), 3 input error.  Results go to stdout or ``-o``;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     p = _resolve_prescription(g, embedded, cfg)
     orientation = oracle_solve(g, p, bound=cfg.oracle_threshold)
     if orientation is None:
-        _say("no valid orientation (exhaustive)")
+        _say("no valid orientation (frontier DP)")
         return 1
     _emit(serialize_orientation(orientation.tails()), cfg.output)
     return 0
@@ -296,7 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prescription source (default: the one in the file)")
     p.add_argument("--seed", type=int, default=0, help="seed for --p random (default 0)")
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                   help=f"oracle free-edge ceiling (default {DEFAULT_THRESHOLD})")
+                   help="most free edges the oracle's witness search takes on an "
+                   f"orientable instance (default {DEFAULT_THRESHOLD}); 'none' "
+                   "answers are not bounded by it")
     p.add_argument("--trace", dest="trace_path", default=None, help="write the reduction trace here")
     add_output(p)
 
@@ -307,12 +310,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
 
-    p = sub.add_parser("oracle", help="exhaustive search only, no reductions")
+    p = sub.add_parser("oracle", help="frontier DP and witness search only, no reductions")
     p.add_argument("input")
     p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                   help=f"free-edge ceiling (default {DEFAULT_THRESHOLD})")
+                   help="most free edges the witness search takes on an orientable "
+                   f"instance (default {DEFAULT_THRESHOLD})")
     add_output(p)
 
     p = sub.add_parser("cuts", help="enumerate and classify robust small cuts")
@@ -335,7 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate and solve a seeded batch")
     p.add_argument("--seeds", type=_seed_range, required=True, metavar="A..B")
     p.add_argument("--max-vertices", type=int, default=9)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
+                   help="most free edges the oracle's witness search takes on an "
+                   f"orientable instance (default {DEFAULT_THRESHOLD})")
     add_output(p)
 
     return top

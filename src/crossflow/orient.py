@@ -1,5 +1,6 @@
-"""Prescriptions, orientations mod 3, the exhaustive oracle, and the
-greedy direct-and-delete engine.
+"""Prescriptions, orientations mod 3, the oracle (a frontier DP that
+decides, and a bounded backtracking search that reads the witness), and
+the greedy direct-and-delete engine.
 
 A prescription assigns every vertex a residue in {-1, 0, +1}; its total
 must vanish mod 3 (reversing the handshake argument, no orientation can
@@ -11,7 +12,9 @@ vertex if the graph carries one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +28,8 @@ class OrientationError(Exception):
 
 
 class OracleBoundError(OrientationError):
-    """Instance exceeds the configured exhaustive-search budget."""
+    """Instance exceeds the frontier DP's state budget, or is orientable
+    with more undirected edges than the witness search's bound."""
 
 
 class ScheduleError(OrientationError):
@@ -170,14 +174,23 @@ def _merged_partial(g: EmbeddedGraph, partial: Orientation | None) -> dict[int, 
     return merged
 
 
-def _oracle_arrays(g, p, directed):
+# The frontier DP refuses once it has created more states than this, over
+# all its steps.  No step starts from more, and a step at most doubles its
+# set, so this bounds the DP's time and memory.
+_FRONTIER_STATE_BUDGET = 1 << 18
+
+
+def _oracle_lists(g, p, directed):
+    """The oracle's instance over vertex indices: the free edge ids, their
+    lower and higher endpoints, the in-minus-out sum of the directed edges
+    at each vertex, its count of free edges, and its target residue."""
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    cur = np.zeros(n, dtype=np.int64)
-    und = np.zeros(n, dtype=np.int64)
-    tgt = np.array([p[v] for v in verts], dtype=np.int64)
-    free = []
+    cur = [0] * n
+    und = [0] * n
+    tgt = [p[v] for v in verts]
+    free, lo, hi = [], [], []
     for e in sorted(g.edges):
         u, v = g.edges[e]
         if u == v:
@@ -187,12 +200,119 @@ def _oracle_arrays(g, p, directed):
             cur[index[t]] -= 1
             cur[index[h]] += 1
         else:
+            a, b = index[u], index[v]
             free.append(e)
-            und[index[u]] += 1
-            und[index[v]] += 1
-    lo = np.array([index[min(g.edges[e])] for e in free], dtype=np.int64)
-    hi = np.array([index[max(g.edges[e])] for e in free], dtype=np.int64)
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+            und[a] += 1
+            und[b] += 1
     return free, lo, hi, cur, und, tgt
+
+
+@functools.lru_cache(maxsize=4096)
+def _edge_moves(sa: int, sb: int, ra: int, rb: int) -> dict[int, tuple[int, ...]]:
+    """What one edge does to a state, keyed by the state's bits in the
+    edge's two slots (at bit offsets sa and sb): the deltas to add.  Tail
+    at a steps a's residue by -1 and b's by +1 mod 3; tail at b the
+    reverse.  ra (rb) is a's (b's) need when this edge is its last, else
+    -1: then only a move landing on it survives, and clears the slot.
+    """
+    table = {}
+    for xa in range(3):
+        for xb in range(3):
+            moves = []
+            for ya, yb in (((xa + 2) % 3, (xb + 1) % 3), ((xa + 1) % 3, (xb + 2) % 3)):
+                if ra >= 0:
+                    if ya != ra:
+                        continue
+                    ya = 0
+                if rb >= 0:
+                    if yb != rb:
+                        continue
+                    yb = 0
+                moves.append(((ya - xa) << sa) + ((yb - xb) << sb))
+            table[xa << sa | xb << sb] = tuple(moves)
+    return table
+
+
+def _frontier_orientable(lo: list[int], hi: list[int], need: list[int]) -> bool:
+    """Whether the free edges lo[j]-hi[j] can be directed so that every
+    vertex's in-minus-out sum over them is need[v] mod 3.
+
+    Frontier-based search.  Vertices are visited in maximum-cardinality
+    search order, started at a vertex of least degree, ties to the lower
+    index; each edge is taken when its later endpoint is visited.  A state
+    packs, 2 bits per slot, the residue so far of each open vertex (one
+    with edges on both sides of the sweep).  A vertex takes a slot at its
+    first edge and gives it back at its last, where it must sit on its
+    need.  Raises OracleBoundError once more than
+    ``_FRONTIER_STATE_BUDGET`` states have been created.
+    """
+    n = len(need)
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        inc[a].append(j)
+        inc[b].append(j)
+    if any(need[v] and not inc[v] for v in range(n)):
+        return False
+    live = [v for v in range(n) if inc[v]]
+    if not live:
+        return True
+    left = [len(edges) for edges in inc]  # edges not yet taken
+    weight = [0] * n  # edges to visited vertices
+    pos = [-1] * n
+    slot = [-1] * n
+    spare: list[int] = []
+    width = 0
+    start = min(live, key=lambda v: (left[v], v))
+    weight[start] = 1
+    heap = [(-weight[v], v) for v in live]
+    heapq.heapify(heap)
+    states = {0}
+    created = 0
+    visited = 0
+    while heap:
+        w, v = heapq.heappop(heap)
+        if pos[v] >= 0 or -w != weight[v]:
+            continue  # visited, or an entry its weight has outgrown
+        pos[v] = visited
+        visited += 1
+        back = []
+        for j in inc[v]:
+            u = lo[j] + hi[j] - v
+            if pos[u] >= 0:
+                back.append((pos[u], j))
+            else:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
+        back.sort()
+        for _, j in back:
+            a, b = lo[j], hi[j]
+            for x in (a, b):
+                if slot[x] < 0:
+                    slot[x] = spare.pop() if spare else width
+                    width = max(width, slot[x] + 1)
+            sa, sb = 2 * slot[a], 2 * slot[b]
+            left[a] -= 1
+            left[b] -= 1
+            # a vertex taking its last edge lands on its need and frees its slot
+            ra = -1 if left[a] else need[a]
+            rb = -1 if left[b] else need[b]
+            for x in (a, b):
+                if not left[x]:
+                    spare.append(slot[x])
+            mask = 3 << sa | 3 << sb
+            moves = _edge_moves(sa, sb, ra, rb)
+            states = {s + d for s in states for d in moves[s & mask]}
+            if not states:
+                return False
+            created += len(states)
+            if created > _FRONTIER_STATE_BUDGET:
+                raise OracleBoundError(
+                    f"the frontier DP passed its budget of {_FRONTIER_STATE_BUDGET} "
+                    f"states at frontier width {width} ({len(lo)} free edges)"
+                )
+    return True
 
 
 def oracle_solve(
@@ -201,25 +321,34 @@ def oracle_solve(
     partial: Orientation | None = None,
     bound: int = 28,
 ) -> Orientation | None:
-    """Exhaustive, deterministic completion search.
+    """Decide whether a valid total orientation extends ``partial`` and the
+    graph's forced arcs, and return the first one.
 
-    Finds the first valid total orientation extending ``partial`` and the
-    graph's forced arcs, branching undirected edges in id order with
-    tail-at-lower-endpoint tried first; returns None when the full pruned
-    tree is exhausted.  Refuses more than ``bound`` undirected edges.
+    A frontier DP over the undirected edges decides: when it finds none,
+    the answer is None whatever their count.  Past its state budget it
+    raises OracleBoundError.  For an orientable instance the witness is
+    the first valid orientation in lexicographic order, branching
+    undirected edges in id order with tail-at-lower-endpoint tried first;
+    that backtracking search is bounded by ``bound`` undirected edges, and
+    more than that raises OracleBoundError.
     """
     if not prescription_ok(g, p):
         return None
     directed = _merged_partial(g, partial)
-    free, lo, hi, cur, und, tgt = _oracle_arrays(g, p, directed)
+    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, directed)
+    if not _frontier_orientable(lo, hi, [(t - c) % 3 for t, c in zip(tgt, cur)]):
+        return None
     if len(free) > bound:
         raise OracleBoundError(
-            f"{len(free)} undirected edges exceed the oracle bound {bound}"
+            f"{len(free)} undirected edges exceed the witness search threshold "
+            f"{bound} (the instance is orientable)"
         )
     out = np.zeros(len(free), dtype=np.int8)
-    hit = _kernels.orient_search(lo, hi, cur, und, tgt, 0, out)
-    if not hit:
-        return None
+    if not _kernels.orient_search(lo, hi, cur, und, tgt, 0, out):
+        raise OrientationError(
+            "the witness search found nothing on an instance the frontier DP "
+            "found orientable"
+        )
     direction = dict(directed)
     for j, e in enumerate(free):
         u, v = min(g.edges[e]), max(g.edges[e])
@@ -232,13 +361,15 @@ def oracle_solve(
 
 
 def count_valid(g: EmbeddedGraph, p: dict[int, int], bound: int = 24) -> int:
-    """Number of valid total orientations (extending forced arcs)."""
+    """Number of valid total orientations (extending forced arcs), counted
+    by the backtracking search; the reference the frontier DP is tested
+    against."""
     if len(g.edges) > bound:
         raise OracleBoundError(f"|E|={len(g.edges)} exceeds the count bound {bound}")
     if not prescription_ok(g, p):
         return 0
     directed = _merged_partial(g, None)
-    free, lo, hi, cur, und, tgt = _oracle_arrays(g, p, directed)
+    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, directed)
     return int(_kernels.orient_search(lo, hi, cur, und, tgt, 1, np.zeros(0, np.int8)))
 
 

@@ -4,9 +4,13 @@ Strategy order, fixed here: a supplied or detected circulant schedule runs
 first (complete for those two families; the sweep is O(|E| log Δ), but
 each traced step also hashes the remaining edge list), then robust-cut
 contraction with orientation transfer, then the doubled-boundary-vertex
-split, then the exhaustive oracle under a configurable free-edge
-threshold.  Anything else is refused by name.  Every orientation leaving
-this module is validated against the untouched input.
+split, then the oracle.  There a frontier DP decides, within a fixed
+state budget, whether any valid orientation exists, so "none" never
+depends on the free-edge count; an orientable instance gets the
+lexicographically first witness of a backtracking search bounded by the
+configurable free-edge threshold.  Past either bound the instance is
+refused, and the refusal names the bound.  Every orientation leaving this
+module is validated against the untouched input.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .embedding import (
 from .families import FamilySpec, circulant_schedule
 from .orient import (
     DirectedVertexSpec,
+    OracleBoundError,
     Orientation,
     OrientationError,
     ScheduleError,
@@ -361,18 +366,16 @@ def _solve_inner(
             # same abstract multigraph, so this answer is decisive either way
             return o3, steps + sub3
 
-    # 4. exhaustive oracle
+    # 4. oracle: the frontier DP decides, the bounded search reads a witness
     n_free = len(g.edges) - len(g.darcs)
-    if n_free <= threshold:
+    try:
         o4 = oracle_solve(g, p, bound=threshold)
-        step = ReductionStep("OracleCall", (n_free,), _abstract_digest(g.edges))
-        return o4, [step]
-
-    raise SolverRefusal(
-        f"refused: {n_free} free edges exceed the oracle threshold {threshold}, "
-        "and no schedule, usable 2-robust cut of size <= 5, or doubled "
-        "boundary vertex applies"
-    )
+    except OracleBoundError as exc:
+        raise SolverRefusal(
+            f"{exc}, and no schedule, usable 2-robust cut of size <= 5, or "
+            "doubled boundary vertex applies"
+        ) from exc
+    return o4, [ReductionStep("OracleCall", (n_free,), _abstract_digest(g.edges))]
 
 
 def solve(

@@ -4,11 +4,13 @@ Exit code contract: 0 solved/valid, 1 proven none/invalid/class fails,
 2 engine refusal, 3 bad input.
 """
 
+import time
+
 import pytest
 
-from conftest import cycle_graph
+from conftest import build_graph, cycle_graph
 from crossflow.cli import main
-from crossflow.families import gen_circulant_b, gen_counterexample
+from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.pgr import parse_graph, read_graph, serialize_graph, write_graph
 from crossflow.solver import parse_trace, replay
 
@@ -109,11 +111,30 @@ def test_solve_without_prescription_needs_embedded_one(b7_file, capsys):
 
 
 def test_solve_threshold_refusal_exit2(tmp_path, capsys):
-    g, p, dspec = gen_counterexample(1)
-    path = tmp_path / "ce1.pgr"
+    # orientable, and solved by one oracle call over all 19 edges
+    g, p = gen_random_pt(5, 9)
+    path = tmp_path / "rpt5.pgr"
     write_graph(path, g, p)
-    code, _, err = run(capsys, "solve", str(path), "--threshold", "4")
-    assert code == 2
+    code, out, err = run(capsys, "solve", str(path), "--threshold", "4")
+    assert code == 2 and out == ""
+    assert "19 undirected edges exceed the witness search threshold 4" in err
+
+
+def test_solve_over_state_budget_exit2(tmp_path, capsys):
+    # K11 reaches the oracle (no cut of size <= 5, no family) and passes
+    # the frontier DP's state budget
+    edges = {}
+    for u in range(11):
+        for v in range(u + 1, 11):
+            edges[len(edges)] = (u, v)
+    path = tmp_path / "k11.pgr"
+    write_graph(path, build_graph(edges), {v: 0 for v in range(11)})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(path))
+    assert time.perf_counter() - start < 20
+    assert code == 2 and out == ""
+    assert "budget of 262144 states at frontier width" in err
+    assert "Traceback" not in err
 
 
 def test_solve_prescription_file(b7_file, tmp_path, capsys):
@@ -196,11 +217,12 @@ def test_oracle_counterexample_exit1(ce_file, capsys):
 
 
 def test_oracle_bound_exit2(tmp_path, capsys):
-    g, p, dspec = gen_counterexample(1)
-    path = tmp_path / "ce1.pgr"
-    write_graph(path, g, p)
-    code, _, _ = run(capsys, "oracle", str(path), "--threshold", "10")
-    assert code == 2
+    g = gen_circulant_b(11)  # 22 edges, orientable with the zero prescription
+    path = tmp_path / "b11.pgr"
+    write_graph(path, g, {v: 0 for v in g.vertices})
+    code, out, err = run(capsys, "oracle", str(path), "--threshold", "20")
+    assert code == 2 and out == ""
+    assert "witness search threshold 20" in err
 
 
 # ------------------------------------------------------- cuts/faces/check

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multigraph, triangle, cycle_graph
+from conftest import build_graph, random_multigraph, triangle, cycle_graph
 from crossflow.embedding import EmbeddedGraph
 from crossflow.families import (
     circulant_schedule,
@@ -184,9 +184,79 @@ def test_counterexample_solvable_without_directed_vertex():
 
 
 def test_oracle_bound_enforced():
-    g = gen_counterexample(1)[0]  # 36 edges, 32 free
-    with pytest.raises(OracleBoundError):
-        oracle_solve(g, {v: 0 for v in g.vertices}, bound=20)
+    g = gen_circulant_b(11)  # 22 edges, orientable with the zero prescription
+    p = {v: 0 for v in g.vertices}
+    with pytest.raises(OracleBoundError, match="witness search threshold 20"):
+        oracle_solve(g, p, bound=20)
+    assert oracle_solve(g, p, bound=22) is not None
+
+
+def test_oracle_decides_none_past_the_bound():
+    # CE1: 32 free edges, no valid orientation; the DP decides it whatever
+    # the witness bound
+    g, p, dspec = gen_counterexample(1)
+    assert oracle_solve(g, p, bound=0) is None
+
+
+def test_frontier_state_budget_refuses():
+    # K11: no vertex closes before the last one is visited, so the frontier
+    # grows to 11 vertices with free residues, up to 3^10 states a step
+    edges = {}
+    for u in range(11):
+        for v in range(u + 1, 11):
+            edges[len(edges)] = (u, v)
+    g = build_graph(edges)
+    with pytest.raises(OracleBoundError, match="budget of 262144 states at frontier width"):
+        oracle_solve(g, {v: 0 for v in g.vertices})
+
+
+def _without_partial(g, p, partial):
+    """The instance with the partially directed edges deleted and their
+    contribution moved into the prescription: the same completions."""
+    h = g.copy()
+    q = dict(p)
+    for e, (t, hd) in partial.direction.items():
+        q[t] += 1  # the rest must make up the -1 the tail already has
+        q[hd] -= 1
+        del h.edges[e]
+        del h.sign[e]
+    for v in h.rotation:
+        h.rotation[v] = [d for d in h.rotation[v] if d[0] in h.edges]
+    return h, {v: (r + 1) % 3 - 1 for v, r in q.items()}
+
+
+def test_frontier_dp_agrees_with_count_valid():
+    # any genus, random prescriptions, forced arcs at a random directed
+    # vertex and a random partial orientation: the oracle answers None
+    # exactly when the backtracker counts no completion, and otherwise a
+    # valid orientation extending both
+    rng = np.random.default_rng(7)
+    decided = {True: 0, False: 0}
+    for seed in range(1000):
+        g = random_multigraph(seed, max_vertices=8, max_extra=10)  # <= 18 edges
+        p = random_prescription(g, seed)
+        d = int(rng.choice(g.vertices))
+        arcs = {
+            e: ("in" if rng.random() < 0.5 else "out")
+            for e in g.incident(d)
+            if rng.random() < 0.7
+        }
+        if arcs:
+            g.dvertex, g.darcs = d, arcs
+        partial = {}
+        for e in sorted(g.edges):
+            if e not in g.darcs and rng.random() < 0.25:
+                u, v = g.edges[e]
+                partial[e] = (u, v) if rng.random() < 0.5 else (v, u)
+        part = Orientation(direction=partial, fixed=frozenset(partial))
+        want = count_valid(*_without_partial(g, p, part))
+        got = oracle_solve(g, p, partial=part, bound=len(g.edges))
+        assert (got is not None) == (want > 0), f"seed {seed}"
+        if got is not None:
+            assert is_valid_orientation(g, p, got), f"seed {seed}"
+            assert all(got.direction[e] == th for e, th in partial.items()), f"seed {seed}"
+        decided[got is not None] += 1
+    assert min(decided.values()) > 200
 
 
 def test_oracle_rejects_a_wrong_kernel_hit(monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from crossflow import solver as solver_module
 from crossflow.families import (
     circulant_schedule,
     gen_a,
@@ -13,6 +14,7 @@ from crossflow.families import (
 )
 from crossflow.orient import (
     DirectedVertexSpec,
+    OracleBoundError,
     is_valid_orientation,
     oracle_solve,
     random_prescription,
@@ -164,21 +166,56 @@ def test_solve_invalid_prescription_is_none_without_steps():
     assert o is None and trace.outcome == "none" and trace.steps == []
 
 
-def test_solve_threshold_refusal():
-    g, p, dspec = gen_counterexample(1)  # 36 edges, 32 free
+def _spy_oracle(monkeypatch):
+    """Record what each oracle call in the solver returned or raised."""
+    seen = []
+
+    def spy(g, p, partial=None, bound=DEFAULT_THRESHOLD):
+        try:
+            o = oracle_solve(g, p, partial, bound)
+        except OracleBoundError as exc:
+            seen.append(exc)
+            raise
+        seen.append(o)
+        return o
+
+    monkeypatch.setattr(solver_module, "oracle_solve", spy)
+    return seen
+
+
+def test_solve_threshold_refusal(monkeypatch):
+    # 19 edges, solved by one top-level OracleCall at the default threshold;
+    # orientable, so at threshold 8 the witness search bound refuses it
+    g, p = gen_random_pt(5, 9)
+    assert len(g.edges) == 19 and not g.darcs
+    seen = _spy_oracle(monkeypatch)
     with pytest.raises(SolverRefusal) as exc:
         solve(g, p, threshold=8)
-    assert "8" in str(exc.value) or "threshold" in str(exc.value).lower()
+    assert "witness search threshold 8" in str(exc.value)
+    assert len(seen) == 1 and isinstance(seen[0], OracleBoundError)
+    assert oracle_solve(g, p, bound=19) is not None
 
 
-def test_counterexample_above_old_ceiling_still_refused():
+def test_counterexample_above_old_ceiling_decided_none(monkeypatch):
     # CE3 has 30 vertices; its two 5-cuts, {0, 1} and {0, 16}, have the
     # protected vertex 0 on one side and the directed vertex on the other,
-    # so neither side may be contracted and the oracle threshold refuses it
+    # so neither side may be contracted, and the frontier DP proves none
+    # over all 56 free edges, twice the witness threshold
     g, p, dspec = gen_counterexample(3)
     assert len(g.vertices) == 30
-    with pytest.raises(SolverRefusal):
-        solve(g, p)
+    seen = _spy_oracle(monkeypatch)
+    o, trace = solve(g, p)
+    assert o is None and trace.outcome == "none"
+    assert [(st.kind, st.arguments) for st in trace.steps] == [("OracleCall", (56,))]
+    assert seen == [None]
+
+
+def test_counterexample_family_decided_none():
+    for k in range(8):
+        g, p, dspec = gen_counterexample(k)
+        o, trace = solve(g, p)
+        assert o is None and trace.outcome == "none", f"CE{k}"
+        assert [s.kind for s in trace.steps] == ["OracleCall"], f"CE{k}"
 
 
 def test_solve_agrees_with_oracle_on_corpus():
