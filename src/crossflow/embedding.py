@@ -229,10 +229,11 @@ def _mirror(g: EmbeddedGraph, st: State) -> State:
 
 def _walk_from(g: EmbeddedGraph, start: State) -> list[State]:
     orbit = [start]
+    limit = 4 * len(g.edges) + 1
     cur = _face_step(g, start)
     while cur != start:
         orbit.append(cur)
-        if len(orbit) > 4 * len(g.edges) + 1:
+        if len(orbit) > limit:
             raise StructureError("facial walk does not close")
         cur = _face_step(g, cur)
     return orbit
@@ -253,15 +254,11 @@ def _canonical_walk(g: EmbeddedGraph, orbit: list[State], mirror: list[State]) -
     return _as_facewalk(g, rep[k:] + rep[:k])
 
 
-def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
-    """All faces of the embedding, one canonical walk per face.
-
-    Deterministic: each walk starts at its smallest state and faces are
-    listed by that key.  Every dart side belongs to exactly one walk, so the
-    walk lengths sum to twice the number of edges.
-    """
-    if not g.edges:
-        return [FaceWalk(states=(), tails=())] if g.rotation else []
+def _orbit_pairs(g: EmbeddedGraph) -> tuple[list[list[State]], list[tuple[int, int]]]:
+    """Every face orbit of an embedding with edges, in discovery order, and
+    each face as the indices of its two mirror orbits.  Raises
+    StructureError when the face step is not a permutation or an orbit is
+    its own mirror."""
     orbit_of: dict[State, int] = {}
     orbits: list[list[State]] = []
     for e in sorted(g.edges):
@@ -276,7 +273,7 @@ def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
                         raise StructureError("rotation system is not a permutation")
                     orbit_of[x] = len(orbits)
                 orbits.append(orbit)
-    faces = []
+    pairs = []
     taken: set[int] = set()
     for idx, orbit in enumerate(orbits):
         if idx in taken:
@@ -286,7 +283,21 @@ def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
             raise StructureError("facial walk is its own mirror")
         taken.add(idx)
         taken.add(midx)
-        faces.append(_canonical_walk(g, orbits[idx], orbits[midx]))
+        pairs.append((idx, midx))
+    return orbits, pairs
+
+
+def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
+    """All faces of the embedding, one canonical walk per face.
+
+    Deterministic: each walk starts at its smallest state and faces are
+    listed by that key.  Every dart side belongs to exactly one walk, so the
+    walk lengths sum to twice the number of edges.
+    """
+    if not g.edges:
+        return [FaceWalk(states=(), tails=())] if g.rotation else []
+    orbits, pairs = _orbit_pairs(g)
+    faces = [_canonical_walk(g, orbits[i], orbits[j]) for i, j in pairs]
     faces.sort(key=lambda f: _state_key(f.states[0]))
     return faces
 
@@ -359,12 +370,18 @@ def boundary_cycle(g: EmbeddedGraph, which: int = 0) -> list[int] | None:
 
 
 def euler_characteristic(g: EmbeddedGraph) -> int:
-    """V - E + F for the traced embedding.  Errors on disconnected input."""
+    """V - E + F for the traced embedding.  Errors on disconnected input.
+
+    Tests connectivity by one search, then counts faces as mirror pairs of
+    face orbits without building their walks: one step per state, 4|E|
+    steps, each O(degree) to find the arriving dart.  Raises the same
+    StructureError as ``trace_faces`` on a broken rotation system."""
     if not g.rotation:
         raise OperationError("empty graph has no embedding")
     if not g.is_connected():
         raise DisconnectedError("euler characteristic needs a connected graph")
-    return len(g.rotation) - len(g.edges) + len(trace_faces(g))
+    faces = len(_orbit_pairs(g)[1]) if g.edges else 1
+    return len(g.rotation) - len(g.edges) + faces
 
 
 # ------------------------------------------------------------ cycle signs
@@ -817,6 +834,20 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     is cut along the crosscap curve through the face and ``v``, then the two
     copies of ``v`` are re-identified in the plane.  The result is a plane
     embedding of the same graph with two specified faces meeting at ``v``.
+
+    Two checks vet the result; each looks at the one face a step changes,
+    since a face that avoids the edited corners is walked exactly as before.
+
+    * The cut moves the rotation at the two corners of the specified face F
+      at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
+      faces, F' one or two: Euler characteristic chi(g) + F'.  It must be 2
+      on a connected result, else OperationError.  Cost: one search for
+      connectivity, one ``euler_characteristic(g)`` (a face count, no
+      walks built) and one walk of F in the result.
+    * Re-identifying the copies at a corner of each must split their
+      shared face in two, or the result is not plane: the walk from ``v``'s
+      corner holds the fresh copy's corner before the merge and not after
+      it, else StructureError.  Cost: two walks of that face.
     """
     if len(g.specified) != 1:
         raise OperationError("split needs exactly one specified face")
@@ -849,13 +880,11 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
         out.edges[eid] = (fresh, b) if end == 0 else (a, fresh)
     # witness into the cut-open face: the first boundary departure survives
     st0 = walk.states[p1] if walk.darts[p1] in arc_a else walk.states[p2]
-    track: list[State] = [st0]
-    try:
-        chi = euler_characteristic(out)
-    except DisconnectedError:
-        chi = None
-    if chi != 2:
+    # F's orbit pair (2n states) now holds two orbits of length n, or four
+    faces_of_f = 1 if len(_walk_from(out, st0)) == n else 2
+    if not out.is_connected() or euler_characteristic(g) + faces_of_f != 2:
         raise OperationError("boundary visits do not cut the crosscap")
+    track: list[State] = [st0]
     _resign_all_positive(out, track)
     shared = _face_through(out, track[0])
     pos = {t: i for i, t in enumerate(shared.tails)}
@@ -872,6 +901,9 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     gw, dep_w = gap_of(shared, fresh)
     rv = out.rotation[v]
     rw = out.rotation[fresh]
+    # every sign is +1 now, so one orbit of a face keeps orientation +1
+    start, other = (rv[gv], 1), (rw[gw], 1)
+    joined = other in _walk_from(out, start)
     merged_rot = rv[gv:] + rv[:gv] + rw[gw:] + rw[:gw]
     del out.rotation[fresh]
     out.rotation[v] = merged_rot
@@ -881,7 +913,7 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
             out.edges[eid] = (v, b)
         elif end == 1 and b == fresh:
             out.edges[eid] = (a, v)
-    if any(s != 1 for s in out.sign.values()) or euler_characteristic(out) != 2:
+    if not joined or other in _walk_from(out, start):
         raise StructureError("re-identification broke the plane embedding")
     anchors = []
     for dep in (dep_v, dep_w):

@@ -5,6 +5,9 @@ from the rotation data before the implementation existed; they are the
 reference the tracer is checked against, not values copied from it.
 """
 
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +41,9 @@ from crossflow.embedding import (
     split_doubled_boundary_vertex,
     trace_faces,
 )
-from crossflow.families import gen_circulant_b, gen_counterexample
+from crossflow import families
+from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
+from crossflow.pgr import serialize_graph
 
 
 # ------------------------------------------------------------ face tracing
@@ -91,6 +96,70 @@ def test_disconnected_characteristic_refused():
     g = build_graph({0: (0, 1), 1: (2, 3)})
     with pytest.raises(DisconnectedError):
         euler_characteristic(g)
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+def _chi_by_full_trace(g):
+    if not g.rotation:
+        raise OperationError("empty graph")
+    if not g.is_connected():
+        raise DisconnectedError("disconnected")
+    return len(g.rotation) - len(g.edges) + len(trace_faces(g))
+
+
+def _without_edges(g, dead):
+    h = g.copy()
+    for e in dead:
+        u, v = h.edges.pop(e)
+        del h.sign[e]
+        h.rotation[u].remove((e, 0))
+        h.rotation[v].remove((e, 1))
+    return h
+
+
+def test_euler_characteristic_matches_full_trace(monkeypatch):
+    # euler_characteristic counts orbit pairs; the reference builds every
+    # face walk.  Values and exception classes must agree.
+    graphs = []
+    for seed in range(300):
+        g = random_multigraph(seed)
+        graphs.append(g)
+        graphs.append(_without_edges(g, sorted(g.edges)[1::3]))  # may disconnect
+        bad = g.copy()  # a sign outside +-1: no facial walk closes
+        bad.sign[0] = 0
+        graphs.append(bad)
+        bad = g.copy()  # a dart listed twice at its vertex, another lost
+        rot = bad.rotation[bad.vertices[0]]
+        rot[1] = rot[0]
+        graphs.append(bad)
+    graphs.append(build_graph({0: (0, 1)}))
+    graphs.append(EmbeddedGraph(rotation={0: []}))
+    graphs.append(EmbeddedGraph())
+    # every layout the random generator builds, projective or not, and the
+    # corpus graphs it accepts
+    seen = []
+    real = families.euler_characteristic
+    monkeypatch.setattr(
+        families, "euler_characteristic", lambda g: seen.append(g.copy()) or real(g)
+    )
+    for seed in range(60):
+        graphs.append(gen_random_pt(seed, 12)[0])
+    monkeypatch.undo()
+    assert any(_chi_by_full_trace(g) != 1 for g in seen)
+    graphs.extend(seen)
+    outcomes = Counter()
+    for g in graphs:
+        want = _outcome(_chi_by_full_trace, g)
+        assert _outcome(euler_characteristic, g) == want
+        outcomes[want if isinstance(want, type) else int] += 1
+    assert outcomes[StructureError] and outcomes[DisconnectedError]
+    assert outcomes[OperationError] and outcomes[int]
 
 
 # --------------------------------------------------------------- cycle sign
@@ -311,6 +380,35 @@ def test_split_bowtie():
     assert sorted(out.edges.items()) == sorted(g.edges.items())
     for i in range(2):
         assert 0 in specified_walk(out, i).tails
+
+
+# sha256 over (seed, v, outcome class, output) for every doubled vertex of
+# random_multigraph seeds 0..3999
+SPLIT_OUTCOME_DIGEST = "f548bbfb566b0a2486eab0f6e70fb09a94f80859e46bc5d1328e1d9249c48f13"
+
+
+def test_split_random_multigraphs():
+    h = hashlib.sha256()
+    accepted = 0
+    for seed in range(4000):
+        g = random_multigraph(seed)
+        doubled = Counter(specified_walk(g).tails)
+        for v in sorted(x for x, c in doubled.items() if c >= 2):
+            try:
+                out = split_doubled_boundary_vertex(g, v)
+            except (OperationError, StructureError) as exc:
+                h.update(f"{seed} {v} {type(exc).__name__}\n".encode())
+                continue
+            h.update(f"{seed} {v} ok\n{serialize_graph(out)}".encode())
+            accepted += 1
+            assert _chi_by_full_trace(out) == 2
+            assert out.edges == g.edges
+            faces = [_face_through(out, (a, 1)) for a in out.specified]
+            assert len(faces) == 2 and faces[0] != faces[1]
+            for i in range(2):
+                assert v in specified_walk(out, i).tails
+    assert accepted > 500
+    assert h.hexdigest() == SPLIT_OUTCOME_DIGEST
 
 
 def test_split_requires_doubled_visit():
