@@ -817,14 +817,17 @@ def planarize_along_chord(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     return out
 
 
-def _corner_gap(rot: list[Dart], arrive: Dart, depart: Dart) -> int:
-    """Index of the slot between two cyclically adjacent darts: the cut
-    position k such that the gap lies between rot[k-1] and rot[k]."""
+def _corner_gap(rot: list[Dart], arrive: Dart, depart: Dart, s: int) -> int:
+    """Index of the corner a face walk passes when it arrives by ``arrive``
+    and leaves by ``depart`` with local orientation ``s``: the cut position
+    k such that the corner lies between rot[k-1] and rot[k].  The
+    orientation says which side of ``arrive`` the walk turns to, which the
+    darts alone leave open at a vertex of degree two."""
     n = len(rot)
     i, j = rot.index(arrive), rot.index(depart)
-    if (i + 1) % n == j:
+    if s == 1 and (i + 1) % n == j:
         return j
-    if (j + 1) % n == i:
+    if s == -1 and (j + 1) % n == i:
         return i
     raise StructureError("face corner darts are not adjacent in the rotation")
 
@@ -861,9 +864,9 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     rot = out.rotation[v]
     gaps = []
     for p in (p1, p2):
-        depart = walk.darts[p]
+        depart, s = walk.states[p]
         arrive = reversed_dart(walk.darts[(p - 1) % n])
-        gaps.append(_corner_gap(rot, arrive, depart))
+        gaps.append(_corner_gap(rot, arrive, depart, s))
     c1, c2 = gaps
     if c1 == c2:
         raise OperationError("boundary visits share a corner; cannot split")
@@ -893,9 +896,9 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
 
     def gap_of(walkf: FaceWalk, x: int) -> tuple[int, Dart]:
         i = walkf.tails.index(x)
-        depart = walkf.darts[i]
+        depart, s = walkf.states[i]
         arrive = reversed_dart(walkf.darts[(i - 1) % walkf.length])
-        return _corner_gap(out.rotation[x], arrive, depart), depart
+        return _corner_gap(out.rotation[x], arrive, depart, s), depart
 
     gv, dep_v = gap_of(shared, v)
     gw, dep_w = gap_of(shared, fresh)

@@ -384,7 +384,7 @@ def test_split_bowtie():
 
 # sha256 over (seed, v, outcome class, output) for every doubled vertex of
 # random_multigraph seeds 0..3999
-SPLIT_OUTCOME_DIGEST = "f548bbfb566b0a2486eab0f6e70fb09a94f80859e46bc5d1328e1d9249c48f13"
+SPLIT_OUTCOME_DIGEST = "afb32f4e1fb09e6c365ce425efb52575ac0e7e82bca62280baa2663c07726bc4"
 
 
 def test_split_random_multigraphs():
@@ -409,6 +409,19 @@ def test_split_random_multigraphs():
                 assert v in specified_walk(out, i).tails
     assert accepted > 500
     assert h.hexdigest() == SPLIT_OUTCOME_DIGEST
+
+
+def test_split_degree_two_vertices():
+    # A one-sided 8-cycle: its one face visits every vertex twice, once at
+    # each corner of a degree-2 vertex, and some visits walk the rotation
+    # backwards.  The cut must use the corner the walk passes.
+    g = random_multigraph(3)
+    assert euler_characteristic(g) == 1
+    assert all(g.degree(v) == 2 for v in g.vertices)
+    for v in g.vertices:
+        out = split_doubled_boundary_vertex(g, v)
+        assert _chi_by_full_trace(out) == 2
+        assert len(out.specified) == 2
 
 
 def test_split_requires_doubled_visit():

@@ -332,7 +332,7 @@ def test_replay_flags_tampered_digest():
 
 # ------------------------------------------------------------ golden traces
 
-GOLDEN_TRACE_DIGEST = "e39060d3dc33699f8f947c301e9491aa9cb3c5bded2e81c7d6bab4f1a1053599"
+GOLDEN_TRACE_DIGEST = "e87e80da0583b4c8654a045ee626aa1a686d4b714877786d26b81a7d22d0ee28"
 
 
 def _golden_instances():
@@ -348,8 +348,8 @@ def _golden_instances():
 
 
 def test_golden_traces_replay_byte_for_byte():
-    # The digest was taken before face tracking was reworked; any change in
-    # the steps, their arguments, the outcome or the orientation shows here.
+    # Any change in the steps, their arguments, the outcome or the
+    # orientation of a golden instance shows here.
     h = hashlib.sha256()
     for key, g, p in _golden_instances():
         o, trace = solve(g, p)
