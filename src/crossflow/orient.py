@@ -183,7 +183,9 @@ _FRONTIER_STATE_BUDGET = 1 << 18
 def _oracle_lists(g, p, directed):
     """The oracle's instance over vertex indices: the free edge ids, their
     lower and higher endpoints, the in-minus-out sum of the directed edges
-    at each vertex, its count of free edges, and its target residue."""
+    at each vertex, its count of free edges, and its target residue.
+    Loops are left out: either way round, a loop adds nothing to a
+    residue."""
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -194,7 +196,7 @@ def _oracle_lists(g, p, directed):
     for e in sorted(g.edges):
         u, v = g.edges[e]
         if u == v:
-            raise OrientationError(f"edge {e} is a loop; resolve loops first")
+            continue
         if e in directed:
             t, h = directed[e]
             cur[index[t]] -= 1
@@ -330,7 +332,9 @@ def oracle_solve(
     the first valid orientation in lexicographic order, branching
     undirected edges in id order with tail-at-lower-endpoint tried first;
     that backtracking search is bounded by ``bound`` undirected edges, and
-    more than that raises OracleBoundError.
+    more than that raises OracleBoundError.  A loop adds nothing to a
+    residue, so loops stay out of the DP, the search and the bound, and
+    each undirected loop is directed at its vertex, ``(u, u)``.
     """
     if not prescription_ok(g, p):
         return None
@@ -353,6 +357,9 @@ def oracle_solve(
     for j, e in enumerate(free):
         u, v = min(g.edges[e]), max(g.edges[e])
         direction[e] = (u, v) if out[j] == 1 else (v, u)
+    for e, (u, v) in g.edges.items():
+        if u == v:
+            direction.setdefault(e, (u, u))
     fixed = frozenset(g.darcs) | (partial.fixed if partial else frozenset())
     o = Orientation(direction=direction, fixed=fixed)
     if not is_valid_orientation(g, p, o):
@@ -363,7 +370,8 @@ def oracle_solve(
 def count_valid(g: EmbeddedGraph, p: dict[int, int], bound: int = 24) -> int:
     """Number of valid total orientations (extending forced arcs), counted
     by the backtracking search; the reference the frontier DP is tested
-    against."""
+    against.  Loops are not branched on: a loop adds nothing to a
+    residue, and the count is over the other edges."""
     if len(g.edges) > bound:
         raise OracleBoundError(f"|E|={len(g.edges)} exceeds the count bound {bound}")
     if not prescription_ok(g, p):

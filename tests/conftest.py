@@ -49,6 +49,20 @@ def triangle():
     return cycle_graph(3)
 
 
+def triangle_with_loop():
+    """Plane triangle 0-1-2 (edges 0..2) with loop 3 at vertex 0, drawn in
+    the specified face, which therefore visits vertex 0 twice; edge 0 is
+    forced out of directed vertex 0."""
+    g = build_graph(
+        {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (0, 0)},
+        rotations={0: [(2, 1), (3, 0), (3, 1), (0, 0)]},
+        specified_anchor=(0, 0),
+    )
+    g.dvertex = 0
+    g.darcs = {0: "out"}
+    return g
+
+
 def wheel(k):
     """Plane wheel: rim cycle 0..k-1 (edges 0..k-1), hub k joined to every
     rim vertex (edge k+i joins hub and rim vertex i).  The specified face

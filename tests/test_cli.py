@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import build_graph, cycle_graph
+from conftest import build_graph, cycle_graph, triangle_with_loop
 from crossflow.cli import main
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.pgr import parse_graph, read_graph, serialize_graph, write_graph
@@ -223,6 +223,17 @@ def test_oracle_bound_exit2(tmp_path, capsys):
     code, out, err = run(capsys, "oracle", str(path), "--threshold", "20")
     assert code == 2 and out == ""
     assert "witness search threshold 20" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_loop_reaching_the_oracle_exit0(tmp_path, capsys, command):
+    g = triangle_with_loop()
+    path = tmp_path / "loop.pgr"
+    write_graph(path, g, {v: 0 for v in g.vertices})
+    code, out, err = run(capsys, command, str(path), "-o", str(tmp_path / "o.txt"))
+    assert code == 0 and err == ""
+    code, out, _ = run(capsys, "verify", str(path), str(tmp_path / "o.txt"))
+    assert code == 0 and out.strip() == "valid"
 
 
 # ------------------------------------------------------- cuts/faces/check

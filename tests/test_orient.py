@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_graph, random_multigraph, triangle, cycle_graph
+from conftest import (
+    build_graph,
+    cycle_graph,
+    random_multigraph,
+    triangle,
+    triangle_with_loop,
+)
 from crossflow.embedding import EmbeddedGraph
 from crossflow.families import (
     circulant_schedule,
@@ -132,6 +138,16 @@ def test_square_count_frozen():
     p = {v: 0 for v in g.vertices}
     assert count_valid(g, p) == 2
     assert len(enumerate_all_orientations(g, p)) == 2
+
+
+def test_oracle_directs_loops_at_their_vertex():
+    g = triangle_with_loop()
+    p = {v: 0 for v in g.vertices}
+    o = oracle_solve(g, p, bound=2)  # the loop is not a free edge
+    assert o.direction == {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (0, 0)}
+    assert is_valid_orientation(g, p, o)
+    assert count_valid(g, p) == 1
+    assert oracle_solve(g, {0: -1, 1: 1, 2: 0}) is None  # 0 sends edge 0 out
 
 
 def test_oracle_agrees_with_bruteforce():
