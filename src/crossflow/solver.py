@@ -3,7 +3,9 @@
 Strategy order, fixed here: a supplied or detected circulant schedule runs
 first (complete for those two families; the sweep is O(|E| log Δ), but
 each traced step also hashes the remaining edge list), then robust-cut
-contraction with orientation transfer, then the doubled-boundary-vertex
+contraction with orientation transfer, on a side found by a search for
+bonds of size <= 5 that never grows a side through the protected or the
+directed vertex (cuts.smallest_bond_side), then the doubled-boundary-vertex
 split, then the oracle.  There a frontier DP decides, within a fixed
 state budget, whether any valid orientation exists, so "none" never
 depends on the free-edge count; an orientable instance gets the
@@ -18,12 +20,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cuts import CutBudgetError, enumerate_robust_cuts
+from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
     OperationError,
-    _induced_connected,
     boundary_cycle,
     contract_subgraph,
     specified_walk,
@@ -238,30 +239,20 @@ def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
 # ----------------------------------------------------------------- solve
 
 
-def _pick_cut_side(g: EmbeddedGraph, p: dict[int, int]) -> frozenset[int] | None:
-    """First 2-robust cut of size <= 5 with a contractible side that avoids
-    the protected and directed vertices; among a cut's two sides, prefer
-    the smaller (then lexicographically smaller) qualifying one.  An
-    enumeration over its step budget counts as no usable cut."""
-    if len(g.vertices) < 4:
-        return None
+def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
+    """The side to contract.  Of the first bond of size <= 5, in
+    enumerate_robust_cuts' (size, side) order, whose sides both hold two or
+    more vertices and one of which avoids the protected and directed
+    vertices, that side; with neither vertex present, the smaller side
+    (then the lexicographically smaller).  A bond is a cut whose two sides
+    are both connected.  cuts.smallest_bond_side grows only connected
+    pieces that avoid those vertices, at about a microsecond a step, and
+    forms no unions; a search over its step budget counts as no usable
+    cut."""
     try:
-        found = enumerate_robust_cuts(g, 5)
+        return smallest_bond_side(g, 5, {g.tvertex, g.dvertex} - {None})
     except CutBudgetError:
         return None
-    avoid = {g.tvertex, g.dvertex} - {None}
-    for cut in found:
-        sides = sorted(
-            (cut.side, cut.complement),
-            key=lambda s: (len(s), sorted(s)),
-        )
-        for side in sides:
-            if avoid & side:
-                continue
-            other = frozenset(g.vertices) - side
-            if _induced_connected(g, side) and _induced_connected(g, other):
-                return side
-    return None
 
 
 def _reduce_by_cut(
@@ -340,7 +331,7 @@ def _solve_inner(
                 raise  # a schedule the caller asked for must not fail silently
 
     # 2. robust-cut contraction and transfer
-    side = _pick_cut_side(g, p)
+    side = _pick_cut_side(g)
     if side is not None:
         decided = _reduce_by_cut(g, p, side, threshold)
         if decided is not None:
@@ -367,7 +358,7 @@ def _solve_inner(
             return o3, steps + sub3
 
     # 4. oracle: the frontier DP decides, the bounded search reads a witness
-    n_free = len(g.edges) - len(g.darcs)
+    n_free = sum(1 for e, (u, v) in g.edges.items() if u != v and e not in g.darcs)
     try:
         o4 = oracle_solve(g, p, bound=threshold)
     except OracleBoundError as exc:

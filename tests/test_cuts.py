@@ -30,9 +30,10 @@ from crossflow.cuts import (
     edge_connectivity,
     enumerate_robust_cuts,
     make_cut,
+    smallest_bond_side,
     _scan_masks,
 )
-from crossflow.embedding import EmbeddedGraph, boundary_vertices
+from crossflow.embedding import EmbeddedGraph, _induced_connected, boundary_vertices
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.orient import random_prescription
 
@@ -220,6 +221,54 @@ def test_counterexample_cuts_above_old_ceiling():
     cuts = enumerate_robust_cuts(g, 5)
     assert [c.size for c in cuts] == [5, 5]
     assert [c.side for c in cuts] == [frozenset({0, 1}), frozenset({0, 16})]
+
+
+def reference_bond_side(g, found, avoid):
+    """The solver's former cut choice, given ``enumerate_robust_cuts(g, 5)``:
+    the first listed cut with a side that avoids ``avoid`` and whose two
+    sides are both connected, that side preferring the smaller (then
+    lexicographically smaller) one."""
+    verts = frozenset(g.vertices)
+    for cut in found:
+        sides = sorted((cut.side, cut.complement), key=lambda s: (len(s), sorted(s)))
+        for side in sides:
+            if avoid & side:
+                continue
+            if _induced_connected(g, side) and _induced_connected(g, verts - side):
+                return side
+    return None
+
+
+def _bond_cases():
+    """Graphs, each with the vertex sets to avoid on it: none, one random
+    vertex, and two random (possibly equal) ones; CE0-CE7 also with their
+    own protected and directed vertices."""
+    rng = np.random.default_rng(11)
+    graphs = [gen_random_pt(seed, 12)[0] for seed in range(100)]
+    for seed in range(300):
+        g = random_multigraph(seed, max_vertices=10, max_extra=8)
+        graphs += [g, without_edges(g, rng)]
+    for k in range(8):
+        g, p, dspec = gen_counterexample(k)
+        g.dvertex = dspec.vertex
+        graphs.append(g)
+    for g in graphs:
+        verts = g.vertices
+        avoid = [set(), {int(rng.choice(verts))}, set(map(int, rng.choice(verts, 2)))]
+        if g.dvertex is not None:
+            avoid.append({g.tvertex, g.dvertex})
+        yield g, avoid
+
+
+def test_bond_side_matches_full_enumeration():
+    hits = 0
+    for g, avoid_sets in _bond_cases():
+        found = enumerate_robust_cuts(g, 5)
+        for avoid in avoid_sets:
+            want = reference_bond_side(g, found, frozenset(avoid))
+            assert smallest_bond_side(g, 5, avoid) == want, (g.vertices, avoid)
+            hits += want is not None
+    assert hits >= 1000  # the sample reaches usable sides, not only None
 
 
 def test_edgeless_graph_over_budget_is_refused():

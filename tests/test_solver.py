@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from conftest import triangle_with_loop
+from crossflow import cuts
 from crossflow import solver as solver_module
 from crossflow.families import (
     circulant_schedule,
@@ -208,6 +210,22 @@ def test_counterexample_above_old_ceiling_decided_none(monkeypatch):
     assert o is None and trace.outcome == "none"
     assert [(st.kind, st.arguments) for st in trace.steps] == [("OracleCall", (56,))]
     assert seen == [None]
+
+
+def test_oracle_call_counts_free_edges_without_loops():
+    # edge 0 is forced out of vertex 0 and edge 3 is a loop: two free edges
+    o, trace = solve(triangle_with_loop(), {0: 0, 1: 0, 2: 0})
+    assert o is not None
+    assert [(st.kind, st.arguments) for st in trace.steps] == [("OracleCall", (2,))]
+
+
+def test_cut_search_over_budget_is_no_usable_cut(monkeypatch):
+    g, p = gen_random_pt(0, 9)  # reduces through a cut at the top level
+    assert solver_module._pick_cut_side(g) is not None
+    monkeypatch.setattr(cuts, "_CUT_STEP_BUDGET", 10)
+    with pytest.raises(cuts.CutBudgetError):
+        cuts.smallest_bond_side(g, 5, {g.tvertex})
+    assert solver_module._pick_cut_side(g) is None
 
 
 def test_counterexample_family_decided_none():
