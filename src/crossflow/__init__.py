@@ -4,8 +4,8 @@ A valid orientation directs every edge so that indegree minus outdegree
 matches a mod-3 prescription at each vertex.  The package provides the
 embedded-multigraph model with signed rotation systems, reduction
 operations, a cut taxonomy with class validators, instance generators, an
-oracle (a frontier DP that decides, plus a bounded witness search), and a
-hybrid solver emitting replayable traces.
+oracle (a frontier DP that decides and reads the witness), and a hybrid
+solver emitting replayable traces.
 """
 
 from .cuts import (

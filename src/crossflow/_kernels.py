@@ -1,8 +1,9 @@
 """Numeric kernels in plain Python and numpy: the backtracking orientation
-search, which reads the oracle's witness once the frontier DP has found an
-instance orientable and counts valid orientations as the DP's test
-reference, and the scan of all 2^(n-1) bipartitions that the tests use as
-the reference for ``cuts._scan_masks`` (nothing in the package calls it).
+search, which ``orient.count_valid`` uses to count valid orientations and
+the tests use as the reference for the frontier DP's answer and witness,
+and the scan of all 2^(n-1) bipartitions that the tests use as the
+reference for ``cuts._scan_masks``.  No answer path of the package runs
+either one.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ def orient_search(lo, hi, cur, und, tgt, mode, out_dirs):
     numpy arrays here.  Direction code 1 means tail at lo (edge runs
     lo -> hi), 2 the reverse; out_dirs is an int8 buffer of length m.
 
-    The search is exponential.  The oracle runs it only to read the
-    witness of an instance the frontier DP in ``orient`` has found
-    orientable, under its free-edge threshold; ``count_valid`` runs it
-    under its own edge bound.
+    The search is exponential.  ``orient.count_valid`` runs it under its
+    own edge bound, and the tests read mode 0's witness as the reference
+    for the one the oracle reads from the frontier DP.
 
     Feasibility pruning at each assignment, exact in both directions:
     a vertex with no undirected edges left must sit on its target residue

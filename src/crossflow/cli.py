@@ -1,17 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success or orientation found, 1 a definite negative (proven
-none / invalid / class fails), 2 engine refusal (an orientable instance
-over the witness search threshold, the frontier DP's state budget, or the
-cut search budget), 3 input error.  Results go to stdout or ``-o``;
-diagnostics go to stderr.
+none / invalid / class fails), 2 engine refusal (the frontier DP's state
+budget or the cut search budget), 3 input error.  Results go to stdout or
+``-o``; diagnostics go to stderr.  Each handler takes the parsed
+arguments, so every default lives in the parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .cuts import CutBudgetError, check_class, classify_cut, enumerate_robust_cuts
 from .embedding import (
@@ -45,27 +44,6 @@ class CliInputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; every handler takes exactly this."""
-
-    command: str
-    input: str | None = None
-    extra_input: str | None = None
-    output: str | None = None
-    oracle_threshold: int = DEFAULT_THRESHOLD
-    seed: int = 0
-    max_size: int = 5
-    min_side: int = 2
-    family: str | None = None
-    parameter: int | None = None
-    prescription: str | None = None
-    klass: str | None = None
-    seeds: tuple[int, int] | None = None
-    max_vertices: int = 9
-    trace_path: str | None = None
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -81,11 +59,7 @@ def _say(message: str) -> None:
 
 
 def _load_graph(path: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc.strerror}") from exc
+    return parse_graph(_read_text(path))
 
 
 def _read_text(path: str) -> str:
@@ -121,24 +95,24 @@ def _parse_prescription_file(text: str, path: str) -> dict[int, int]:
 
 
 def _resolve_prescription(
-    g: EmbeddedGraph, embedded: dict[int, int] | None, cfg: RunConfig
+    g: EmbeddedGraph, embedded: dict[int, int] | None, args: argparse.Namespace
 ) -> dict[int, int]:
-    if cfg.prescription is None:
+    if args.prescription is None:
         if embedded is None:
             raise CliInputError(
                 "graph file carries no prescription; pass --p random or --p <file>"
             )
         return embedded
-    if cfg.prescription == "random":
-        return random_prescription(g, cfg.seed)
-    return _parse_prescription_file(_read_text(cfg.prescription), cfg.prescription)
+    if args.prescription == "random":
+        return random_prescription(g, args.seed)
+    return _parse_prescription_file(_read_text(args.prescription), args.prescription)
 
 
 # ------------------------------------------------------------- handlers
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    fam, param = cfg.family, cfg.parameter
+def _cmd_gen(args: argparse.Namespace) -> int:
+    fam, param = args.family, args.parameter
     if fam == "b":
         text = serialize_graph(gen_circulant_b(param))
     elif fam == "a":
@@ -147,58 +121,58 @@ def _cmd_gen(cfg: RunConfig) -> int:
         g, p, _ = gen_counterexample(param)
         text = serialize_graph(g, prescription=p)
     else:  # rpt
-        g, p = gen_random_pt(param, cfg.max_vertices)
+        g, p = gen_random_pt(param, args.max_vertices)
         text = serialize_graph(g, prescription=p)
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return 0
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    g, embedded = _load_graph(cfg.input)
-    p = _resolve_prescription(g, embedded, cfg)
-    orientation, trace = solve(g, p, threshold=cfg.oracle_threshold)
-    if cfg.trace_path is not None:
-        with open(cfg.trace_path, "w", encoding="utf-8") as fh:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    g, embedded = _load_graph(args.input)
+    p = _resolve_prescription(g, embedded, args)
+    orientation, trace = solve(g, p, threshold=args.threshold)
+    if args.trace_path is not None:
+        with open(args.trace_path, "w", encoding="utf-8") as fh:
             fh.write(serialize_trace(trace))
     if orientation is None:
         _say(f"no valid orientation (proven, {len(trace.steps)} steps)")
         return 1
-    _emit(serialize_orientation(orientation.tails()), cfg.output)
+    _emit(serialize_orientation(orientation.tails()), args.output)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    g, embedded = _load_graph(cfg.input)
-    p = _resolve_prescription(g, embedded, cfg)
-    tails = parse_orientation(_read_text(cfg.extra_input))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    g, embedded = _load_graph(args.input)
+    p = _resolve_prescription(g, embedded, args)
+    tails = parse_orientation(_read_text(args.orientation))
     try:
         orientation = orientation_from_tails(g, tails)
     except OrientationError as exc:
         _say(f"orientation does not fit the graph: {exc}")
-        _emit("invalid", cfg.output)
+        _emit("invalid", args.output)
         return 1
     if is_valid_orientation(g, p, orientation):
-        _emit("valid", cfg.output)
+        _emit("valid", args.output)
         return 0
-    _emit("invalid", cfg.output)
+    _emit("invalid", args.output)
     return 1
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    g, embedded = _load_graph(cfg.input)
-    p = _resolve_prescription(g, embedded, cfg)
-    orientation = oracle_solve(g, p, bound=cfg.oracle_threshold)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    g, embedded = _load_graph(args.input)
+    p = _resolve_prescription(g, embedded, args)
+    orientation = oracle_solve(g, p)
     if orientation is None:
         _say("no valid orientation (frontier DP)")
         return 1
-    _emit(serialize_orientation(orientation.tails()), cfg.output)
+    _emit(serialize_orientation(orientation.tails()), args.output)
     return 0
 
 
-def _cmd_cuts(cfg: RunConfig) -> int:
-    g, _ = _load_graph(cfg.input)
+def _cmd_cuts(args: argparse.Namespace) -> int:
+    g, _ = _load_graph(args.input)
     lines = []
-    for cut in enumerate_robust_cuts(g, cfg.max_size, cfg.min_side):
+    for cut in enumerate_robust_cuts(g, args.max_size, args.min_side):
         try:
             cut = classify_cut(g, cut)
             kind = str(cut.cut_type)
@@ -206,12 +180,12 @@ def _cmd_cuts(cfg: RunConfig) -> int:
             kind = "-"
         side = ",".join(str(v) for v in sorted(cut.side))
         lines.append(f"cut size={cut.size} type={kind} side={side}")
-    _emit("\n".join(lines) + ("\n" if lines else ""), cfg.output)
+    _emit("\n".join(lines) + ("\n" if lines else ""), args.output)
     return 0
 
 
-def _cmd_faces(cfg: RunConfig) -> int:
-    g, _ = _load_graph(cfg.input)
+def _cmd_faces(args: argparse.Namespace) -> int:
+    g, _ = _load_graph(args.input)
     faces = trace_faces(g)
     marked = {face_of_anchor(g, faces, a) for a in g.specified}
     lines = [f"chi {euler_characteristic(g)}"]
@@ -219,32 +193,32 @@ def _cmd_faces(cfg: RunConfig) -> int:
         tag = " specified" if i in marked else ""
         walk = ",".join(str(t) for t in f.tails)
         lines.append(f"face {i} length={f.length}{tag} walk={walk}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    g, embedded = _load_graph(cfg.input)
+def _cmd_check(args: argparse.Namespace) -> int:
+    g, embedded = _load_graph(args.input)
     p = embedded if embedded is not None else {v: 0 for v in g.vertices}
-    report = check_class(g, p, cfg.klass)
-    lines = [f"class {cfg.klass} holds={'true' if report.holds else 'false'}"]
+    report = check_class(g, p, args.klass)
+    lines = [f"class {args.klass} holds={'true' if report.holds else 'false'}"]
     for cond, text in report.violations:
         lines.append(f"violation {cond} {text}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if report.holds else 1
 
 
-def _cmd_corpus(cfg: RunConfig) -> int:
-    lo, hi = cfg.seeds
+def _cmd_corpus(args: argparse.Namespace) -> int:
+    lo, hi = args.seeds
     lines = []
     for seed in range(lo, hi + 1):
         try:
-            g, p = gen_random_pt(seed, cfg.max_vertices)
+            g, p = gen_random_pt(seed, args.max_vertices)
         except FamilyError as exc:
             lines.append(f"seed {seed} error={exc}")
             continue
         try:
-            orientation, trace = solve(g, p, threshold=cfg.oracle_threshold)
+            orientation, trace = solve(g, p)
             outcome = "valid" if orientation is not None else "none"
             extra = f" steps={len(trace.steps)}"
         except (SolverRefusal, OracleBoundError):
@@ -253,7 +227,7 @@ def _cmd_corpus(cfg: RunConfig) -> int:
             f"seed {seed} vertices={len(g.vertices)} edges={len(g.edges)} "
             f"outcome={outcome}{extra}"
         )
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -297,9 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prescription source (default: the one in the file)")
     p.add_argument("--seed", type=int, default=0, help="seed for --p random (default 0)")
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                   help="most free edges the oracle's witness search takes on an "
-                   f"orientable instance (default {DEFAULT_THRESHOLD}); 'none' "
-                   "answers are not bounded by it")
+                   help="value written to the trace's threshold line "
+                   f"(default {DEFAULT_THRESHOLD}); it bounds nothing")
     p.add_argument("--trace", dest="trace_path", default=None, help="write the reduction trace here")
     add_output(p)
 
@@ -310,13 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
 
-    p = sub.add_parser("oracle", help="frontier DP and witness search only, no reductions")
+    p = sub.add_parser("oracle", help="decide with the frontier DP and read its witness, "
+                       "no reductions")
     p.add_argument("input")
     p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                   help="most free edges the witness search takes on an orientable "
-                   f"instance (default {DEFAULT_THRESHOLD})")
     add_output(p)
 
     p = sub.add_parser("cuts", help="enumerate and classify robust small cuts")
@@ -339,9 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate and solve a seeded batch")
     p.add_argument("--seeds", type=_seed_range, required=True, metavar="A..B")
     p.add_argument("--max-vertices", type=int, default=9)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                   help="most free edges the oracle's witness search takes on an "
-                   f"orientable instance (default {DEFAULT_THRESHOLD})")
     add_output(p)
 
     return top
@@ -359,35 +327,13 @@ _HANDLERS = {
 }
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    d = vars(args)
-    return RunConfig(
-        command=d["command"],
-        input=d.get("input"),
-        extra_input=d.get("orientation"),
-        output=d.get("output"),
-        oracle_threshold=d.get("threshold", DEFAULT_THRESHOLD),
-        seed=d.get("seed", 0),
-        max_size=d.get("max_size", 5),
-        min_side=d.get("min_side", 2),
-        family=d.get("family"),
-        parameter=d.get("parameter"),
-        prescription=d.get("prescription"),
-        klass=d.get("klass"),
-        seeds=d.get("seeds"),
-        max_vertices=d.get("max_vertices", 9),
-        trace_path=d.get("trace_path"),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 3
-    cfg = _config_from(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (CliInputError, PgrError, FamilyError) as exc:
         _say(f"input error: {exc}")
         return 3

@@ -81,9 +81,6 @@ class EmbeddedGraph:
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def is_loop(self, e: int) -> bool:
         u, v = self.edges[e]
         return u == v

@@ -1,6 +1,6 @@
 """Prescriptions, orientations mod 3, the oracle (a frontier DP that
-decides, and a bounded backtracking search that reads the witness), and
-the greedy direct-and-delete engine.
+decides, and reads the witness by self-reduction), and the greedy
+direct-and-delete engine.
 
 A prescription assigns every vertex a residue in {-1, 0, +1}; its total
 must vanish mod 3 (reversing the handshake argument, no orientation can
@@ -28,8 +28,7 @@ class OrientationError(Exception):
 
 
 class OracleBoundError(OrientationError):
-    """Instance exceeds the frontier DP's state budget, or is orientable
-    with more undirected edges than the witness search's bound."""
+    """A frontier DP run passed its state budget."""
 
 
 class ScheduleError(OrientationError):
@@ -174,7 +173,7 @@ def _merged_partial(g: EmbeddedGraph, partial: Orientation | None) -> dict[int, 
     return merged
 
 
-# The frontier DP refuses once it has created more states than this, over
+# One frontier DP run refuses once it has created more states than this, over
 # all its steps.  No step starts from more, and a step at most doubles its
 # set, so this bounds the DP's time and memory.
 _FRONTIER_STATE_BUDGET = 1 << 18
@@ -321,49 +320,49 @@ def oracle_solve(
     g: EmbeddedGraph,
     p: dict[int, int],
     partial: Orientation | None = None,
-    bound: int = 28,
 ) -> Orientation | None:
     """Decide whether a valid total orientation extends ``partial`` and the
     graph's forced arcs, and return the first one.
 
     A frontier DP over the undirected edges decides: when it finds none,
-    the answer is None whatever their count.  Past its state budget it
-    raises OracleBoundError.  For an orientable instance the witness is
-    the first valid orientation in lexicographic order, branching
-    undirected edges in id order with tail-at-lower-endpoint tried first;
-    that backtracking search is bounded by ``bound`` undirected edges, and
-    more than that raises OracleBoundError.  A loop adds nothing to a
-    residue, so loops stay out of the DP, the search and the bound, and
-    each undirected loop is directed at its vertex, ``(u, u)``.
+    the answer is None.  For an orientable instance the witness is read by
+    self-reduction with the same DP: the undirected edges are taken in id
+    order, and each gets its tail at the lower endpoint when the DP still
+    finds the remaining edges orientable, else the reverse.  That is the
+    first valid orientation in lexicographic order, with tail-at-lower
+    first.  Each DP run has its own budget of ``_FRONTIER_STATE_BUDGET``
+    states, and one past it raises OracleBoundError, so a call creates at
+    most (undirected edges + 1) times that many states.  A loop adds
+    nothing to a residue, so loops stay out of the DP, and each undirected
+    loop is directed at its vertex, ``(u, u)``.
     """
     if not prescription_ok(g, p):
         return None
     directed = _merged_partial(g, partial)
-    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, directed)
-    if not _frontier_orientable(lo, hi, [(t - c) % 3 for t, c in zip(tgt, cur)]):
+    free, lo, hi, cur, _, tgt = _oracle_lists(g, p, directed)
+    need = [(t - c) % 3 for t, c in zip(tgt, cur)]
+    if not _frontier_orientable(lo, hi, need):
         return None
-    if len(free) > bound:
-        raise OracleBoundError(
-            f"{len(free)} undirected edges exceed the witness search threshold "
-            f"{bound} (the instance is orientable)"
-        )
-    out = np.zeros(len(free), dtype=np.int8)
-    if not _kernels.orient_search(lo, hi, cur, und, tgt, 0, out):
-        raise OrientationError(
-            "the witness search found nothing on an instance the frontier DP "
-            "found orientable"
-        )
     direction = dict(directed)
     for j, e in enumerate(free):
+        a, b = lo[j], hi[j]
         u, v = min(g.edges[e]), max(g.edges[e])
-        direction[e] = (u, v) if out[j] == 1 else (v, u)
+        # tail at a leaves a one more to take in, and b one less
+        need[a] = (need[a] + 1) % 3
+        need[b] = (need[b] - 1) % 3
+        if _frontier_orientable(lo[j + 1 :], hi[j + 1 :], need):
+            direction[e] = (u, v)
+        else:
+            need[a] = (need[a] - 2) % 3
+            need[b] = (need[b] + 2) % 3
+            direction[e] = (v, u)
     for e, (u, v) in g.edges.items():
         if u == v:
             direction.setdefault(e, (u, u))
     fixed = frozenset(g.darcs) | (partial.fixed if partial else frozenset())
     o = Orientation(direction=direction, fixed=fixed)
     if not is_valid_orientation(g, p, o):
-        raise OrientationError("oracle search returned an invalid orientation")
+        raise OrientationError("the oracle read an invalid orientation")
     return o
 
 

@@ -7,12 +7,12 @@ contraction with orientation transfer, on a side found by a search for
 bonds of size <= 5 that never grows a side through the protected or the
 directed vertex (cuts.smallest_bond_side), then the doubled-boundary-vertex
 split, then the oracle.  There a frontier DP decides, within a fixed
-state budget, whether any valid orientation exists, so "none" never
-depends on the free-edge count; an orientable instance gets the
-lexicographically first witness of a backtracking search bounded by the
-configurable free-edge threshold.  Past either bound the instance is
-refused, and the refusal names the bound.  Every orientation leaving this
-module is validated against the untouched input.
+state budget, whether any valid orientation exists, and reads the
+lexicographically first witness by self-reduction; past the state budget
+or the cut search budget the instance is refused, and the refusal names
+the bound.  The free-edge threshold is only recorded in the trace's
+``threshold`` line, so that existing traces replay unchanged.  Every
+orientation leaving this module is validated against the untouched input.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ class ReductionStep:
 @dataclass
 class ReductionTrace:
     """What the solver did, step by step, plus everything needed to do it
-    again: the prescription and the oracle threshold."""
+    again: the prescription.  ``threshold`` is recorded and read back, but
+    bounds nothing."""
 
     steps: list[ReductionStep]
     outcome: str  # "valid" | "none"
@@ -256,7 +257,7 @@ def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
 
 
 def _reduce_by_cut(
-    g: EmbeddedGraph, p: dict[int, int], side: frozenset[int], threshold: int
+    g: EmbeddedGraph, p: dict[int, int], side: frozenset[int]
 ) -> tuple[Orientation | None, list[ReductionStep]] | None:
     """Contract ``side``, solve the contraction, transfer back, and solve
     the remainder against the transferred cut-edge directions.  Returns
@@ -271,7 +272,7 @@ def _reduce_by_cut(
         ReductionStep("ContractSide", tuple(sorted(side)), _abstract_digest(g1.edges))
     ]
     try:
-        o1, sub1 = _solve_inner(g1, p1, threshold, None)
+        o1, sub1 = _solve_inner(g1, p1, None)
     except SolverRefusal:
         return None
     steps.extend(sub1)
@@ -293,7 +294,7 @@ def _reduce_by_cut(
         ReductionStep("TransferOrientation", (merged,), _abstract_digest(g2.edges))
     )
     try:
-        o2, sub2 = _solve_inner(g2, p2, threshold, None)
+        o2, sub2 = _solve_inner(g2, p2, None)
     except SolverRefusal:
         return None
     if o2 is None:
@@ -311,7 +312,6 @@ def _reduce_by_cut(
 def _solve_inner(
     g: EmbeddedGraph,
     p: dict[int, int],
-    threshold: int,
     schedule: tuple[list[tuple[int, int, int]], list[int]] | None,
 ) -> tuple[Orientation | None, list[ReductionStep]]:
     # 1. complete schedule, supplied or recognized
@@ -333,7 +333,7 @@ def _solve_inner(
     # 2. robust-cut contraction and transfer
     side = _pick_cut_side(g)
     if side is not None:
-        decided = _reduce_by_cut(g, p, side, threshold)
+        decided = _reduce_by_cut(g, p, side)
         if decided is not None:
             return decided
 
@@ -351,16 +351,16 @@ def _solve_inner(
                 ReductionStep("SplitBoundaryVertex", (v,), _abstract_digest(flat.edges))
             ]
             try:
-                o3, sub3 = _solve_inner(flat, p, threshold, None)
+                o3, sub3 = _solve_inner(flat, p, None)
             except SolverRefusal:
                 break
             # same abstract multigraph, so this answer is decisive either way
             return o3, steps + sub3
 
-    # 4. oracle: the frontier DP decides, the bounded search reads a witness
+    # 4. oracle: the frontier DP decides and reads the witness
     n_free = sum(1 for e, (u, v) in g.edges.items() if u != v and e not in g.darcs)
     try:
-        o4 = oracle_solve(g, p, bound=threshold)
+        o4 = oracle_solve(g, p)
     except OracleBoundError as exc:
         raise SolverRefusal(
             f"{exc}, and no schedule, usable 2-robust cut of size <= 5, or "
@@ -377,7 +377,8 @@ def solve(
     schedule: tuple[list[tuple[int, int, int]], list[int]] | None = None,
 ) -> tuple[Orientation | None, ReductionTrace]:
     """Find a valid orientation or prove there is none, within the engine's
-    regime.  Returns the orientation (or None) and the replayable trace."""
+    regime.  Returns the orientation (or None) and the replayable trace.
+    ``threshold`` is only written to the trace's ``threshold`` line."""
     g.validate()
     work = g.copy()
     if dspec is not None:
@@ -394,7 +395,7 @@ def solve(
     prescription = dict(p)
     if not prescription_ok(work, prescription):
         return None, ReductionTrace([], "none", prescription, threshold)
-    o, steps = _solve_inner(work, prescription, threshold, schedule)
+    o, steps = _solve_inner(work, prescription, schedule)
     if o is not None and not is_valid_orientation(work, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"

@@ -110,14 +110,20 @@ def test_solve_without_prescription_needs_embedded_one(b7_file, capsys):
     assert code == 3
 
 
-def test_solve_threshold_refusal_exit2(tmp_path, capsys):
-    # orientable, and solved by one oracle call over all 19 edges
+def test_solve_threshold_is_recorded_only_exit0(tmp_path, capsys):
+    # orientable, and solved by one oracle call over all 19 edges; the
+    # threshold bounds nothing and is only written to the trace
     g, p = gen_random_pt(5, 9)
     path = tmp_path / "rpt5.pgr"
     write_graph(path, g, p)
-    code, out, err = run(capsys, "solve", str(path), "--threshold", "4")
-    assert code == 2 and out == ""
-    assert "19 undirected edges exceed the witness search threshold 4" in err
+    trace_path = tmp_path / "rpt5.trace"
+    orientation = tmp_path / "o.txt"
+    code, _, _ = run(capsys, "solve", str(path), "--threshold", "4",
+                     "--trace", str(trace_path), "-o", str(orientation))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(path), str(orientation))
+    assert code == 0 and out.strip() == "valid"
+    assert trace_path.read_text().splitlines()[1] == "threshold 4"
 
 
 def test_solve_over_state_budget_exit2(tmp_path, capsys):
@@ -216,13 +222,17 @@ def test_oracle_counterexample_exit1(ce_file, capsys):
     assert code == 1
 
 
-def test_oracle_bound_exit2(tmp_path, capsys):
-    g = gen_circulant_b(11)  # 22 edges, orientable with the zero prescription
-    path = tmp_path / "b11.pgr"
-    write_graph(path, g, {v: 0 for v in g.vertices})
-    code, out, err = run(capsys, "oracle", str(path), "--threshold", "20")
-    assert code == 2 and out == ""
-    assert "witness search threshold 20" in err
+def test_oracle_past_old_threshold_exit0(tmp_path, capsys):
+    # 102 free edges, far past the free-edge threshold that used to refuse
+    path = tmp_path / "b51.pgr"
+    write_graph(path, gen_circulant_b(51))
+    orientation = tmp_path / "o.txt"
+    code, _, _ = run(capsys, "oracle", str(path), "--p", "random", "--seed", "0",
+                     "-o", str(orientation))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(path), str(orientation),
+                       "--p", "random", "--seed", "0")
+    assert code == 0 and out.strip() == "valid"
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])

@@ -18,6 +18,7 @@ from conftest import (
     triangle,
     triangle_with_loop,
 )
+from crossflow import _kernels, orient
 from crossflow.embedding import EmbeddedGraph
 from crossflow.families import (
     circulant_schedule,
@@ -33,6 +34,8 @@ from crossflow.orient import (
     OrientationError,
     ScheduleError,
     _abstract_digest,
+    _merged_partial,
+    _oracle_lists,
     count_valid,
     greedy_direct_and_delete,
     is_valid_orientation,
@@ -143,7 +146,7 @@ def test_square_count_frozen():
 def test_oracle_directs_loops_at_their_vertex():
     g = triangle_with_loop()
     p = {v: 0 for v in g.vertices}
-    o = oracle_solve(g, p, bound=2)  # the loop is not a free edge
+    o = oracle_solve(g, p)  # the loop is not a free edge
     assert o.direction == {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (0, 0)}
     assert is_valid_orientation(g, p, o)
     assert count_valid(g, p) == 1
@@ -199,19 +202,21 @@ def test_counterexample_solvable_without_directed_vertex():
     assert got is not None and is_valid_orientation(g2, p, got)
 
 
-def test_oracle_bound_enforced():
-    g = gen_circulant_b(11)  # 22 edges, orientable with the zero prescription
-    p = {v: 0 for v in g.vertices}
-    with pytest.raises(OracleBoundError, match="witness search threshold 20"):
-        oracle_solve(g, p, bound=20)
-    assert oracle_solve(g, p, bound=22) is not None
+def test_oracle_reads_witness_past_old_threshold():
+    # B51 has 102 free edges, far past the free-edge threshold that used to
+    # bound the witness search; the DP's self-reduction reads the witness
+    g = gen_circulant_b(51)
+    for s in (0, 1):
+        p = random_prescription(g, s)
+        o = oracle_solve(g, p)
+        assert o is not None and is_valid_orientation(g, p, o), s
 
 
 def test_oracle_decides_none_past_the_bound():
     # CE1: 32 free edges, no valid orientation; the DP decides it whatever
-    # the witness bound
+    # the free-edge count
     g, p, dspec = gen_counterexample(1)
-    assert oracle_solve(g, p, bound=0) is None
+    assert oracle_solve(g, p) is None
 
 
 def test_frontier_state_budget_refuses():
@@ -241,11 +246,25 @@ def _without_partial(g, p, partial):
     return h, {v: (r + 1) % 3 - 1 for v, r in q.items()}
 
 
+def _first_witness(g, p, partial):
+    """The free edges' directions in the backtracker's first witness, read
+    from the same instance lists the oracle builds."""
+    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, _merged_partial(g, partial))
+    out = np.zeros(len(free), dtype=np.int8)
+    assert _kernels.orient_search(lo, hi, cur, und, tgt, 0, out)
+    verts = g.vertices
+    return {
+        e: (verts[lo[j]], verts[hi[j]]) if out[j] == 1 else (verts[hi[j]], verts[lo[j]])
+        for j, e in enumerate(free)
+    }
+
+
 def test_frontier_dp_agrees_with_count_valid():
     # any genus, random prescriptions, forced arcs at a random directed
     # vertex and a random partial orientation: the oracle answers None
     # exactly when the backtracker counts no completion, and otherwise a
-    # valid orientation extending both
+    # valid orientation extending both, equal to the first one the
+    # backtracker reads
     rng = np.random.default_rng(7)
     decided = {True: 0, False: 0}
     for seed in range(1000):
@@ -266,26 +285,25 @@ def test_frontier_dp_agrees_with_count_valid():
                 partial[e] = (u, v) if rng.random() < 0.5 else (v, u)
         part = Orientation(direction=partial, fixed=frozenset(partial))
         want = count_valid(*_without_partial(g, p, part))
-        got = oracle_solve(g, p, partial=part, bound=len(g.edges))
+        got = oracle_solve(g, p, partial=part)
         assert (got is not None) == (want > 0), f"seed {seed}"
         if got is not None:
             assert is_valid_orientation(g, p, got), f"seed {seed}"
             assert all(got.direction[e] == th for e, th in partial.items()), f"seed {seed}"
+            first = _first_witness(g, p, part)
+            assert {e: got.direction[e] for e in first} == first, f"seed {seed}"
         decided[got is not None] += 1
     assert min(decided.values()) > 200
 
 
 def test_oracle_rejects_a_wrong_kernel_hit(monkeypatch):
-    # the check must be an explicit raise, so that it also holds under -O
-    from crossflow import _kernels
-
-    def wrong_hit(lo, hi, cur, und, tgt, mode, out_dirs):
-        out_dirs[:] = 1  # every edge tail-at-lower: residues 1, 0, -1
-        return 1
-
-    monkeypatch.setattr(_kernels, "orient_search", wrong_hit)
+    # the check must be an explicit raise, so that it also holds under -O:
+    # a DP that always answers yes makes every edge tail-at-lower, which
+    # gives residues 1, 0, -1; with every residue 1 the triangle has no
+    # valid orientation
+    monkeypatch.setattr(orient, "_frontier_orientable", lambda lo, hi, need: True)
     with pytest.raises(OrientationError):
-        oracle_solve(triangle(), {0: 0, 1: 0, 2: 0})
+        oracle_solve(triangle(), {0: 1, 1: 1, 2: 1})
 
 
 def test_invalid_prescription_short_circuits():

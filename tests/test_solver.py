@@ -23,11 +23,9 @@ from crossflow.orient import (
 )
 from crossflow.pgr import serialize_orientation
 from crossflow.solver import (
-    DEFAULT_THRESHOLD,
     STEP_KINDS,
     ReductionStep,
     ReductionTrace,
-    SolverRefusal,
     TraceError,
     detect_family,
     parse_trace,
@@ -172,9 +170,9 @@ def _spy_oracle(monkeypatch):
     """Record what each oracle call in the solver returned or raised."""
     seen = []
 
-    def spy(g, p, partial=None, bound=DEFAULT_THRESHOLD):
+    def spy(g, p, partial=None):
         try:
-            o = oracle_solve(g, p, partial, bound)
+            o = oracle_solve(g, p, partial)
         except OracleBoundError as exc:
             seen.append(exc)
             raise
@@ -185,24 +183,23 @@ def _spy_oracle(monkeypatch):
     return seen
 
 
-def test_solve_threshold_refusal(monkeypatch):
-    # 19 edges, solved by one top-level OracleCall at the default threshold;
-    # orientable, so at threshold 8 the witness search bound refuses it
+def test_solve_threshold_is_recorded_only():
+    # 19 edges, solved by one top-level OracleCall; a threshold below the
+    # free-edge count changes nothing but the recorded threshold
     g, p = gen_random_pt(5, 9)
     assert len(g.edges) == 19 and not g.darcs
-    seen = _spy_oracle(monkeypatch)
-    with pytest.raises(SolverRefusal) as exc:
-        solve(g, p, threshold=8)
-    assert "witness search threshold 8" in str(exc.value)
-    assert len(seen) == 1 and isinstance(seen[0], OracleBoundError)
-    assert oracle_solve(g, p, bound=19) is not None
+    want, _ = solve(g, p)
+    o, trace = solve(g, p, threshold=8)
+    assert o.direction == want.direction
+    assert [(st.kind, st.arguments) for st in trace.steps] == [("OracleCall", (19,))]
+    assert trace.threshold == 8
 
 
 def test_counterexample_above_old_ceiling_decided_none(monkeypatch):
     # CE3 has 30 vertices; its two 5-cuts, {0, 1} and {0, 16}, have the
     # protected vertex 0 on one side and the directed vertex on the other,
     # so neither side may be contracted, and the frontier DP proves none
-    # over all 56 free edges, twice the witness threshold
+    # over all 56 free edges
     g, p, dspec = gen_counterexample(3)
     assert len(g.vertices) == 30
     seen = _spy_oracle(monkeypatch)
