@@ -83,7 +83,6 @@ from .pgr import (
     write_graph,
 )
 from .solver import (
-    DEFAULT_THRESHOLD,
     ReductionStep,
     ReductionTrace,
     ReplayReport,

@@ -37,7 +37,7 @@ from .orient import (
     random_prescription,
 )
 from .pgr import PgrError, parse_graph, parse_orientation, serialize_graph, serialize_orientation
-from .solver import DEFAULT_THRESHOLD, SolverRefusal, serialize_trace, solve
+from .solver import SolverRefusal, serialize_trace, solve
 
 
 class CliInputError(Exception):
@@ -130,7 +130,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g, embedded = _load_graph(args.input)
     p = _resolve_prescription(g, embedded, args)
-    orientation, trace = solve(g, p, threshold=args.threshold)
+    orientation, trace = solve(g, p)
     if args.trace_path is not None:
         with open(args.trace_path, "w", encoding="utf-8") as fh:
             fh.write(serialize_trace(trace))
@@ -270,9 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE",
                    help="prescription source (default: the one in the file)")
     p.add_argument("--seed", type=int, default=0, help="seed for --p random (default 0)")
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                   help="value written to the trace's threshold line "
-                   f"(default {DEFAULT_THRESHOLD}); it bounds nothing")
     p.add_argument("--trace", dest="trace_path", default=None, help="write the reduction trace here")
     add_output(p)
 

@@ -10,9 +10,8 @@ split, then the oracle.  There a frontier DP decides, within a fixed
 state budget, whether any valid orientation exists, and reads the
 lexicographically first witness by self-reduction; past the state budget
 or the cut search budget the instance is refused, and the refusal names
-the bound.  The free-edge threshold is only recorded in the trace's
-``threshold`` line, so that existing traces replay unchanged.  Every
-orientation leaving this module is validated against the untouched input.
+the bound.  Every orientation leaving this module is validated against
+the untouched input.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from .orient import (
     prescription_ok,
     transfer_orientation,
 )
-
-DEFAULT_THRESHOLD = 28
 
 STEP_KINDS = frozenset(
     {
@@ -85,17 +82,18 @@ class ReductionStep:
 @dataclass
 class ReductionTrace:
     """What the solver did, step by step, plus everything needed to do it
-    again: the prescription.  ``threshold`` is recorded and read back, but
-    bounds nothing."""
+    again: the prescription."""
 
     steps: list[ReductionStep]
     outcome: str  # "valid" | "none"
     prescription: dict[int, int]
-    threshold: int = DEFAULT_THRESHOLD
 
 
 def serialize_trace(trace: ReductionTrace) -> str:
-    lines = ["trace 1", f"threshold {trace.threshold}"]
+    # The oracle once had a free-edge threshold, 28 by default.  Every trace
+    # still carries that line, so that traces stay byte-identical;
+    # parse_trace accepts any integer there and ignores it.
+    lines = ["trace 1", "threshold 28"]
     for v in sorted(trace.prescription):
         lines.append(f"p {v} {trace.prescription[v]}")
     for n, st in enumerate(trace.steps):
@@ -115,7 +113,6 @@ def _int(token: str, ln: int) -> int:
 def parse_trace(text: str) -> ReductionTrace:
     steps: list[ReductionStep] = []
     outcome = None
-    threshold = DEFAULT_THRESHOLD
     prescription: dict[int, int] = {}
     saw_header = False
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -128,7 +125,7 @@ def parse_trace(text: str) -> ReductionTrace:
                 raise TraceError("expected header 'trace 1'", ln)
             saw_header = True
         elif parts[0] == "threshold" and len(parts) == 2:
-            threshold = _int(parts[1], ln)
+            _int(parts[1], ln)
         elif parts[0] == "p" and len(parts) == 3:
             v = _int(parts[1], ln)
             if v in prescription:
@@ -157,9 +154,7 @@ def parse_trace(text: str) -> ReductionTrace:
         raise TraceError("empty trace")
     if outcome is None:
         raise TraceError("trace has no outcome line")
-    return ReductionTrace(
-        steps=steps, outcome=outcome, prescription=prescription, threshold=threshold
-    )
+    return ReductionTrace(steps=steps, outcome=outcome, prescription=prescription)
 
 
 # ------------------------------------------------------- family detection
@@ -373,12 +368,10 @@ def solve(
     g: EmbeddedGraph,
     p: dict[int, int],
     dspec: DirectedVertexSpec | None = None,
-    threshold: int = DEFAULT_THRESHOLD,
     schedule: tuple[list[tuple[int, int, int]], list[int]] | None = None,
 ) -> tuple[Orientation | None, ReductionTrace]:
     """Find a valid orientation or prove there is none, within the engine's
-    regime.  Returns the orientation (or None) and the replayable trace.
-    ``threshold`` is only written to the trace's ``threshold`` line."""
+    regime.  Returns the orientation (or None) and the replayable trace."""
     g.validate()
     work = g.copy()
     if dspec is not None:
@@ -394,12 +387,12 @@ def solve(
         work.validate()
     prescription = dict(p)
     if not prescription_ok(work, prescription):
-        return None, ReductionTrace([], "none", prescription, threshold)
+        return None, ReductionTrace([], "none", prescription)
     o, steps = _solve_inner(work, prescription, schedule)
     if o is not None and not is_valid_orientation(work, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"
-    return o, ReductionTrace(steps, outcome, prescription, threshold)
+    return o, ReductionTrace(steps, outcome, prescription)
 
 
 # ---------------------------------------------------------------- replay
@@ -417,9 +410,9 @@ class ReplayReport:
 
 def replay(g: EmbeddedGraph, trace: ReductionTrace) -> ReplayReport:
     """Re-run the deterministic solve from the graph and the trace's own
-    prescription and threshold, comparing step lists and outcome."""
+    prescription, comparing step lists and outcome."""
     try:
-        _, fresh = solve(g, trace.prescription, threshold=trace.threshold)
+        _, fresh = solve(g, trace.prescription)
     except (SolverRefusal, EmbeddingError, OrientationError) as exc:
         return ReplayReport(False, 0, f"re-solve failed: {exc}")
     for i, (a, b) in enumerate(zip(trace.steps, fresh.steps)):

@@ -110,20 +110,23 @@ def test_solve_without_prescription_needs_embedded_one(b7_file, capsys):
     assert code == 3
 
 
-def test_solve_threshold_is_recorded_only_exit0(tmp_path, capsys):
+def test_solve_threshold_option_gone_exit3(tmp_path, capsys):
     # orientable, and solved by one oracle call over all 19 edges; the
-    # threshold bounds nothing and is only written to the trace
+    # free-edge threshold bounds nothing, so there is no option to set it,
+    # and every trace keeps the fixed line "threshold 28"
     g, p = gen_random_pt(5, 9)
     path = tmp_path / "rpt5.pgr"
     write_graph(path, g, p)
+    code, _, _ = run(capsys, "solve", str(path), "--threshold", "4")
+    assert code == 3
     trace_path = tmp_path / "rpt5.trace"
     orientation = tmp_path / "o.txt"
-    code, _, _ = run(capsys, "solve", str(path), "--threshold", "4",
+    code, _, _ = run(capsys, "solve", str(path),
                      "--trace", str(trace_path), "-o", str(orientation))
     assert code == 0
     code, out, _ = run(capsys, "verify", str(path), str(orientation))
     assert code == 0 and out.strip() == "valid"
-    assert trace_path.read_text().splitlines()[1] == "threshold 4"
+    assert trace_path.read_text().splitlines()[1] == "threshold 28"
 
 
 def test_solve_over_state_budget_exit2(tmp_path, capsys):

@@ -5,6 +5,7 @@ measured against: a direct product over every edge direction with no
 pruning and no shared code with the package's search kernel.
 """
 
+import time
 from itertools import product
 
 import numpy as np
@@ -229,6 +230,24 @@ def test_frontier_state_budget_refuses():
     g = build_graph(edges)
     with pytest.raises(OracleBoundError, match="budget of 262144 states at frontier width"):
         oracle_solve(g, {v: 0 for v in g.vertices})
+
+
+def test_oracle_reads_witness_near_the_state_budget():
+    # K11 minus a 5-edge matching: the decision run creates about 154000 of
+    # the 262144 states, and the read runs, one per free edge, stay within
+    # the budget too
+    missing = {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)}
+    edges = {}
+    for u in range(11):
+        for v in range(u + 1, 11):
+            if (u, v) not in missing:
+                edges[len(edges)] = (u, v)
+    g = build_graph(edges)
+    p = random_prescription(g, 0)
+    start = time.perf_counter()
+    o = oracle_solve(g, p)
+    assert time.perf_counter() - start < 20
+    assert o is not None and is_valid_orientation(g, p, o)
 
 
 def _without_partial(g, p, partial):
