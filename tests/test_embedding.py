@@ -6,8 +6,10 @@ reference the tracer is checked against, not values copied from it.
 """
 
 import hashlib
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from crossflow.embedding import (
     StructureError,
     _face_through,
     _mirror,
+    _switch_inplace,
     boundary_cycle,
     canonical_anchor,
     contract_subgraph,
@@ -90,6 +93,82 @@ def test_trace_rejects_malformed_rotation():
     g.rotation[0] = g.rotation[0][:1]
     with pytest.raises(StructureError):
         g.validate()
+
+
+def reference_validate(g):
+    """EmbeddedGraph.validate as it was written first: the expected dart
+    list of every vertex, compared with its rotation after sorting both."""
+    expected = {v: [] for v in g.rotation}
+    for e, (u, v) in g.edges.items():
+        if u not in g.rotation or v not in g.rotation:
+            raise StructureError(f"edge {e} has a missing endpoint")
+        if g.sign.get(e) not in (1, -1):
+            raise StructureError(f"edge {e} has no sign")
+        expected[u].append((e, 0))
+        expected[v].append((e, 1))
+    if set(g.sign) != set(g.edges):
+        raise StructureError("sign table does not match the edge set")
+    for v, rot in g.rotation.items():
+        if sorted(rot) != sorted(expected[v]):
+            raise StructureError(f"rotation at vertex {v} is malformed")
+    # the marks are checked by the same code in both; one call covers them
+    g.validate()
+
+
+def _corrupt(g, rng):
+    """One random fault of the kinds validate must name."""
+    verts = list(g.rotation)
+    v = verts[int(rng.integers(len(verts)))]
+    rot = g.rotation[v]
+    k = int(rng.integers(len(rot)))
+    kind = int(rng.integers(7))
+    if kind == 0:  # drop a dart
+        del rot[k]
+    elif kind == 1:  # duplicate one, at its own vertex or another
+        w = verts[int(rng.integers(len(verts)))]
+        g.rotation[w].insert(int(rng.integers(len(g.rotation[w]) + 1)), rot[k])
+    elif kind == 2:  # move one to another vertex
+        w = verts[int(rng.integers(len(verts)))]
+        g.rotation[w].append(rot.pop(k))
+    elif kind == 3:  # end 2
+        rot[k] = (rot[k][0], 2)
+    elif kind == 4:  # unknown edge
+        rot[k] = (max(g.edges) + 1, rot[k][1])
+    elif kind == 5:  # an edge without a sign
+        g.sign.pop(int(rng.choice(sorted(g.edges))), None)
+    else:  # a sign without an edge
+        g.sign[max(g.edges) + 1] = 1
+
+
+def test_validate_matches_reference():
+    # random multigraphs, some with a loop, each with one or two faults:
+    # the same exception class and message, or none, as the reference
+    rng = np.random.default_rng(11)
+    kinds = Counter()
+    for seed in range(600):
+        g = random_multigraph(seed)
+        if seed % 3 == 0:
+            v, e = int(rng.integers(len(g.rotation))), max(g.edges) + 1
+            g.edges[e], g.sign[e] = (v, v), 1
+            g.rotation[v][1:1] = [(e, 0), (e, 1)]
+        for _ in range(1 + seed % 2):
+            _corrupt(g, rng)
+        want, got = _raised(reference_validate, g), _raised(EmbeddedGraph.validate, g)
+        assert got == want, f"seed {seed}"
+        kinds[want and re.sub(r"\d+", "N", want[1])] += 1
+    assert {
+        "edge N has no sign",
+        "sign table does not match the edge set",
+        "rotation at vertex N is malformed",
+    } <= set(kinds), kinds
+
+
+def _raised(fn, g):
+    try:
+        fn(g)
+    except Exception as exc:  # the class and the message are compared
+        return type(exc), str(exc)
+    return None
 
 
 def test_disconnected_characteristic_refused():
@@ -431,6 +510,36 @@ def test_split_requires_doubled_visit():
 
 
 # -------------------------------------------------------------- value object
+
+
+def test_edges_between_matches_an_edge_scan():
+    # parallel edges, loops (u == v) and a vertex the graph lacks
+    for seed in range(100):
+        g = random_multigraph(seed)
+        v, e = seed % len(g.rotation), max(g.edges) + 1
+        g.edges[e], g.sign[e] = (v, v), 1
+        g.rotation[v][1:1] = [(e, 0), (e, 1)]
+        verts = g.vertices + [max(g.vertices) + 1]
+        for a in verts:
+            for b in verts:
+                want = sorted(e for e, uv in g.edges.items() if set(uv) == {a, b})
+                assert g.edges_between(a, b) == want, f"seed {seed}"
+
+
+def test_switching_keeps_the_faces():
+    # switching a vertex redescribes the same embedding: the face lengths
+    # stay, and a loop at the vertex, passed at both ends, keeps its sign
+    for seed in range(100):
+        g = random_multigraph(seed)
+        v, e = seed % len(g.rotation), max(g.edges) + 1
+        g.edges[e], g.sign[e] = (v, v), -1 if seed % 2 else 1
+        g.rotation[v][1:1] = [(e, 0), (e, 1)]
+        lengths = sorted(f.length for f in trace_faces(g))
+        for w in g.vertices:
+            h = g.copy()
+            _switch_inplace(h, w)
+            assert h.sign[e] == g.sign[e], f"seed {seed}"
+            assert sorted(f.length for f in trace_faces(h)) == lengths, f"seed {seed}"
 
 
 def test_copy_equality_and_independence():

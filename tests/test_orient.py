@@ -6,6 +6,7 @@ pruning and no shared code with the package's search kernel.
 """
 
 import time
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -125,6 +126,78 @@ def test_edge_reversal_shifts_residues_oppositely():
     # reversal moves 2 units of net flow, i.e. -1/+1 mod 3 at the ends
     assert (residue(g, flipped, t) - residue(g, o, t)) % 3 == 2
     assert (residue(g, flipped, h) - residue(g, o, h)) % 3 == 1
+
+
+def reference_is_valid(g, p, o):
+    """is_valid_orientation as it was written first: residue() at every
+    vertex, which walks the vertex's darts."""
+    if not o.is_total_for(g):
+        raise OrientationError("orientation is not total")
+    if not prescription_ok(g, p):
+        raise OrientationError("prescription is malformed")
+    for e, (t, h) in o.direction.items():
+        if {t, h} != set(g.edges[e]):
+            raise OrientationError(f"edge {e} directed between non-endpoints")
+    for v in g.rotation:
+        if (residue(g, o, v) - p[v]) % 3 != 0:
+            return False
+    for e, way in g.darcs.items():
+        t = o.direction[e][0]
+        if way == "out" and t != g.dvertex:
+            return False
+        if way == "in" and t == g.dvertex:
+            return False
+    return True
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except OrientationError as exc:  # the class and the message are compared
+        return type(exc), str(exc)
+
+
+def test_is_valid_orientation_matches_residue_reference():
+    # random multigraphs, a third with a loop, half with forced arcs;
+    # orientations total or not, sometimes with an edge directed to a
+    # non-endpoint; prescriptions met by the orientation, random, or
+    # malformed: the same bool or the same error as the reference
+    rng = np.random.default_rng(5)
+    answers = Counter()
+    for seed in range(1500):
+        g = random_multigraph(seed)
+        verts = g.vertices
+        if seed % 3 == 0:
+            v, e = int(rng.choice(verts)), max(g.edges) + 1
+            g.edges[e], g.sign[e] = (v, v), 1
+            g.rotation[v][1:1] = [(e, 0), (e, 1)]
+        if seed % 2:
+            d = int(rng.choice(verts))
+            g.dvertex = d
+            g.darcs = {e: str(rng.choice(["in", "out"])) for e in g.incident(d) if rng.random() < 0.6}
+        direction = {e: (uv if rng.random() < 0.5 else uv[::-1]) for e, uv in g.edges.items()}
+        net = {v: 0 for v in verts}
+        for t, h in direction.values():
+            net[t] -= 1
+            net[h] += 1
+        fault = rng.random()
+        if fault < 0.1:
+            del direction[int(rng.choice(sorted(direction)))]
+        elif fault < 0.2:
+            e = int(rng.choice(sorted(direction)))
+            direction[e] = (direction[e][0], max(verts) + 1)
+        o = Orientation(direction=direction)
+        pick = rng.random()
+        if pick < 0.5:
+            p = {v: (r + 1) % 3 - 1 for v, r in net.items()}
+        elif pick < 0.9:
+            p = random_prescription(g, seed)
+        else:
+            p = {**random_prescription(g, seed), verts[0]: 2}
+        want = _answer(reference_is_valid, g, p, o)
+        assert _answer(is_valid_orientation, g, p, o) == want, f"seed {seed}"
+        answers[want if isinstance(want, bool) else want[1].split()[0]] += 1
+    assert {True, False, "orientation", "prescription", "edge"} <= set(answers), answers
 
 
 # ------------------------------------------------------------------- oracle

@@ -117,3 +117,134 @@ def test_rotation_must_match_incidences():
     text = "pgr 1\nvertex 0\nvertex 1\nedge 0 0 1 +1\nrot 0 0.1\n"
     with pytest.raises(PgrError):
         parse_graph(text)
+
+
+# Every PgrError branch of parse_graph, one malformed input each, with the
+# message and line the line-by-line parser gave, plus inputs with two
+# faults, where the one read first must be reported.
+H = "pgr 1\n"
+V2 = H + "vertex 0\nvertex 1\n"
+TRI = V2 + (
+    "vertex 2\nedge 0 0 1 +1\nedge 1 1 2 +1\nedge 2 2 0 +1\n"
+    "rot 0 0.0 2.1\nrot 1 1.0 0.1\nrot 2 2.0 1.1\n"
+)
+PARSE_ERRORS = [
+    ("", None, "empty file"),
+    ("# only a comment\n\n", None, "empty file"),
+    ("vertex 0\n", 1, "first declaration must be 'pgr 1'"),
+    ("pgr 2\n", 1, "first declaration must be 'pgr 1'"),
+    (H + "vertex\n", 2, "vertex takes one id"),
+    (H + "vertex x\n", 2, "vertex id must be an integer, got 'x'"),
+    (H + "vertex 0\nvertex 0\n", 3, "duplicate vertex 0"),
+    (V2 + "edge 0 0 1\n", 4, "edge takes id, two endpoints and a sign"),
+    (V2 + "edge a 0 1 +1\n", 4, "edge id must be an integer, got 'a'"),
+    (V2 + "edge 0 0 1 +1\nedge 0 1 0 +1\n", 5, "duplicate edge 0"),
+    (V2 + "edge 0 0 1 +1\nedge 0 1 y +1\n", 5, "duplicate edge 0"),
+    (V2 + "edge 0 0 y +1\n", 4, "endpoint must be an integer, got 'y'"),
+    (V2 + "edge 0 x y +1\n", 4, "endpoint must be an integer, got 'x'"),
+    (V2 + "edge 0 0 1 2\n", 4, "sign must be +1 or -1, got '2'"),
+    (V2 + "edge 0 0 1 1\n", 4, "sign must be +1 or -1, got '1'"),
+    (H + "rot 0\n", 2, "rot takes a vertex and at least one dart"),
+    (H + "rot z 0.1\n", 2, "vertex id must be an integer, got 'z'"),
+    (H + "rot 0 0.1\nrot 0 0.0\n", 3, "duplicate rot for vertex 0"),
+    (H + "rot 0 0:1\n", 2, "dart must look like <edge>.<0|1>, got '0:1'"),
+    (H + "rot 0 0.2\n", 2, "dart must look like <edge>.<0|1>, got '0.2'"),
+    (H + "rot 0 .1\n", 2, "dart edge id must be an integer, got ''"),
+    (H + "rot 0 q.1\n", 2, "dart edge id must be an integer, got 'q'"),
+    (H + "rot 0 q.1 0:1\n", 2, "dart edge id must be an integer, got 'q'"),
+    (H + "rot 0 0:1 q.1\n", 2, "dart must look like <edge>.<0|1>, got '0:1'"),
+    (H + "rot 0 0.0 q.1\n", 2, "dart edge id must be an integer, got 'q'"),
+    (H + "face\n", 2, "face takes one dart"),
+    (H + "face 0.1 0.0\n", 2, "face takes one dart"),
+    (H + "face 0.1\nface 0.0\nface 1.0\n", 4, "at most two face anchors"),
+    (H + "face x.0\n", 2, "dart edge id must be an integer, got 'x'"),
+    (H + "face 0.2\n", 2, "dart must look like <edge>.<0|1>, got '0.2'"),
+    (H + "tvertex\n", 2, "tvertex takes one id, once"),
+    (H + "tvertex 0\ntvertex 0\n", 3, "tvertex takes one id, once"),
+    (H + "tvertex x\n", 2, "vertex id must be an integer, got 'x'"),
+    (H + "dvertex 0 1\n", 2, "dvertex takes one id, once"),
+    (H + "dvertex 0\ndvertex 1\n", 3, "dvertex takes one id, once"),
+    (H + "dvertex x\n", 2, "vertex id must be an integer, got 'x'"),
+    (H + "darc 0 sideways\n", 2, "darc takes an edge id and in|out"),
+    (H + "darc 0\n", 2, "darc takes an edge id and in|out"),
+    (H + "darc x in\n", 2, "edge id must be an integer, got 'x'"),
+    (H + "darc 0 in\ndarc 0 out\n", 3, "duplicate darc for edge 0"),
+    (H + "p 0\n", 2, "p takes a vertex and a residue"),
+    (H + "p x 0\n", 2, "vertex id must be an integer, got 'x'"),
+    (H + "p 0 y\n", 2, "residue must be an integer, got 'y'"),
+    (H + "p 0 2\n", 2, "residue must be -1, 0 or 1, got 2"),
+    (H + "p 0 0\np 0 1\n", 3, "duplicate prescription for vertex 0"),
+    (H + "bogus 1 2\n", 2, "unknown declaration 'bogus'"),
+    (H + "vertex 0\nedge 0 0 0 +1\nrot 7 0.0 0.1\nbogus\n", 5, "unknown declaration 'bogus'"),
+    (V2 + "rot 0 0.0\nrot 5 0.1\n", 5, "rot for undeclared vertex 5"),
+    (V2 + "edge 5 0 9 +1\nedge 3 8 1 +1\n", None, "edge 3 uses undeclared vertex 8"),
+    (V2 + "edge 0 0 1 +1\nrot 0 0.0\n", None, "vertex 1 has incident edges but no rot line"),
+    (TRI + "p 0 0\np 9 0\n", None, "prescription names undeclared vertex 9"),
+    (V2 + "edge 0 0 1 +1\nrot 0 0.1\nrot 1 0.0\n", None, "rotation at vertex 0 is malformed"),
+    (TRI + "face 7.0\n", None, "face anchor (7, 0) is not a dart"),
+    (TRI + "tvertex 9\n", None, "tvertex is not a vertex"),
+    (TRI + "dvertex 9\n", None, "dvertex is not a vertex"),
+    (TRI + "darc 0 in\n", None, "darcs given without a dvertex"),
+    (TRI + "dvertex 2\ndarc 0 in\n", None, "darc edge 0 is not incident to dvertex"),
+    (TRI + "rot 0 0.0\n", 11, "duplicate rot for vertex 0"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", PARSE_ERRORS)
+def test_parse_error_table(text, line, message):
+    with pytest.raises(PgrError) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+# int() spellings the parser accepts, with the canonical text of what the
+# line-by-line parser read from them
+ACCEPTED_INTEGERS = [
+    (
+        "pgr 1\nvertex +5\nvertex 007\nvertex 1_0\nedge +0 +5 007 +1\n"
+        "edge 01 007 1_0 -1\nedge 0_2 1_0 5 +1\nrot 5 +0.0 2.1\nrot 7 0.1 1.0\n"
+        "rot 10 1.1 2.0\nface 0_0.0\np +5 -0\np 007 +1\np 1_0 -1\n",
+        "pgr 1\nvertex 5\nvertex 7\nvertex 10\nedge 0 5 7 +1\nedge 1 7 10 -1\n"
+        "edge 2 10 5 +1\nrot 5 0.0 2.1\nrot 7 0.1 1.0\nrot 10 1.1 2.0\nface 0.0\n"
+        "p 5 0\np 7 1\np 10 -1\n",
+    ),
+    (
+        "pgr 1\nvertex 0\nvertex 1\nedge 0 0 1 +1\nrot 0 0.0\nrot 1 0.1\n"
+        "tvertex +0\ndvertex 01\ndarc 0_0 in\n",
+        "pgr 1\nvertex 0\nvertex 1\nedge 0 0 1 +1\nrot 0 0.0\nrot 1 0.1\n"
+        "tvertex 0\ndvertex 1\ndarc 0 in\n",
+    ),
+    (
+        "pgr 1\nvertex ٣\nvertex 1\nedge 0 ٣ 1 +1\nrot 3 0.0\nrot 1 0.1\n",
+        "pgr 1\nvertex 1\nvertex 3\nedge 0 3 1 +1\nrot 1 0.1\nrot 3 0.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,canonical", ACCEPTED_INTEGERS)
+def test_parse_accepts_int_spellings(text, canonical):
+    g, p = parse_graph(text)
+    assert serialize_graph(g, p) == canonical
+
+
+ORIENTATION_ERRORS = [
+    ("0 1 2\n", 1, "orientation line is `<edge_id> <tail_vertex>`"),
+    ("x 1\n", 1, "edge id must be an integer, got 'x'"),
+    ("0 y\n", 1, "tail vertex must be an integer, got 'y'"),
+    ("x y\n", 1, "edge id must be an integer, got 'x'"),
+    ("0 1\n0 2\n", 2, "duplicate direction for edge 0"),
+    ("0 1\n0 y\n", 2, "duplicate direction for edge 0"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", ORIENTATION_ERRORS)
+def test_orientation_error_table(text, line, message):
+    with pytest.raises(PgrError) as exc:
+        parse_orientation(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_orientation_accepts_int_spellings():
+    assert parse_orientation("# c\n\n1 +2\n1_0 07\n") == {1: 2, 10: 7}
