@@ -96,7 +96,7 @@ class EmbeddedGraph:
         return [d[0] for d in self.rotation[v]]
 
     def edges_between(self, u: int, v: int) -> list[int]:
-        return sorted(e for e, (a, b) in self.edges.items() if {a, b} == {u, v})
+        return sorted({e for e, end in self.rotation.get(u, ()) if self.edges[e][1 - end] == v})
 
     def next_edge_id(self) -> int:
         return max(self.edges, default=-1) + 1
@@ -144,19 +144,24 @@ class EmbeddedGraph:
 
     def validate(self) -> None:
         """Raise StructureError if the stored data is malformed."""
-        expected: dict[int, list[Dart]] = {v: [] for v in self.rotation}
-        for e, (u, v) in self.edges.items():
-            if u not in self.rotation or v not in self.rotation:
+        edges = self.edges
+        degree = dict.fromkeys(self.rotation, 0)
+        for e, (u, v) in edges.items():
+            if u not in degree or v not in degree:
                 raise StructureError(f"edge {e} has a missing endpoint")
             if self.sign.get(e) not in (1, -1):
                 raise StructureError(f"edge {e} has no sign")
-            expected[u].append((e, 0))
-            expected[v].append((e, 1))
-        if set(self.sign) != set(self.edges):
+            degree[u] += 1
+            degree[v] += 1
+        if set(self.sign) != set(edges):
             raise StructureError("sign table does not match the edge set")
+        # the vertex's darts: as many, none repeated, each leaving the vertex
         for v, rot in self.rotation.items():
-            if sorted(rot) != sorted(expected[v]):
+            if len(rot) != degree[v] or len(set(rot)) != len(rot):
                 raise StructureError(f"rotation at vertex {v} is malformed")
+            for e, end in rot:
+                if e not in edges or end not in (0, 1) or edges[e][end] != v:
+                    raise StructureError(f"rotation at vertex {v} is malformed")
         if len(self.specified) > 2:
             raise StructureError("at most two specified faces are allowed")
         for a in self.specified:
@@ -517,9 +522,8 @@ def _switch_inplace(g: EmbeddedGraph, v: int) -> None:
     """Reverse the local orientation at ``v``: flip the sign of every
     non-loop edge at ``v`` and reverse its rotation.  The embedding is
     unchanged; only its description moves."""
-    for e, (a, b) in g.edges.items():
-        if (a == v) != (b == v):
-            g.sign[e] = -g.sign[e]
+    for e, _ in g.rotation[v]:
+        g.sign[e] = -g.sign[e]  # a loop is listed twice and flips back
     g.rotation[v] = list(reversed(g.rotation[v]))
 
 

@@ -135,12 +135,14 @@ def is_valid_orientation(g: EmbeddedGraph, p: dict[int, int], o: Orientation) ->
         raise OrientationError("orientation is not total")
     if not prescription_ok(g, p):
         raise OrientationError("prescription is malformed")
+    balance = {v: -r for v, r in p.items()}  # in minus out, less p
     for e, (t, h) in o.direction.items():
-        if {t, h} != set(g.edges[e]):
+        if g.edges[e] != (t, h) and g.edges[e] != (h, t):
             raise OrientationError(f"edge {e} directed between non-endpoints")
-    for v in g.rotation:
-        if (residue(g, o, v) - p[v]) % 3 != 0:
-            return False
+        balance[t] -= 1  # a loop adds -1 and +1 at its vertex
+        balance[h] += 1
+    if any(b % 3 for b in balance.values()):
+        return False
     for e, way in g.darcs.items():
         t = o.direction[e][0]
         if way == "out" and t != g.dvertex:
@@ -236,17 +238,45 @@ def _edge_moves(sa: int, sb: int, ra: int, rb: int) -> dict[int, tuple[int, ...]
     return table
 
 
-def _frontier_orientable(lo: list[int], hi: list[int], need: list[int]) -> bool:
+def _search_order(n: int, lo: list[int], hi: list[int]) -> list[int]:
+    """The vertices with an edge lo[j]-hi[j] in maximum-cardinality search
+    order, started at a vertex of least degree, ties to the lower index."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        inc[a].append(j)
+        inc[b].append(j)
+    live = [v for v in range(n) if inc[v]]
+    weight = [0] * n  # edges to visited vertices
+    done = [False] * n
+    if live:
+        weight[min(live, key=lambda v: (len(inc[v]), v))] = 1
+    heap = [(-weight[v], v) for v in live]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        w, v = heapq.heappop(heap)
+        if done[v] or -w != weight[v]:
+            continue  # visited, or an entry its weight has outgrown
+        done[v] = True
+        order.append(v)
+        for j in inc[v]:
+            u = lo[j] + hi[j] - v
+            if not done[u]:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
+    return order
+
+
+def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], order: list[int]) -> bool:
     """Whether the free edges lo[j]-hi[j] can be directed so that every
     vertex's in-minus-out sum over them is need[v] mod 3.
 
-    Frontier-based search.  Vertices are visited in maximum-cardinality
-    search order, started at a vertex of least degree, ties to the lower
-    index; each edge is taken when its later endpoint is visited.  A state
-    packs, 2 bits per slot, the residue so far of each open vertex (one
-    with edges on both sides of the sweep).  A vertex takes a slot at its
-    first edge and gives it back at its last, where it must sit on its
-    need.  Raises OracleBoundError once more than
+    Frontier-based search.  Vertices are visited in ``order``, which must
+    list every vertex with an edge; each edge is taken when its later
+    endpoint is visited.  A state packs, 2 bits per slot, the residue so
+    far of each open vertex (one with edges on both sides of the sweep).
+    A vertex takes a slot at its first edge and gives it back at its last,
+    where it must sit on its need.  Raises OracleBoundError once more than
     ``_FRONTIER_STATE_BUDGET`` states have been created.
     """
     n = len(need)
@@ -256,36 +286,20 @@ def _frontier_orientable(lo: list[int], hi: list[int], need: list[int]) -> bool:
         inc[b].append(j)
     if any(need[v] and not inc[v] for v in range(n)):
         return False
-    live = [v for v in range(n) if inc[v]]
-    if not live:
-        return True
     left = [len(edges) for edges in inc]  # edges not yet taken
-    weight = [0] * n  # edges to visited vertices
     pos = [-1] * n
     slot = [-1] * n
     spare: list[int] = []
     width = 0
-    start = min(live, key=lambda v: (left[v], v))
-    weight[start] = 1
-    heap = [(-weight[v], v) for v in live]
-    heapq.heapify(heap)
     states = {0}
     created = 0
-    visited = 0
-    while heap:
-        w, v = heapq.heappop(heap)
-        if pos[v] >= 0 or -w != weight[v]:
-            continue  # visited, or an entry its weight has outgrown
+    for visited, v in enumerate(order):
         pos[v] = visited
-        visited += 1
         back = []
         for j in inc[v]:
             u = lo[j] + hi[j] - v
             if pos[u] >= 0:
                 back.append((pos[u], j))
-            else:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
         back.sort()
         for _, j in back:
             a, b = lo[j], hi[j]
@@ -330,9 +344,10 @@ def oracle_solve(
     order, and each gets its tail at the lower endpoint when the DP still
     finds the remaining edges orientable, else the reverse.  That is the
     first valid orientation in lexicographic order, with tail-at-lower
-    first.  Each DP run has its own budget of ``_FRONTIER_STATE_BUDGET``
-    states, and one past it raises OracleBoundError, so a call creates at
-    most (undirected edges + 1) times that many states.  A loop adds
+    first.  Every run visits the vertices in the decision run's order, so a
+    read run's states at each edge project the decision run's: a run past
+    ``_FRONTIER_STATE_BUDGET`` states raises OracleBoundError, but never a
+    read run of an instance whose decision fits.  A loop adds
     nothing to a residue, so loops stay out of the DP, and each undirected
     loop is directed at its vertex, ``(u, u)``.
     """
@@ -341,7 +356,8 @@ def oracle_solve(
     directed = _merged_partial(g, partial)
     free, lo, hi, cur, _, tgt = _oracle_lists(g, p, directed)
     need = [(t - c) % 3 for t, c in zip(tgt, cur)]
-    if not _frontier_orientable(lo, hi, need):
+    order = _search_order(len(need), lo, hi)
+    if not _frontier_orientable(lo, hi, need, order):
         return None
     direction = dict(directed)
     for j, e in enumerate(free):
@@ -350,7 +366,7 @@ def oracle_solve(
         # tail at a leaves a one more to take in, and b one less
         need[a] = (need[a] + 1) % 3
         need[b] = (need[b] - 1) % 3
-        if _frontier_orientable(lo[j + 1 :], hi[j + 1 :], need):
+        if _frontier_orientable(lo[j + 1 :], hi[j + 1 :], need, order):
             direction[e] = (u, v)
         else:
             need[a] = (need[a] - 2) % 3

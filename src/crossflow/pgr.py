@@ -18,6 +18,10 @@ canonical (sorted ids, rotations started at their smallest dart), so
 parse(serialize(g)) == g and serializing a parsed canonical file
 reproduces it byte for byte.
 
+Parsing is one pass over the lines with int() inline: each line's shape,
+integers, signs, residues and duplicates, then that rot lines, edge ends
+and p lines name declared vertices, then EmbeddedGraph.validate().
+
 Orientation files hold one `<edge_id> <tail_vertex>` line per edge;
 flow files hold `<edge_id> <1|2>`.  Both are handled here as plain
 edge-keyed dicts.
@@ -73,115 +77,129 @@ def serialize_graph(g: EmbeddedGraph, prescription: dict[int, int] | None = None
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, what: str, ln: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise PgrError(f"{what} must be an integer, got {token!r}", ln) from None
+# a line's integer fields before any darts, in reading order; by default a vertex id
+_INT_FIELDS = {
+    "edge": ("edge id", "endpoint", "endpoint"), "p": ("vertex id", "residue"),
+    "darc": ("edge id",), "face": (), "orientation": ("edge id", "tail vertex"),
+}
 
 
-def _parse_dart(token: str, ln: int) -> tuple[int, int]:
-    e, dot, end = token.partition(".")
-    if not dot or end not in ("0", "1"):
-        raise PgrError(f"dart must look like <edge>.<0|1>, got {token!r}", ln)
-    return (_parse_int(e, "dart edge id", ln), int(end))
+def _int_error(kind: str, args: list[str], ln: int) -> PgrError:
+    """The error for a line whose int() call raised: fields are converted
+    in order, so it names the first one that int() rejects."""
+    fields = list(zip(args, _INT_FIELDS.get(kind, ("vertex id",))))
+    if kind in ("rot", "face"):
+        fields += [(t.partition(".")[0], "dart edge id") for t in args[len(fields) :]]
+    for token, what in fields:
+        try:
+            int(token)
+        except ValueError:
+            break
+    return PgrError(f"{what} must be an integer, got {token!r}", ln)
 
 
 def parse_graph(text: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
     """Parse .pgr text into a graph and its bundled prescription (or None
     when the file has no p lines).  Raises PgrError with a line number."""
-    decls: list[tuple[int, list[str]]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            decls.append((ln, body.split()))
-    if not decls:
-        raise PgrError("empty file")
-    ln0, head = decls[0]
-    if head != ["pgr", "1"]:
-        raise PgrError("first declaration must be 'pgr 1'", ln0)
-
     g = EmbeddedGraph()
+    edges, sign, rotation = g.edges, g.sign, g.rotation
     rot_lines: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     prescription: dict[int, int] | None = None
-    for ln, tok in decls[1:]:
+    header = False
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        if not header:
+            if tok != ["pgr", "1"]:
+                raise PgrError("first declaration must be 'pgr 1'", ln)
+            header = True
+            continue
         kind, args = tok[0], tok[1:]
-        if kind == "vertex":
-            if len(args) != 1:
-                raise PgrError("vertex takes one id", ln)
-            v = _parse_int(args[0], "vertex id", ln)
-            if v in g.rotation:
-                raise PgrError(f"duplicate vertex {v}", ln)
-            g.rotation[v] = []
-        elif kind == "edge":
-            if len(args) != 4:
-                raise PgrError("edge takes id, two endpoints and a sign", ln)
-            e = _parse_int(args[0], "edge id", ln)
-            if e in g.edges:
-                raise PgrError(f"duplicate edge {e}", ln)
-            u = _parse_int(args[1], "endpoint", ln)
-            v = _parse_int(args[2], "endpoint", ln)
-            if args[3] not in ("+1", "-1"):
-                raise PgrError(f"sign must be +1 or -1, got {args[3]!r}", ln)
-            g.edges[e] = (u, v)
-            g.sign[e] = 1 if args[3] == "+1" else -1
-        elif kind == "rot":
-            if len(args) < 2:
-                raise PgrError("rot takes a vertex and at least one dart", ln)
-            v = _parse_int(args[0], "vertex id", ln)
-            if v in rot_lines:
-                raise PgrError(f"duplicate rot for vertex {v}", ln)
-            rot_lines[v] = (ln, [_parse_dart(t, ln) for t in args[1:]])
-        elif kind == "face":
-            if len(args) != 1:
-                raise PgrError("face takes one dart", ln)
-            if len(g.specified) == 2:
-                raise PgrError("at most two face anchors", ln)
-            g.specified.append(_parse_dart(args[0], ln))
-        elif kind == "tvertex":
-            if len(args) != 1 or g.tvertex is not None:
-                raise PgrError("tvertex takes one id, once", ln)
-            g.tvertex = _parse_int(args[0], "vertex id", ln)
-        elif kind == "dvertex":
-            if len(args) != 1 or g.dvertex is not None:
-                raise PgrError("dvertex takes one id, once", ln)
-            g.dvertex = _parse_int(args[0], "vertex id", ln)
-        elif kind == "darc":
-            if len(args) != 2 or args[1] not in ("in", "out"):
-                raise PgrError("darc takes an edge id and in|out", ln)
-            e = _parse_int(args[0], "edge id", ln)
-            if e in g.darcs:
-                raise PgrError(f"duplicate darc for edge {e}", ln)
-            g.darcs[e] = args[1]
-        elif kind == "p":
-            if len(args) != 2:
-                raise PgrError("p takes a vertex and a residue", ln)
-            v = _parse_int(args[0], "vertex id", ln)
-            r = _parse_int(args[1], "residue", ln)
-            if r not in (-1, 0, 1):
-                raise PgrError(f"residue must be -1, 0 or 1, got {r}", ln)
-            if prescription is None:
-                prescription = {}
-            if v in prescription:
-                raise PgrError(f"duplicate prescription for vertex {v}", ln)
-            prescription[v] = r
-        else:
-            raise PgrError(f"unknown declaration {kind!r}", ln)
+        try:
+            if kind == "vertex":
+                if len(args) != 1:
+                    raise PgrError("vertex takes one id", ln)
+                v = int(args[0])
+                if v in rotation:
+                    raise PgrError(f"duplicate vertex {v}", ln)
+                rotation[v] = []
+            elif kind == "edge":
+                if len(args) != 4:
+                    raise PgrError("edge takes id, two endpoints and a sign", ln)
+                e = int(args[0])
+                if e in edges:
+                    raise PgrError(f"duplicate edge {e}", ln)
+                u, v = int(args[1]), int(args[2])
+                if args[3] not in ("+1", "-1"):
+                    raise PgrError(f"sign must be +1 or -1, got {args[3]!r}", ln)
+                edges[e] = (u, v)
+                sign[e] = 1 if args[3] == "+1" else -1
+            elif kind == "rot":
+                if len(args) < 2:
+                    raise PgrError("rot takes a vertex and at least one dart", ln)
+                v = int(args[0])
+                if v in rot_lines:
+                    raise PgrError(f"duplicate rot for vertex {v}", ln)
+                rot = []
+                for t in args[1:]:
+                    e, dot, end = t.partition(".")
+                    if not dot or end not in ("0", "1"):
+                        raise PgrError(f"dart must look like <edge>.<0|1>, got {t!r}", ln)
+                    rot.append((int(e), 0 if end == "0" else 1))
+                rot_lines[v] = (ln, rot)
+            elif kind == "face":
+                if len(args) != 1:
+                    raise PgrError("face takes one dart", ln)
+                if len(g.specified) == 2:
+                    raise PgrError("at most two face anchors", ln)
+                e, dot, end = args[0].partition(".")
+                if not dot or end not in ("0", "1"):
+                    raise PgrError(f"dart must look like <edge>.<0|1>, got {args[0]!r}", ln)
+                g.specified.append((int(e), 0 if end == "0" else 1))
+            elif kind in ("tvertex", "dvertex"):
+                if len(args) != 1 or getattr(g, kind) is not None:
+                    raise PgrError(f"{kind} takes one id, once", ln)
+                setattr(g, kind, int(args[0]))
+            elif kind == "darc":
+                if len(args) != 2 or args[1] not in ("in", "out"):
+                    raise PgrError("darc takes an edge id and in|out", ln)
+                e = int(args[0])
+                if e in g.darcs:
+                    raise PgrError(f"duplicate darc for edge {e}", ln)
+                g.darcs[e] = args[1]
+            elif kind == "p":
+                if len(args) != 2:
+                    raise PgrError("p takes a vertex and a residue", ln)
+                v, r = int(args[0]), int(args[1])
+                if r not in (-1, 0, 1):
+                    raise PgrError(f"residue must be -1, 0 or 1, got {r}", ln)
+                if prescription is None:
+                    prescription = {}
+                if v in prescription:
+                    raise PgrError(f"duplicate prescription for vertex {v}", ln)
+                prescription[v] = r
+            else:
+                raise PgrError(f"unknown declaration {kind!r}", ln)
+        except ValueError:
+            raise _int_error(kind, args, ln) from None
+    if not header:
+        raise PgrError("empty file")
 
     for v, (ln, rot) in rot_lines.items():
-        if v not in g.rotation:
+        if v not in rotation:
             raise PgrError(f"rot for undeclared vertex {v}", ln)
-        g.rotation[v] = rot
-    for e, (u, v) in sorted(g.edges.items()):
-        for x in (u, v):
-            if x not in g.rotation:
-                raise PgrError(f"edge {e} uses undeclared vertex {x}")
-    for v in g.rotation:
-        if g.rotation[v] == [] and any(v in uv for uv in g.edges.values()):
+        rotation[v] = rot
+    stray = [(e, x) for e, uv in edges.items() for x in uv if x not in rotation]
+    if stray:
+        e, x = min(stray, key=lambda ex: ex[0])  # least edge, its first missing end
+        raise PgrError(f"edge {e} uses undeclared vertex {x}")
+    for v, rot in rotation.items():
+        if not rot and any(v in uv for uv in edges.values()):
             raise PgrError(f"vertex {v} has incident edges but no rot line")
     if prescription is not None:
         for v in prescription:
-            if v not in g.rotation:
+            if v not in rotation:
                 raise PgrError(f"prescription names undeclared vertex {v}")
     try:
         g.validate()
@@ -222,8 +240,11 @@ def parse_orientation(text: str) -> dict[int, int]:
         tok = body.split()
         if len(tok) != 2:
             raise PgrError("orientation line is `<edge_id> <tail_vertex>`", ln)
-        e = _parse_int(tok[0], "edge id", ln)
-        if e in tails:
-            raise PgrError(f"duplicate direction for edge {e}", ln)
-        tails[e] = _parse_int(tok[1], "tail vertex", ln)
+        try:
+            e = int(tok[0])
+            if e in tails:
+                raise PgrError(f"duplicate direction for edge {e}", ln)
+            tails[e] = int(tok[1])
+        except ValueError:
+            raise _int_error("orientation", tok, ln) from None
     return tails

@@ -24,7 +24,6 @@ from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
     OperationError,
-    boundary_cycle,
     contract_subgraph,
     specified_walk,
     split_doubled_boundary_vertex,
@@ -186,16 +185,16 @@ def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
     """
     if g.dvertex is not None or g.darcs or len(g.specified) != 1:
         return None
-    cyc = boundary_cycle(g)
-    if cyc is None:
-        return None
+    walk = specified_walk(g)
+    cyc = walk.tails
     verts = g.vertices
     nv = len(verts)
+    # the walk passes every vertex once: the boundary is a Hamilton cycle
     if len(cyc) != nv or set(cyc) != set(verts) or nv < 5:
         return None
-    if any(g.is_loop(e) for e in g.edges):
+    if any(u == v for u, v in g.edges.values()):
         return None
-    walk_ids = specified_walk(g).edge_ids()
+    walk_ids = walk.edge_ids()
     degs = {v: g.degree(v) for v in verts}
 
     if nv % 2 == 1:

@@ -186,6 +186,36 @@ def test_schedule_posmap_relabelling():
     assert is_valid_orientation(h, p, o)
 
 
+class _ScanCountingDict(dict):
+    """A dict that counts the scans over its keys, values or items."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+
+def test_circulant_schedule_does_not_scan_the_edges():
+    g = gen_a(401)
+    want = circulant_schedule(g, 401, with_subdivision=True)
+    g.edges = _ScanCountingDict(g.edges)
+    assert circulant_schedule(g, 401, with_subdivision=True) == want
+    assert g.edges.scans == 0
+
+
 # ---------------------------------------------------------- random corpus
 
 

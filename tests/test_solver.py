@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from conftest import triangle_with_loop
-from crossflow import cuts
+from crossflow import cuts, embedding
 from crossflow import solver as solver_module
 from crossflow.families import (
     circulant_schedule,
@@ -78,6 +78,21 @@ def test_detection_survives_relabelling():
     h.validate()
     hit = detect_family(h)
     assert hit is not None and hit[0].kind == "B"
+
+
+def test_detect_family_walks_the_face_once(monkeypatch):
+    walks = []
+    walk_from = embedding._walk_from
+
+    def counted(g, start):
+        walks.append(start)
+        return walk_from(g, start)
+
+    monkeypatch.setattr(embedding, "_walk_from", counted)
+    for g in (gen_circulant_b(401), gen_a(401)):
+        walks.clear()
+        assert detect_family(g) is not None
+        assert len(walks) == 1
 
 
 def test_no_detection_on_counterexample():
