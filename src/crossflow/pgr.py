@@ -234,10 +234,9 @@ def serialize_orientation(tails: dict[int, int]) -> str:
 def parse_orientation(text: str) -> dict[int, int]:
     tails: dict[int, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
             continue
-        tok = body.split()
         if len(tok) != 2:
             raise PgrError("orientation line is `<edge_id> <tail_vertex>`", ln)
         try:
