@@ -238,95 +238,88 @@ def _edge_moves(sa: int, sb: int, ra: int, rb: int) -> dict[int, tuple[int, ...]
     return table
 
 
-def _search_order(n: int, lo: list[int], hi: list[int]) -> list[int]:
-    """The vertices with an edge lo[j]-hi[j] in maximum-cardinality search
-    order, started at a vertex of least degree, ties to the lower index."""
+def _search_rank(n: int, lo: list[int], hi: list[int]) -> list[int]:
+    """Each vertex's place in a maximum-cardinality search over the edges
+    lo[j]-hi[j], started at a vertex of least degree, ties to the lower
+    index; -1 for a vertex without edges."""
     inc: list[list[int]] = [[] for _ in range(n)]
     for j, (a, b) in enumerate(zip(lo, hi)):
         inc[a].append(j)
         inc[b].append(j)
     live = [v for v in range(n) if inc[v]]
     weight = [0] * n  # edges to visited vertices
-    done = [False] * n
+    rank = [-1] * n
     if live:
         weight[min(live, key=lambda v: (len(inc[v]), v))] = 1
     heap = [(-weight[v], v) for v in live]
     heapq.heapify(heap)
-    order = []
+    visited = 0
     while heap:
         w, v = heapq.heappop(heap)
-        if done[v] or -w != weight[v]:
+        if rank[v] >= 0 or -w != weight[v]:
             continue  # visited, or an entry its weight has outgrown
-        done[v] = True
-        order.append(v)
+        rank[v] = visited
+        visited += 1
         for j in inc[v]:
             u = lo[j] + hi[j] - v
-            if not done[u]:
+            if rank[u] < 0:
                 weight[u] += 1
                 heapq.heappush(heap, (-weight[u], u))
-    return order
+    return rank
 
 
-def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], order: list[int]) -> bool:
+def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], rank: list[int]) -> bool:
     """Whether the free edges lo[j]-hi[j] can be directed so that every
     vertex's in-minus-out sum over them is need[v] mod 3.
 
-    Frontier-based search.  Vertices are visited in ``order``, which must
-    list every vertex with an edge; each edge is taken when its later
-    endpoint is visited.  A state packs, 2 bits per slot, the residue so
-    far of each open vertex (one with edges on both sides of the sweep).
-    A vertex takes a slot at its first edge and gives it back at its last,
-    where it must sit on its need.  Raises OracleBoundError once more than
+    Frontier-based search.  Vertices are visited in the order of ``rank``,
+    which must rank every vertex with an edge; each edge is taken when its
+    later endpoint is visited, those to earlier vertices first.  A state
+    packs, 2 bits per slot, the residue so far of each open vertex (one
+    with edges on both sides of the sweep).  A vertex takes a slot at its
+    first edge and gives it back at its last, where it must sit on its
+    need.  Raises OracleBoundError once more than
     ``_FRONTIER_STATE_BUDGET`` states have been created.
     """
     n = len(need)
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for j, (a, b) in enumerate(zip(lo, hi)):
-        inc[a].append(j)
-        inc[b].append(j)
-    if any(need[v] and not inc[v] for v in range(n)):
+    left = [0] * n  # edges not yet taken
+    for a, b in zip(lo, hi):
+        left[a] += 1
+        left[b] += 1
+    if any(need[v] and not left[v] for v in range(n)):
         return False
-    left = [len(edges) for edges in inc]  # edges not yet taken
-    pos = [-1] * n
     slot = [-1] * n
     spare: list[int] = []
     width = 0
     states = {0}
     created = 0
-    for visited, v in enumerate(order):
-        pos[v] = visited
-        back = []
-        for j in inc[v]:
-            u = lo[j] + hi[j] - v
-            if pos[u] >= 0:
-                back.append((pos[u], j))
-        back.sort()
-        for _, j in back:
-            a, b = lo[j], hi[j]
-            for x in (a, b):
-                if slot[x] < 0:
-                    slot[x] = spare.pop() if spare else width
-                    width = max(width, slot[x] + 1)
-            sa, sb = 2 * slot[a], 2 * slot[b]
-            left[a] -= 1
-            left[b] -= 1
-            # a vertex taking its last edge lands on its need and frees its slot
-            ra = -1 if left[a] else need[a]
-            rb = -1 if left[b] else need[b]
-            for x in (a, b):
-                if not left[x]:
-                    spare.append(slot[x])
-            mask = 3 << sa | 3 << sb
-            moves = _edge_moves(sa, sb, ra, rb)
-            states = {s + d for s in states for d in moves[s & mask]}
-            if not states:
-                return False
-            created += len(states)
-            if created > _FRONTIER_STATE_BUDGET:
-                raise OracleBoundError(
-                    f"the frontier DP passed its budget of {_FRONTIER_STATE_BUDGET} "
-                    f"states at frontier width {width} ({len(lo)} free edges)"
-                )
+    later_first = [sorted((rank[a], rank[b]), reverse=True) for a, b in zip(lo, hi)]
+    for j in sorted(range(len(lo)), key=later_first.__getitem__):
+        a, b = lo[j], hi[j]
+        for x in (a, b):
+            if slot[x] < 0:
+                slot[x] = spare.pop() if spare else width
+                width = max(width, slot[x] + 1)
+        sa, sb = 2 * slot[a], 2 * slot[b]
+        left[a] -= 1
+        left[b] -= 1
+        # a vertex taking its last edge lands on its need and frees its slot
+        ra = -1 if left[a] else need[a]
+        rb = -1 if left[b] else need[b]
+        for x in (a, b):
+            if not left[x]:
+                spare.append(slot[x])
+        mask = 3 << sa | 3 << sb
+        moves = _edge_moves(sa, sb, ra, rb)
+        states = {s + d for s in states for d in moves[s & mask]}
+        if not states:
+            return False
+        created += len(states)
+        if created > _FRONTIER_STATE_BUDGET:
+            raise OracleBoundError(
+                f"the frontier DP passed its budget of {_FRONTIER_STATE_BUDGET} "
+                f"states at frontier width {width} ({len(lo)} free edges)"
+            )
     return True
 
 
@@ -356,8 +349,8 @@ def oracle_solve(
     directed = _merged_partial(g, partial)
     free, lo, hi, cur, _, tgt = _oracle_lists(g, p, directed)
     need = [(t - c) % 3 for t, c in zip(tgt, cur)]
-    order = _search_order(len(need), lo, hi)
-    if not _frontier_orientable(lo, hi, need, order):
+    rank = _search_rank(len(need), lo, hi)
+    if not _frontier_orientable(lo, hi, need, rank):
         return None
     direction = dict(directed)
     for j, e in enumerate(free):
@@ -366,7 +359,7 @@ def oracle_solve(
         # tail at a leaves a one more to take in, and b one less
         need[a] = (need[a] + 1) % 3
         need[b] = (need[b] - 1) % 3
-        if _frontier_orientable(lo[j + 1 :], hi[j + 1 :], need, order):
+        if _frontier_orientable(lo[j + 1 :], hi[j + 1 :], need, rank):
             direction[e] = (u, v)
         else:
             need[a] = (need[a] - 2) % 3

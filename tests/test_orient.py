@@ -418,9 +418,9 @@ def _decision_states(monkeypatch, g, p):
 
 def test_witness_read_fits_the_decision_budget(monkeypatch):
     # with the budget cut to what the decision run needs, the witness is
-    # still read, and it is the witness read under the full budget; when
-    # every run chose its own search order, read runs on 6 of these
-    # instances (seeds 64, 80, 90, 96, 104 and 146) made more states
+    # still read, and it is the witness read under the full budget; a read
+    # run that chose its own search order would make more states than the
+    # decision run on 6 of these instances (seeds 64, 80, 90, 96, 104, 146)
     orientable = 0
     for seed in range(200):
         g = random_multigraph(seed, max_vertices=9, max_extra=8)
@@ -437,6 +437,19 @@ def test_witness_read_fits_the_decision_budget(monkeypatch):
             oracle_solve(g, p)
         monkeypatch.undo()
     assert orientable > 100
+
+
+def test_decision_run_state_counts_pinned(monkeypatch):
+    # the DP's vertex and edge order sets how many states a decision makes,
+    # and so which instances the budget refuses: these counts must not move
+    cases = [(*gen_counterexample(k)[:2], want) for k, want in enumerate((226, 460, 694, 928))]
+    for seed, want in ((64, 71), (90, 13), (146, 89)):
+        g = random_multigraph(seed, max_vertices=9, max_extra=8)
+        cases.append((g, random_prescription(g, seed), want))
+    b21 = gen_circulant_b(21)
+    cases.append((b21, {v: 0 for v in b21.vertices}, 914))
+    for g, p, want in cases:
+        assert _decision_states(monkeypatch, g, p) == want
 
 
 def test_oracle_rejects_a_wrong_kernel_hit(monkeypatch):
