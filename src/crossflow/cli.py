@@ -34,6 +34,7 @@ from .orient import (
     is_valid_orientation,
     oracle_solve,
     orientation_from_tails,
+    prescription_ok,
     random_prescription,
 )
 from .pgr import PgrError, parse_graph, parse_orientation, serialize_graph, serialize_orientation
@@ -97,15 +98,28 @@ def _parse_prescription_file(text: str, path: str) -> dict[int, int]:
 def _resolve_prescription(
     g: EmbeddedGraph, embedded: dict[int, int] | None, args: argparse.Namespace
 ) -> dict[int, int]:
+    """The prescription to use, with one residue in {-1, 0, 1} per vertex;
+    its total may still miss 0 mod 3, which no orientation can meet."""
     if args.prescription is None:
         if embedded is None:
             raise CliInputError(
                 "graph file carries no prescription; pass --p random or --p <file>"
             )
-        return embedded
-    if args.prescription == "random":
+        p = embedded
+    elif args.prescription == "random":
         return random_prescription(g, args.seed)
-    return _parse_prescription_file(_read_text(args.prescription), args.prescription)
+    else:
+        p = _parse_prescription_file(_read_text(args.prescription), args.prescription)
+    missing = set(g.rotation) - set(p)
+    if missing:
+        raise CliInputError(f"prescription misses vertex {min(missing)}")
+    extra = set(p) - set(g.rotation)
+    if extra:
+        raise CliInputError(f"prescription names unknown vertex {min(extra)}")
+    for v, r in sorted(p.items()):
+        if r not in (-1, 0, 1):
+            raise CliInputError(f"residue must be -1, 0 or 1, got {r} at vertex {v}")
+    return p
 
 
 # ------------------------------------------------------------- handlers
@@ -149,6 +163,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         orientation = orientation_from_tails(g, tails)
     except OrientationError as exc:
         _say(f"orientation does not fit the graph: {exc}")
+        _emit("invalid", args.output)
+        return 1
+    if not prescription_ok(g, p):
+        _say("the prescription's total is not 0 mod 3, so no orientation meets it")
         _emit("invalid", args.output)
         return 1
     if is_valid_orientation(g, p, orientation):

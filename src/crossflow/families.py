@@ -221,9 +221,11 @@ def gen_counterexample(
 # -------------------------------------------------------- random corpus
 
 
-def gen_random_pt(
-    seed: int, max_vertices: int, retries: int = 4000
-) -> tuple[EmbeddedGraph, dict[int, int]]:
+# gen_random_pt draws at most this many candidates before it gives up.
+_RANDOM_PT_ATTEMPTS = 4000
+
+
+def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int, int]]:
     """Seeded random projective instance passing the one-face class check,
     with a prescription drawn uniformly among valid ones.
 
@@ -237,7 +239,7 @@ def gen_random_pt(
     if not 4 <= max_vertices <= 12:
         raise FamilyError("corpus generator supports 4..12 vertices")
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(_RANDOM_PT_ATTEMPTS):
         n = int(rng.integers(5, max_vertices + 1))
         cycle = [int(v) for v in rng.permutation(n)]
         want = [4 if rng.random() < 0.8 else 5 for _ in range(n)]
@@ -289,5 +291,6 @@ def gen_random_pt(
         if check_class(g, p, "pt").holds:
             return g, p
     raise FamilyError(
-        f"no instance passed the class filter in {retries} attempts (seed {seed})"
+        f"no instance passed the class filter in {_RANDOM_PT_ATTEMPTS} attempts "
+        f"(seed {seed})"
     )

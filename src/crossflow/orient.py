@@ -56,9 +56,10 @@ class DirectedVertexSpec:
 class Orientation:
     """Edge directions, possibly partial.
 
-    direction maps edge id -> (tail, head).  ``fixed`` lists edges whose
-    direction is frozen input (the directed vertex's arcs, transferred
-    cut edges); operations must not flip them.
+    direction maps edge id -> (tail, head).  ``fixed`` records the edges
+    whose direction came in as input rather than being chosen: the
+    directed vertex's arcs, or the cut edges a transfer carried over.  It
+    is a record only; no operation reads it.
     """
 
     direction: dict[int, tuple[int, int]] = field(default_factory=dict)
@@ -103,6 +104,8 @@ def random_prescription(g: EmbeddedGraph, seed: int) -> dict[int, int]:
     the last, which is forced to close the total."""
     rng = np.random.default_rng(seed)
     verts = g.vertices
+    if not verts:
+        return {}
     p: dict[int, int] = {}
     for v in verts[:-1]:
         p[v] = int(rng.integers(-1, 2))
@@ -155,24 +158,14 @@ def is_valid_orientation(g: EmbeddedGraph, p: dict[int, int], o: Orientation) ->
 # ----------------------------------------------------------------- oracle
 
 
-def _merged_partial(g: EmbeddedGraph, partial: Orientation | None) -> dict[int, tuple[int, int]]:
-    """Partial directions plus the graph's forced arcs; conflicts error."""
-    merged: dict[int, tuple[int, int]] = {}
-    if partial is not None:
-        for e, (t, h) in partial.direction.items():
-            if e not in g.edges:
-                raise OrientationError(f"partial directs unknown edge {e}")
-            if {t, h} != set(g.edges[e]):
-                raise OrientationError(f"partial directs edge {e} between non-endpoints")
-            merged[e] = (t, h)
+def _forced_arcs(g: EmbeddedGraph) -> dict[int, tuple[int, int]]:
+    """The directed vertex's arcs as (tail, head) by edge id."""
+    arcs = {}
     for e, way in g.darcs.items():
         u, v = g.edges[e]
         other = v if u == g.dvertex else u
-        want = (g.dvertex, other) if way == "out" else (other, g.dvertex)
-        if e in merged and merged[e] != want:
-            raise OrientationError(f"partial contradicts the forced arc on edge {e}")
-        merged[e] = want
-    return merged
+        arcs[e] = (g.dvertex, other) if way == "out" else (other, g.dvertex)
+    return arcs
 
 
 # One frontier DP run refuses once it has created more states than this, over
@@ -323,13 +316,9 @@ def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], rank: li
     return True
 
 
-def oracle_solve(
-    g: EmbeddedGraph,
-    p: dict[int, int],
-    partial: Orientation | None = None,
-) -> Orientation | None:
-    """Decide whether a valid total orientation extends ``partial`` and the
-    graph's forced arcs, and return the first one.
+def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
+    """Decide whether a valid total orientation extends the graph's forced
+    arcs, and return the first one.
 
     A frontier DP over the undirected edges decides: when it finds none,
     the answer is None.  For an orientable instance the witness is read by
@@ -342,11 +331,12 @@ def oracle_solve(
     ``_FRONTIER_STATE_BUDGET`` states raises OracleBoundError, but never a
     read run of an instance whose decision fits.  A loop adds
     nothing to a residue, so loops stay out of the DP, and each undirected
-    loop is directed at its vertex, ``(u, u)``.
+    loop is directed at its vertex, ``(u, u)``.  The result's ``fixed``
+    names the forced arcs.
     """
     if not prescription_ok(g, p):
         return None
-    directed = _merged_partial(g, partial)
+    directed = _forced_arcs(g)
     free, lo, hi, cur, _, tgt = _oracle_lists(g, p, directed)
     need = [(t - c) % 3 for t, c in zip(tgt, cur)]
     rank = _search_rank(len(need), lo, hi)
@@ -368,24 +358,30 @@ def oracle_solve(
     for e, (u, v) in g.edges.items():
         if u == v:
             direction.setdefault(e, (u, u))
-    fixed = frozenset(g.darcs) | (partial.fixed if partial else frozenset())
-    o = Orientation(direction=direction, fixed=fixed)
+    o = Orientation(direction=direction, fixed=frozenset(g.darcs))
     if not is_valid_orientation(g, p, o):
         raise OrientationError("the oracle read an invalid orientation")
     return o
 
 
-def count_valid(g: EmbeddedGraph, p: dict[int, int], bound: int = 24) -> int:
+# count_valid's backtracking search is exponential; it refuses graphs with
+# more edges than this.
+_COUNT_EDGE_BOUND = 24
+
+
+def count_valid(g: EmbeddedGraph, p: dict[int, int]) -> int:
     """Number of valid total orientations (extending forced arcs), counted
     by the backtracking search; the reference the frontier DP is tested
     against.  Loops are not branched on: a loop adds nothing to a
-    residue, and the count is over the other edges."""
-    if len(g.edges) > bound:
-        raise OracleBoundError(f"|E|={len(g.edges)} exceeds the count bound {bound}")
+    residue, and the count is over the other edges.  Refuses, with
+    OracleBoundError, a graph of more than ``_COUNT_EDGE_BOUND`` edges."""
+    if len(g.edges) > _COUNT_EDGE_BOUND:
+        raise OracleBoundError(
+            f"|E|={len(g.edges)} exceeds the count bound {_COUNT_EDGE_BOUND}"
+        )
     if not prescription_ok(g, p):
         return 0
-    directed = _merged_partial(g, None)
-    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, directed)
+    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, _forced_arcs(g))
     return int(_kernels.orient_search(lo, hi, cur, und, tgt, 1, np.zeros(0, np.int8)))
 
 
@@ -410,9 +406,9 @@ def greedy_direct_and_delete(
     p: dict[int, int],
     lifts: list[tuple[int, int, int]],
     order: list[int],
-    step_log: list | None = None,
-) -> Orientation:
-    """Run a lift-then-sweep schedule and return a validated orientation.
+) -> tuple[Orientation, list[tuple[str, tuple[int, ...], str]]]:
+    """Run a lift-then-sweep schedule; return a validated orientation and
+    the steps taken.
 
     ``lifts`` lists (edge1, edge2, shared vertex) to lift first; ``order``
     lists vertices to process: each in turn directs all its remaining
@@ -422,21 +418,23 @@ def greedy_direct_and_delete(
     result is pulled back through the lifts and fully validated; any
     residue the sweep cannot meet raises ScheduleError naming the vertex.
 
-    ``step_log``, when given, accumulates (kind, args, digest) triples of
-    the working multigraph after each step, for solver traces.
+    The steps are (kind, args, digest) triples, one per lift
+    ("LiftPair", (edge1, edge2, vertex)) and one per swept vertex
+    ("OrientDeleteVertex", (vertex,)), each with the digest of the working
+    multigraph after it: the solver's trace steps.
 
-    The sweep is O(|E| log Δ); each logged step also hashes the remaining
-    edge list for its trace digest.
+    The sweep is O(|E| log Δ); each step also hashes the remaining edge
+    list for its digest.
     """
     if not prescription_ok(g, p):
         raise OrientationError("prescription is malformed")
     if g.darcs:
         raise ScheduleError("greedy schedules do not handle forced arcs")
     edges = dict(g.edges)
-    if step_log is not None:
-        # digest lines stay in ascending id order: seeded sorted, and lifted
-        # ids from next_edge_id() exceed every existing id
-        lines = {e: _digest_line(e, edges[e]) for e in sorted(edges)}
+    # digest lines stay in ascending id order: seeded sorted, and lifted ids
+    # from next_edge_id() exceed every existing id
+    lines = {e: _digest_line(e, edges[e]) for e in sorted(edges)}
+    steps: list[tuple[str, tuple[int, ...], str]] = []
     inc: dict[int, set[int]] = {v: set() for v in g.rotation}
     for e, (a, b) in edges.items():
         inc[a].add(e)
@@ -464,11 +462,10 @@ def greedy_direct_and_delete(
         inc[u].add(next_id)
         inc[w].add(next_id)
         lifted.append((next_id, e1, e2, u, v, w))
-        if step_log is not None:
-            del lines[e1]
-            del lines[e2]
-            lines[next_id] = _digest_line(next_id, (u, w))
-            step_log.append(("LiftPair", (e1, e2, v), _digest_of_lines(lines.values())))
+        del lines[e1]
+        del lines[e2]
+        lines[next_id] = _digest_line(next_id, (u, w))
+        steps.append(("LiftPair", (e1, e2, v), _digest_of_lines(lines.values())))
         next_id += 1
 
     direction: dict[int, tuple[int, int]] = {}
@@ -486,6 +483,7 @@ def greedy_direct_and_delete(
                 vertex=v,
             )
         for idx, e in enumerate(mine):
+            del lines[e]
             a, b = edges.pop(e)
             other = b if a == v else a
             inc[other].discard(e)
@@ -495,10 +493,7 @@ def greedy_direct_and_delete(
             else:
                 direction[e] = (v, other)
                 cur[other] += 1
-        if step_log is not None:
-            for e in mine:
-                del lines[e]
-            step_log.append(("OrientDeleteVertex", (v,), _digest_of_lines(lines.values())))
+        steps.append(("OrientDeleteVertex", (v,), _digest_of_lines(lines.values())))
 
     if edges:
         raise ScheduleError(f"{len(edges)} edges left undirected by the schedule")
@@ -513,7 +508,7 @@ def greedy_direct_and_delete(
     o = Orientation(direction=direction)
     if not is_valid_orientation(g, p, o):
         raise ScheduleError("schedule completed but the result does not validate")
-    return o
+    return o, steps
 
 
 def _toward(endpoints: tuple[int, int], src: int) -> tuple[int, int]:

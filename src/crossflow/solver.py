@@ -1,6 +1,6 @@
 """Hybrid valid-orientation solver with replayable traces.
 
-Strategy order, fixed here: a supplied or detected circulant schedule runs
+Strategy order, fixed here: a detected circulant schedule runs
 first (complete for those two families; the sweep is O(|E| log Δ), but
 each traced step also hashes the remaining edge list), then robust-cut
 contraction with orientation transfer, on a side found by a search for
@@ -30,7 +30,6 @@ from .embedding import (
 )
 from .families import FamilySpec, circulant_schedule
 from .orient import (
-    DirectedVertexSpec,
     OracleBoundError,
     Orientation,
     OrientationError,
@@ -266,7 +265,7 @@ def _reduce_by_cut(
         ReductionStep("ContractSide", tuple(sorted(side)), _abstract_digest(g1.edges))
     ]
     try:
-        o1, sub1 = _solve_inner(g1, p1, None)
+        o1, sub1 = _solve_inner(g1, p1)
     except SolverRefusal:
         return None
     steps.extend(sub1)
@@ -288,7 +287,7 @@ def _reduce_by_cut(
         ReductionStep("TransferOrientation", (merged,), _abstract_digest(g2.edges))
     )
     try:
-        o2, sub2 = _solve_inner(g2, p2, None)
+        o2, sub2 = _solve_inner(g2, p2)
     except SolverRefusal:
         return None
     if o2 is None:
@@ -304,25 +303,18 @@ def _reduce_by_cut(
 
 
 def _solve_inner(
-    g: EmbeddedGraph,
-    p: dict[int, int],
-    schedule: tuple[list[tuple[int, int, int]], list[int]] | None,
+    g: EmbeddedGraph, p: dict[int, int]
 ) -> tuple[Orientation | None, list[ReductionStep]]:
-    # 1. complete schedule, supplied or recognized
-    sched = schedule
-    if sched is None and not g.darcs:
-        det = detect_family(g)
-        if det is not None:
-            spec, posmap = det
-            sched = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
-    if sched is not None:
-        log: list = []
+    # 1. complete schedule of a recognized family; a failed one falls through
+    det = None if g.darcs else detect_family(g)
+    if det is not None:
+        spec, posmap = det
+        lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
         try:
-            o = greedy_direct_and_delete(g, p, sched[0], sched[1], step_log=log)
-            return o, [ReductionStep(k, tuple(a), d) for k, a, d in log]
+            o, steps = greedy_direct_and_delete(g, p, lifts, order)
+            return o, [ReductionStep(*st) for st in steps]
         except ScheduleError:
-            if schedule is not None:
-                raise  # a schedule the caller asked for must not fail silently
+            pass
 
     # 2. robust-cut contraction and transfer
     side = _pick_cut_side(g)
@@ -345,7 +337,7 @@ def _solve_inner(
                 ReductionStep("SplitBoundaryVertex", (v,), _abstract_digest(flat.edges))
             ]
             try:
-                o3, sub3 = _solve_inner(flat, p, None)
+                o3, sub3 = _solve_inner(flat, p)
             except SolverRefusal:
                 break
             # same abstract multigraph, so this answer is decisive either way
@@ -363,31 +355,17 @@ def _solve_inner(
     return o4, [ReductionStep("OracleCall", (n_free,), _abstract_digest(g.edges))]
 
 
-def solve(
-    g: EmbeddedGraph,
-    p: dict[int, int],
-    dspec: DirectedVertexSpec | None = None,
-    schedule: tuple[list[tuple[int, int, int]], list[int]] | None = None,
-) -> tuple[Orientation | None, ReductionTrace]:
+def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, ReductionTrace]:
     """Find a valid orientation or prove there is none, within the engine's
-    regime.  Returns the orientation (or None) and the replayable trace."""
+    regime.  The forced arcs are the graph's own (``g.dvertex``,
+    ``g.darcs``).  Returns the orientation (or None) and the replayable
+    trace."""
     g.validate()
     work = g.copy()
-    if dspec is not None:
-        if work.dvertex is not None and work.dvertex != dspec.vertex:
-            raise OrientationError("graph already fixes a different directed vertex")
-        for e, way in work.darcs.items():
-            if dspec.arcs.get(e, way) != way:
-                raise OrientationError(
-                    f"edge {e} is already forced {way}, spec says {dspec.arcs[e]}"
-                )
-        work.dvertex = dspec.vertex
-        work.darcs = {**work.darcs, **dspec.arcs}
-        work.validate()
     prescription = dict(p)
     if not prescription_ok(work, prescription):
         return None, ReductionTrace([], "none", prescription)
-    o, steps = _solve_inner(work, prescription, schedule)
+    o, steps = _solve_inner(work, prescription)
     if o is not None and not is_valid_orientation(work, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"

@@ -97,7 +97,7 @@ def test_circulant_schedule_solves_all_prescriptions():
         lifts, order = circulant_schedule(g, i, with_subdivision=subdiv)
         n = 0
         for p in _all_prescriptions(g.vertices):
-            o = greedy_direct_and_delete(g, p, lifts, order)
+            o, _ = greedy_direct_and_delete(g, p, lifts, order)
             assert is_valid_orientation(g, p, o)
             n += 1
         assert n == expect
@@ -107,7 +107,7 @@ def test_circulant_schedule_solves_all_prescriptions():
             lifts, order = circulant_schedule(g, i, with_subdivision=subdiv)
             for seed in range(200):
                 p = random_prescription(g, seed)
-                o = greedy_direct_and_delete(g, p, lifts, order)
+                o, _ = greedy_direct_and_delete(g, p, lifts, order)
                 assert is_valid_orientation(g, p, o)
     assert time.perf_counter() - t0 < 60.0
 

@@ -249,6 +249,82 @@ def test_loop_reaching_the_oracle_exit0(tmp_path, capsys, command):
     assert code == 0 and out.strip() == "valid"
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_empty_graph_random_prescription_exit0(tmp_path, capsys, command):
+    path = tmp_path / "empty.pgr"
+    path.write_text("pgr 1\n")
+    orientation = tmp_path / "o.txt"
+    code, _, err = run(capsys, command, str(path), "--p", "random",
+                       "-o", str(orientation))
+    assert code == 0 and err == ""
+    code, out, _ = run(capsys, "verify", str(path), str(orientation), "--p", "random")
+    assert code == 0 and out.strip() == "valid"
+
+
+def _b5_prescription_cases(tmp_path):
+    """B5 with an orientation of it, and a prescription file for each
+    defect: a vertex missing, an unknown vertex, a residue out of range."""
+    g = gen_circulant_b(5)
+    graph = tmp_path / "b5.pgr"
+    write_graph(graph, g)
+    orientation = tmp_path / "o.txt"
+    orientation.write_text("".join(f"{e} {g.edges[e][0]}\n" for e in sorted(g.edges)))
+    verts = sorted(g.vertices)
+    files = {
+        "missing": {v: 0 for v in verts[1:]},
+        "extra": {**{v: 0 for v in verts}, verts[-1] + 1: 0},
+        "range": {**{v: 0 for v in verts}, verts[0]: 5},
+    }
+    for name, p in files.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{v} {r}\n" for v, r in p.items()))
+        files[name] = str(path)
+    return g, str(graph), str(orientation), files
+
+
+_DEFECT_MESSAGES = {
+    "missing": "prescription misses vertex",
+    "extra": "prescription names unknown vertex",
+    "range": "residue must be -1, 0 or 1, got 5",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECT_MESSAGES))
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+def test_malformed_prescription_file_exit3(tmp_path, capsys, command, defect):
+    _, graph, orientation, files = _b5_prescription_cases(tmp_path)
+    argv = [command, graph] + ([orientation] if command == "verify" else [])
+    code, out, err = run(capsys, *argv, "--p", files[defect])
+    assert code == 3 and out == ""
+    assert err.startswith(f"input error: {_DEFECT_MESSAGES[defect]}")
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+def test_embedded_prescription_missing_a_vertex_exit3(tmp_path, capsys, command):
+    g, _, orientation, _ = _b5_prescription_cases(tmp_path)
+    path = tmp_path / "b5p.pgr"
+    write_graph(path, g, {v: 0 for v in sorted(g.vertices)[1:]})
+    argv = [command, str(path)] + ([orientation] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("input error: prescription misses vertex")
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+def test_prescription_total_off_is_a_definite_negative(tmp_path, capsys, command):
+    # well formed, but its total is 1 mod 3: no orientation can meet it
+    g, graph, orientation, _ = _b5_prescription_cases(tmp_path)
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v} {int(v == min(g.vertices))}\n" for v in g.vertices))
+    argv = [command, graph] + ([orientation] if command == "verify" else [])
+    code, out, err = run(capsys, *argv, "--p", str(pfile))
+    assert code == 1
+    if command == "verify":
+        assert out.strip() == "invalid"
+    else:
+        assert out == "" and "no valid orientation" in err
+
+
 # ------------------------------------------------------- cuts/faces/check
 
 

@@ -157,7 +157,7 @@ def test_schedule_solves_b_samples():
         lifts, order = circulant_schedule(g, i, with_subdivision=False)
         for seed in range(10):
             p = random_prescription(g, seed)
-            o = greedy_direct_and_delete(g, p, lifts, order)
+            o, _ = greedy_direct_and_delete(g, p, lifts, order)
             assert is_valid_orientation(g, p, o)
 
 
@@ -167,7 +167,7 @@ def test_schedule_solves_a_samples():
         lifts, order = circulant_schedule(g, i, with_subdivision=True)
         for seed in range(10):
             p = random_prescription(g, seed)
-            o = greedy_direct_and_delete(g, p, lifts, order)
+            o, _ = greedy_direct_and_delete(g, p, lifts, order)
             assert is_valid_orientation(g, p, o)
 
 
@@ -182,7 +182,7 @@ def test_schedule_posmap_relabelling():
     posmap = {j: shift[j] for j in range(1, 8)}
     lifts, order = circulant_schedule(h, 7, with_subdivision=False, posmap=posmap)
     p = random_prescription(h, 1)
-    o = greedy_direct_and_delete(h, p, lifts, order)
+    o, _ = greedy_direct_and_delete(h, p, lifts, order)
     assert is_valid_orientation(h, p, o)
 
 

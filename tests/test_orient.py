@@ -36,7 +36,7 @@ from crossflow.orient import (
     OrientationError,
     ScheduleError,
     _abstract_digest,
-    _merged_partial,
+    _forced_arcs,
     _oracle_lists,
     count_valid,
     greedy_direct_and_delete,
@@ -248,17 +248,6 @@ def test_oracle_first_hit_is_deterministic():
     assert a.direction == b.direction
 
 
-def test_oracle_extends_partial():
-    g = gen_circulant_b(5)
-    p = {v: 0 for v in g.vertices}
-    e = sorted(g.edges)[0]
-    u, v = g.edges[e]
-    part = Orientation(direction={e: (v, u)}, fixed=frozenset({e}))
-    got = oracle_solve(g, p, partial=part)
-    assert got is not None and got.direction[e] == (v, u)
-    assert e in got.fixed
-
-
 def test_oracle_respects_forced_arcs():
     g, p, dspec = gen_counterexample(0)
     forced = _forced_from_darcs(g)
@@ -324,11 +313,12 @@ def test_oracle_reads_witness_near_the_state_budget():
 
 
 def _without_partial(g, p, partial):
-    """The instance with the partially directed edges deleted and their
-    contribution moved into the prescription: the same completions."""
+    """The instance with the edges ``partial`` directs (edge -> (tail,
+    head)) deleted and their contribution moved into the prescription: the
+    same completions."""
     h = g.copy()
     q = dict(p)
-    for e, (t, hd) in partial.direction.items():
+    for e, (t, hd) in partial.items():
         q[t] += 1  # the rest must make up the -1 the tail already has
         q[hd] -= 1
         del h.edges[e]
@@ -338,10 +328,10 @@ def _without_partial(g, p, partial):
     return h, {v: (r + 1) % 3 - 1 for v, r in q.items()}
 
 
-def _first_witness(g, p, partial):
+def _first_witness(g, p):
     """The free edges' directions in the backtracker's first witness, read
     from the same instance lists the oracle builds."""
-    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, _merged_partial(g, partial))
+    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, _forced_arcs(g))
     out = np.zeros(len(free), dtype=np.int8)
     assert _kernels.orient_search(lo, hi, cur, und, tgt, 0, out)
     verts = g.vertices
@@ -353,10 +343,12 @@ def _first_witness(g, p, partial):
 
 def test_frontier_dp_agrees_with_count_valid():
     # any genus, random prescriptions, forced arcs at a random directed
-    # vertex and a random partial orientation: the oracle answers None
+    # vertex and a random partial orientation, whose edges are deleted and
+    # moved into the prescription: on that instance the oracle answers None
     # exactly when the backtracker counts no completion, and otherwise a
-    # valid orientation extending both, equal to the first one the
-    # backtracker reads
+    # valid orientation extending the forced arcs, equal to the first one
+    # the backtracker reads, that with the partial one is valid on the
+    # whole graph
     rng = np.random.default_rng(7)
     decided = {True: 0, False: 0}
     for seed in range(1000):
@@ -375,14 +367,15 @@ def test_frontier_dp_agrees_with_count_valid():
             if e not in g.darcs and rng.random() < 0.25:
                 u, v = g.edges[e]
                 partial[e] = (u, v) if rng.random() < 0.5 else (v, u)
-        part = Orientation(direction=partial, fixed=frozenset(partial))
-        want = count_valid(*_without_partial(g, p, part))
-        got = oracle_solve(g, p, partial=part)
+        h, q = _without_partial(g, p, partial)
+        want = count_valid(h, q)
+        got = oracle_solve(h, q)
         assert (got is not None) == (want > 0), f"seed {seed}"
         if got is not None:
-            assert is_valid_orientation(g, p, got), f"seed {seed}"
-            assert all(got.direction[e] == th for e, th in partial.items()), f"seed {seed}"
-            first = _first_witness(g, p, part)
+            assert is_valid_orientation(h, q, got), f"seed {seed}"
+            whole = Orientation(direction={**got.direction, **partial})
+            assert is_valid_orientation(g, p, whole), f"seed {seed}"
+            first = _first_witness(h, q)
             assert {e: got.direction[e] for e in first} == first, f"seed {seed}"
         decided[got is not None] += 1
     assert min(decided.values()) > 200
@@ -485,7 +478,7 @@ def test_greedy_b5_sample_prescriptions():
     lifts, order = circulant_schedule(g, 5, with_subdivision=False)
     for seed in range(12):
         p = random_prescription(g, seed)
-        o = greedy_direct_and_delete(g, p, lifts, order)
+        o, _ = greedy_direct_and_delete(g, p, lifts, order)
         assert is_valid_orientation(g, p, o)
 
 
@@ -494,12 +487,12 @@ def test_greedy_a7_sample_prescriptions():
     lifts, order = circulant_schedule(g, 7, with_subdivision=True)
     for seed in range(12):
         p = random_prescription(g, seed)
-        o = greedy_direct_and_delete(g, p, lifts, order)
+        o, _ = greedy_direct_and_delete(g, p, lifts, order)
         assert is_valid_orientation(g, p, o)
 
 
 def _logged_steps_model(g, lifts, order):
-    """The step log a lift-then-sweep schedule should leave, from a working
+    """The steps a lift-then-sweep schedule should return, from a working
     edge dict rebuilt whole at every step."""
     work = dict(g.edges)
     next_id = g.next_edge_id()
@@ -531,13 +524,11 @@ def test_greedy_step_log_kinds():
         prescriptions = [{v: 0 for v in g.vertices}]
         prescriptions += [random_prescription(g, seed) for seed in range(3)]
         for p in prescriptions:
-            log = []
-            o = greedy_direct_and_delete(g, p, lifts, order, step_log=log)
+            o, steps = greedy_direct_and_delete(g, p, lifts, order)
             assert is_valid_orientation(g, p, o)
-            assert o == greedy_direct_and_delete(g, p, lifts, order)
-            kinds = {k for k, _, _ in log}
+            kinds = {k for k, _, _ in steps}
             assert kinds == {"LiftPair", "OrientDeleteVertex"}
-            assert log == model
+            assert steps == model
 
 
 def test_greedy_rejects_missing_vertex():

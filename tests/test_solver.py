@@ -8,14 +8,12 @@ from conftest import triangle_with_loop
 from crossflow import cuts, embedding
 from crossflow import solver as solver_module
 from crossflow.families import (
-    circulant_schedule,
     gen_a,
     gen_circulant_b,
     gen_counterexample,
     gen_random_pt,
 )
 from crossflow.orient import (
-    DirectedVertexSpec,
     OracleBoundError,
     is_valid_orientation,
     oracle_solve,
@@ -120,41 +118,12 @@ def test_solve_a_family():
     assert o is not None and is_valid_orientation(g, p, o)
 
 
-def test_solve_with_supplied_schedule():
-    g = gen_circulant_b(9)
-    sched = circulant_schedule(g, 9, with_subdivision=False)
-    p = random_prescription(g, 7)
-    o, trace = solve(g, p, schedule=sched)
-    assert o is not None and is_valid_orientation(g, p, o)
-
-
 def test_solve_counterexample_proves_none():
     g, p, dspec = gen_counterexample(0)
     o, trace = solve(g, p)
     assert o is None
     assert trace.outcome == "none"
     assert trace.steps[-1].kind == "OracleCall"
-
-
-def test_solve_merges_directed_vertex_spec():
-    g, p, dspec = gen_counterexample(0)
-    bare = g.copy()
-    bare.dvertex = None
-    bare.darcs = {}
-    o, trace = solve(bare, p, dspec=dspec)
-    assert o is None and trace.outcome == "none"
-
-
-def test_solve_conflicting_dspec_refused():
-    from crossflow.orient import OrientationError
-
-    g, p, dspec = gen_counterexample(0)
-    flipped = DirectedVertexSpec(
-        vertex=dspec.vertex,
-        arcs={e: ("in" if w == "out" else "out") for e, w in dspec.arcs.items()},
-    )
-    with pytest.raises(OrientationError):
-        solve(g, p, dspec=flipped)
 
 
 def test_solve_cut_reduction_path():
@@ -185,9 +154,9 @@ def _spy_oracle(monkeypatch):
     """Record what each oracle call in the solver returned or raised."""
     seen = []
 
-    def spy(g, p, partial=None):
+    def spy(g, p):
         try:
-            o = oracle_solve(g, p, partial)
+            o = oracle_solve(g, p)
         except OracleBoundError as exc:
             seen.append(exc)
             raise
