@@ -23,6 +23,7 @@ from .embedding import (
 )
 from .families import (
     FamilyError,
+    _check_random_pt_args,
     gen_a,
     gen_circulant_b,
     gen_counterexample,
@@ -217,8 +218,9 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g, embedded = _load_graph(args.input)
-    p = embedded if embedded is not None else {v: 0 for v in g.vertices}
-    report = check_class(g, p, args.klass)
+    if embedded is None:  # a file without p lines is checked against all zeros
+        embedded = dict.fromkeys(g.rotation, 0)
+    report = check_class(g, _resolve_prescription(g, embedded, args), args.klass)
     lines = [f"class {args.klass} holds={'true' if report.holds else 'false'}"]
     for cond, text in report.violations:
         lines.append(f"violation {cond} {text}")
@@ -228,6 +230,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     lo, hi = args.seeds
+    _check_random_pt_args(lo, args.max_vertices)
     lines = []
     for seed in range(lo, hi + 1):
         try:
@@ -266,6 +269,16 @@ def _seed_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="crossflow",
@@ -287,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE",
                    help="prescription source (default: the one in the file)")
-    p.add_argument("--seed", type=int, default=0, help="seed for --p random (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for --p random (default 0)")
     p.add_argument("--trace", dest="trace_path", default=None, help="write the reduction trace here")
     add_output(p)
 
@@ -295,14 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("orientation")
     p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     add_output(p)
 
     p = sub.add_parser("oracle", help="decide with the frontier DP and read its witness, "
                        "no reductions")
     p.add_argument("input")
     p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     add_output(p)
 
     p = sub.add_parser("cuts", help="enumerate and classify robust small cuts")
@@ -320,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--class", dest="klass", required=True,
                    choices=["pt", "3pt", "ft", "dts", "3dts"])
+    p.set_defaults(prescription=None)  # the file's own, as _resolve_prescription reads it
     add_output(p)
 
     p = sub.add_parser("corpus", help="generate and solve a seeded batch")

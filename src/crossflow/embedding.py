@@ -332,16 +332,31 @@ def face_of_anchor(g: EmbeddedGraph, faces: list[FaceWalk], anchor: Dart) -> int
     return faces.index(_face_through(g, (anchor, 1)))
 
 
-def canonical_anchor(g: EmbeddedGraph, face: FaceWalk) -> Dart:
-    """Smallest dart ``a`` with state ``(a, +1)`` on the face's orbit pair."""
-    darts = [d for d, s in face.states if s == 1]
-    for st in face.states:
+def _orbit_anchor(g: EmbeddedGraph, orbit) -> Dart:
+    """Smallest dart ``a`` with state ``(a, +1)`` on the orbit or its
+    mirror orbit, which is exactly the set of mirrors of its states."""
+    darts = [d for d, s in orbit if s == 1]
+    for st in orbit:
         m = _mirror(g, st)
         if m[1] == 1:
             darts.append(m[0])
     if not darts:
         raise StructureError("face has no positively traversed dart")
     return min(darts)
+
+
+def canonical_anchor(g: EmbeddedGraph, face: FaceWalk) -> Dart:
+    """Smallest dart ``a`` with state ``(a, +1)`` on the face's orbit pair."""
+    return _orbit_anchor(g, face.states)
+
+
+def _anchor_through(g: EmbeddedGraph, state: State) -> Dart:
+    """``canonical_anchor`` of the face whose orbit pair contains
+    ``state``, from a walk of one orbit."""
+    orbit = _walk_from(g, state)
+    if _mirror(g, state) in set(orbit):
+        raise StructureError("facial walk is its own mirror")
+    return _orbit_anchor(g, orbit)
 
 
 def specified_walk(g: EmbeddedGraph, which: int = 0) -> FaceWalk:
@@ -555,7 +570,7 @@ def _reanchor(g: EmbeddedGraph, witnesses: list[State | None]) -> None:
             continue
         if not _is_dart(g, w[0]):
             raise StructureError("face witness was lost by the operation")
-        a = canonical_anchor(g, _face_through(g, w))
+        a = _anchor_through(g, w)
         if a not in anchors:
             anchors.append(a)
     g.specified = anchors
@@ -693,6 +708,14 @@ def contract_subgraph(
     replacement with ``face_policy="at-merged"`` (canonical face at the new
     vertex).
     """
+    return _contract_subgraph(g, side, face_policy, None)
+
+
+def _contract_subgraph(
+    g: EmbeddedGraph, side, face_policy: str | None, walks: list[FaceWalk] | None
+) -> EmbeddedGraph:
+    """``contract_subgraph`` given ``walks``, the walks of g's specified
+    faces in order, or None to walk them here."""
     verts = set(side)
     if not verts or not verts <= set(g.rotation):
         raise OperationError("side must be a non-empty set of vertices")
@@ -709,8 +732,9 @@ def contract_subgraph(
     internal_set = set(internal)
     witnesses: list[State | None] = []
     swallowed = []
-    for i in range(len(g.specified)):
-        walk = specified_walk(g, i)
+    if walks is None:
+        walks = [specified_walk(g, i) for i in range(len(g.specified))]
+    for i, walk in enumerate(walks):
         w = _witness_for_face(walk, internal_set)
         witnesses.append(w)
         if w is None:
@@ -846,16 +870,28 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
       at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
       faces, F' one or two: Euler characteristic chi(g) + F'.  It must be 2
       on a connected result, else OperationError.  Cost: one search for
-      connectivity, one ``euler_characteristic(g)`` (a face count, no
-      walks built) and one walk of F in the result.
+      connectivity, one walk of F in the result, and chi(g): here one
+      ``euler_characteristic(g)`` (a face count, no walks built).  The
+      solver passes chi(g) down instead, from at most one count of its
+      input per solve (see ``solver``).
     * Re-identifying the copies at a corner of each must split their
       shared face in two, or the result is not plane: the walk from ``v``'s
       corner holds the fresh copy's corner before the merge and not after
       it, else StructureError.  Cost: two walks of that face.
+
+    The two new anchors cost one walk of one orbit each.
     """
     if len(g.specified) != 1:
         raise OperationError("split needs exactly one specified face")
-    walk = specified_walk(g)
+    return _split_doubled_boundary_vertex(g, v, specified_walk(g), None)
+
+
+def _split_doubled_boundary_vertex(
+    g: EmbeddedGraph, v: int, walk: FaceWalk, chi: int | None
+) -> EmbeddedGraph:
+    """``split_doubled_boundary_vertex`` of a graph with one specified
+    face, given that face's ``walk`` and ``chi``, the Euler characteristic
+    of g, or None to count it here when the cut needs it."""
     occ = [i for i, t in enumerate(walk.tails) if t == v]
     if len(occ) < 2:
         raise OperationError(f"vertex {v} does not repeat on the boundary")
@@ -886,7 +922,9 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     st0 = walk.states[p1] if walk.darts[p1] in arc_a else walk.states[p2]
     # F's orbit pair (2n states) now holds two orbits of length n, or four
     faces_of_f = 1 if len(_walk_from(out, st0)) == n else 2
-    if not out.is_connected() or euler_characteristic(g) + faces_of_f != 2:
+    if not out.is_connected() or (
+        euler_characteristic(g) if chi is None else chi
+    ) + faces_of_f != 2:
         raise OperationError("boundary visits do not cut the crosscap")
     track: list[State] = [st0]
     _resign_all_positive(out, track)
@@ -923,7 +961,7 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     for dep in (dep_v, dep_w):
         if not _is_dart(out, dep):
             raise StructureError("lost a face after re-identification")
-        a = canonical_anchor(out, _face_through(out, (dep, 1)))
+        a = _anchor_through(out, (dep, 1))
         if a not in anchors:
             anchors.append(a)
     if len(anchors) != 2:

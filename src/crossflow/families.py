@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import check_class
+from .cuts import _check_pt
 from .embedding import (
     EmbeddedGraph,
     _face_through,
@@ -225,6 +225,15 @@ def gen_counterexample(
 _RANDOM_PT_ATTEMPTS = 4000
 
 
+def _check_random_pt_args(seed: int, max_vertices: int) -> None:
+    """Raise FamilyError unless gen_random_pt can draw from these: n is
+    drawn from 5..max_vertices."""
+    if seed < 0:
+        raise FamilyError(f"corpus seed must be >= 0, got {seed}")
+    if not 5 <= max_vertices <= 12:
+        raise FamilyError("corpus generator supports 5..12 vertices")
+
+
 def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int, int]]:
     """Seeded random projective instance passing the one-face class check,
     with a prescription drawn uniformly among valid ones.
@@ -236,8 +245,7 @@ def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int
     here: their face count concentrates around log E, so demanding a
     one-crosscap characteristic by filtering alone essentially never hits.
     """
-    if not 4 <= max_vertices <= 12:
-        raise FamilyError("corpus generator supports 4..12 vertices")
+    _check_random_pt_args(seed, max_vertices)
     rng = np.random.default_rng(seed)
     for _ in range(_RANDOM_PT_ATTEMPTS):
         n = int(rng.integers(5, max_vertices + 1))
@@ -288,7 +296,8 @@ def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int
             p[v] = int(rng.integers(-1, 2))
         last = (-sum(p.values())) % 3
         p[n - 1] = last - 3 if last == 2 else last
-        if check_class(g, p, "pt").holds:
+        # check_class(g, p, "pt"), without counting chi a second time
+        if _check_pt(g, p, strong=False, chi=1).holds:
             return g, p
     raise FamilyError(
         f"no instance passed the class filter in {_RANDOM_PT_ATTEMPTS} attempts "

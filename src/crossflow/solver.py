@@ -12,21 +12,38 @@ lexicographically first witness by self-reduction; past the state budget
 or the cut search budget the instance is refused, and the refusal names
 the bound.  Every orientation leaving this module is validated against
 the untouched input.
+
+Face data is carried down the recursion rather than re-derived.  Each
+level walks its specified faces at most once and hands the walks to
+family detection, both contractions and the split.  The split also needs
+chi of the graph it cuts, and no level counts it: Euler genus (2 - chi)
+never rises along the recursion.  Contracting a non-loop edge keeps chi,
+deleting a loop raises it by 0, 1 or 2, and a split's output is plane,
+which the split checks itself.  So when the input to ``solve`` has chi 1
+or 2, every graph h reached has Euler genus at most 1, and chi(h) is 2
+when h is balanced (orientable) and 1 when it is not: one search, no face
+walk (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The input's chi
+is counted once, at the first split attempted, since most solves never
+split; on any other input, or one the count refuses, each split counts
+chi itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
-    OperationError,
-    contract_subgraph,
+    FaceWalk,
+    _balance_potentials,
+    _contract_subgraph,
+    _split_doubled_boundary_vertex,
+    euler_characteristic,
     specified_walk,
-    split_doubled_boundary_vertex,
 )
 from .families import FamilySpec, circulant_schedule
 from .orient import (
@@ -184,7 +201,14 @@ def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
     """
     if g.dvertex is not None or g.darcs or len(g.specified) != 1:
         return None
-    walk = specified_walk(g)
+    return _detect_family(g, specified_walk(g))
+
+
+def _detect_family(
+    g: EmbeddedGraph, walk: FaceWalk
+) -> tuple[FamilySpec, dict[int, int]] | None:
+    """``detect_family`` of a graph with one specified face, no directed
+    vertex and no forced arcs, given that face's ``walk``."""
     cyc = walk.tails
     verts = g.vertices
     nv = len(verts)
@@ -249,23 +273,55 @@ def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
         return None
 
 
+@dataclass
+class _Input:
+    """The graph handed to ``solve``, and its chi, counted on first use."""
+
+    graph: EmbeddedGraph
+
+    @cached_property
+    def chi(self) -> int | None:
+        try:
+            return euler_characteristic(self.graph)
+        except EmbeddingError:
+            return None
+
+
+def _carried_chi(h: EmbeddedGraph, top: _Input) -> int | None:
+    """chi(h) for a graph h reached from ``top``, from h's balance when
+    ``top`` has Euler genus at most 1 (see the module docstring), else None
+    so that the split counts it."""
+    if top.chi not in (1, 2):
+        return None
+    return 2 if _balance_potentials(h, set(h.rotation)) is not None else 1
+
+
+def _specified_walks(g: EmbeddedGraph) -> list[FaceWalk]:
+    return [specified_walk(g, i) for i in range(len(g.specified))]
+
+
 def _reduce_by_cut(
-    g: EmbeddedGraph, p: dict[int, int], side: frozenset[int]
+    g: EmbeddedGraph,
+    p: dict[int, int],
+    side: frozenset[int],
+    walks: list[FaceWalk],
+    top: _Input,
 ) -> tuple[Orientation | None, list[ReductionStep]] | None:
     """Contract ``side``, solve the contraction, transfer back, and solve
-    the remainder against the transferred cut-edge directions.  Returns
-    (orientation, steps) on a decisive answer, or None to fall through
-    when the remainder pass is inconclusive."""
+    the remainder against the transferred cut-edge directions.  ``walks``
+    are g's specified faces' walks.  Returns (orientation, steps) on a
+    decisive answer, or None to fall through when the remainder pass is
+    inconclusive."""
     comp = frozenset(g.vertices) - side
     merged = g.next_vertex_id()  # both contractions mint the same id
-    g1 = contract_subgraph(g, side, face_policy="at-merged")
+    g1 = _contract_subgraph(g, side, "at-merged", walks)
     p1 = {v: p[v] for v in g.vertices if v not in side}
     p1[merged] = _norm(sum(p[v] for v in side))
     steps = [
         ReductionStep("ContractSide", tuple(sorted(side)), _abstract_digest(g1.edges))
     ]
     try:
-        o1, sub1 = _solve_inner(g1, p1)
+        o1, sub1 = _solve_inner(g1, p1, top)
     except SolverRefusal:
         return None
     steps.extend(sub1)
@@ -273,7 +329,7 @@ def _reduce_by_cut(
         # any valid orientation of the input would contract to one of g1
         return None, steps
     part1 = transfer_orientation(g, side, o1, merged)
-    g2 = contract_subgraph(g, comp, face_policy="at-merged")
+    g2 = _contract_subgraph(g, comp, "at-merged", walks)
     arcs = {}
     for e, (u, v) in g2.edges.items():
         if merged in (u, v):
@@ -287,7 +343,7 @@ def _reduce_by_cut(
         ReductionStep("TransferOrientation", (merged,), _abstract_digest(g2.edges))
     )
     try:
-        o2, sub2 = _solve_inner(g2, p2)
+        o2, sub2 = _solve_inner(g2, p2, top)
     except SolverRefusal:
         return None
     if o2 is None:
@@ -303,41 +359,46 @@ def _reduce_by_cut(
 
 
 def _solve_inner(
-    g: EmbeddedGraph, p: dict[int, int]
+    g: EmbeddedGraph, p: dict[int, int], top: _Input
 ) -> tuple[Orientation | None, list[ReductionStep]]:
+    walks = None  # g's specified faces' walks, walked at the first use
     # 1. complete schedule of a recognized family; a failed one falls through
-    det = None if g.darcs else detect_family(g)
-    if det is not None:
-        spec, posmap = det
-        lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
-        try:
-            o, steps = greedy_direct_and_delete(g, p, lifts, order)
-            return o, [ReductionStep(*st) for st in steps]
-        except ScheduleError:
-            pass
+    if g.dvertex is None and not g.darcs and len(g.specified) == 1:
+        walks = _specified_walks(g)
+        det = _detect_family(g, walks[0])
+        if det is not None:
+            spec, posmap = det
+            lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
+            try:
+                o, steps = greedy_direct_and_delete(g, p, lifts, order)
+                return o, [ReductionStep(*st) for st in steps]
+            except ScheduleError:
+                pass
 
     # 2. robust-cut contraction and transfer
     side = _pick_cut_side(g)
     if side is not None:
-        decided = _reduce_by_cut(g, p, side)
+        if walks is None:
+            walks = _specified_walks(g)
+        decided = _reduce_by_cut(g, p, side, walks, top)
         if decided is not None:
             return decided
 
     # 3. cut the crosscap at a doubled boundary vertex
     if len(g.specified) == 1:
-        tails = specified_walk(g).tails
-        for v, c in sorted(Counter(tails).items()):
-            if c < 2:
-                continue
+        walk = walks[0] if walks is not None else specified_walk(g)
+        doubled = [v for v, c in sorted(Counter(walk.tails).items()) if c >= 2]
+        chi = _carried_chi(g, top) if doubled else None
+        for v in doubled:
             try:
-                flat = split_doubled_boundary_vertex(g, v)
+                flat = _split_doubled_boundary_vertex(g, v, walk, chi)
             except EmbeddingError:
                 continue
             steps = [
                 ReductionStep("SplitBoundaryVertex", (v,), _abstract_digest(flat.edges))
             ]
             try:
-                o3, sub3 = _solve_inner(flat, p)
+                o3, sub3 = _solve_inner(flat, p, top)
             except SolverRefusal:
                 break
             # same abstract multigraph, so this answer is decisive either way
@@ -365,7 +426,7 @@ def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, Redu
     prescription = dict(p)
     if not prescription_ok(work, prescription):
         return None, ReductionTrace([], "none", prescription)
-    o, steps = _solve_inner(work, prescription)
+    o, steps = _solve_inner(work, prescription, _Input(work))
     if o is not None and not is_valid_orientation(work, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"

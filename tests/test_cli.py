@@ -371,6 +371,21 @@ def test_check_class_fail_lists_violations(ce_file, capsys):
     assert any(l.startswith("violation") for l in lines[1:])
 
 
+def test_check_embedded_prescription_missing_a_vertex_exit3(tmp_path, capsys):
+    # check resolves the file's prescription as solve, oracle and verify do
+    g = gen_circulant_b(5)
+    path = tmp_path / "b5p.pgr"
+    write_graph(path, g, {v: 0 for v in sorted(g.vertices)[1:]})
+    code, out, err = run(capsys, "check", str(path), "--class", "pt")
+    assert code == 3 and out == ""
+    assert err.startswith("input error: prescription misses vertex")
+
+
+def test_check_without_prescription_uses_zeros(b7_file, capsys):
+    code, out, _ = run(capsys, "check", b7_file, "--class", "pt")
+    assert code == 0 and "holds=true" in out
+
+
 # ------------------------------------------------------------------ corpus
 
 
@@ -397,6 +412,32 @@ def test_malformed_graph_exit3(tmp_path, capsys):
     code, _, err = run(capsys, "faces", str(path))
     assert code == 3
     assert err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+def test_negative_random_seed_exit3(b7_file, tmp_path, capsys, command):
+    orientation = tmp_path / "o.txt"
+    orientation.write_text("")
+    argv = [command, b7_file] + ([str(orientation)] if command == "verify" else [])
+    code, out, err = run(capsys, *argv, "--p", "random", "--seed", "-1")
+    assert code == 3 and out == ""
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "rpt", "-1"], "corpus seed must be >= 0, got -1"),
+        (["corpus", "--seeds=-1..0"], "corpus seed must be >= 0, got -1"),
+        (["gen", "rpt", "0", "--max-vertices", "4"], "supports 5..12 vertices"),
+        (["corpus", "--seeds", "0..1", "--max-vertices", "4"], "supports 5..12 vertices"),
+    ],
+    ids=["gen-seed", "corpus-seed", "gen-size", "corpus-size"],
+)
+def test_corpus_arguments_out_of_range_exit3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("input error:") and message in err
 
 
 def test_unknown_subcommand_exit3(capsys):

@@ -1,10 +1,12 @@
 """The hybrid solver: strategy selection, reduction traces, replay."""
 
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 
-from conftest import triangle_with_loop
+from conftest import random_multigraph, triangle_with_loop
 from crossflow import cuts, embedding
 from crossflow import solver as solver_module
 from crossflow.families import (
@@ -329,6 +331,104 @@ def test_replay_flags_tampered_digest():
     rep = replay(g, bad)
     assert not rep.matches
     assert rep.mismatch_index == 0
+
+
+# ------------------------------------------------------ carried face data
+
+
+def _carried_face_data_instances():
+    for seed in range(400):
+        yield gen_random_pt(seed, 12)
+    for k in range(8):
+        g, p, _ = gen_counterexample(k)
+        yield g, p
+    for seed in range(600):  # no surface promise: any genus
+        g = random_multigraph(seed)
+        yield g, random_prescription(g, seed)
+
+
+def test_carried_face_data_matches_a_fresh_count(monkeypatch):
+    # Every split gets chi(g) carried from the input, or None to count it
+    # itself; every walk handed down equals a fresh walk of the same face.
+    seen = Counter()
+    split = solver_module._split_doubled_boundary_vertex
+    contract = solver_module._contract_subgraph
+    detect = solver_module._detect_family
+
+    def fresh_walks(g):
+        return [embedding.specified_walk(g, i) for i in range(len(g.specified))]
+
+    def checked_split(g, v, walk, chi):
+        assert [walk] == fresh_walks(g)
+        if chi is None:
+            seen["fallback"] += 1
+        else:
+            assert chi == embedding.euler_characteristic(g)
+            seen["carried"] += 1
+        return split(g, v, walk, chi)
+
+    def checked_contract(g, side, face_policy, walks):
+        assert walks == fresh_walks(g)
+        seen["contract"] += 1
+        return contract(g, side, face_policy, walks)
+
+    def checked_detect(g, walk):
+        assert [walk] == fresh_walks(g)
+        seen["detect"] += 1
+        return detect(g, walk)
+
+    monkeypatch.setattr(solver_module, "_split_doubled_boundary_vertex", checked_split)
+    monkeypatch.setattr(solver_module, "_contract_subgraph", checked_contract)
+    monkeypatch.setattr(solver_module, "_detect_family", checked_detect)
+    for g, p in _carried_face_data_instances():
+        try:
+            solve(g, p)
+        except (solver_module.SolverRefusal, embedding.EmbeddingError):
+            pass
+    assert seen["carried"] > 1000 and seen["fallback"] > 100
+    assert seen["contract"] > 0 and seen["detect"] > 0
+
+
+def _count_chi_calls(monkeypatch) -> list[int]:
+    """Count embedding.euler_characteristic calls, wherever crossflow binds it."""
+    calls = []
+    count = embedding.euler_characteristic
+
+    def counted(g):
+        calls.append(1)
+        return count(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crossflow":
+            for attr, value in list(vars(module).items()):
+                if value is count:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_solve_counts_chi_at_most_once(monkeypatch):
+    corpus = [gen_random_pt(seed, 12) for seed in range(100)]
+    calls = _count_chi_calls(monkeypatch)
+    per_solve = []
+    for g, p in corpus:
+        calls.clear()
+        solve(g, p)
+        per_solve.append(len(calls))
+    assert max(per_solve) == 1  # once, at the first split, and never again
+
+
+def test_solve_without_splits_counts_no_chi(monkeypatch):
+    instances = []
+    for i in (51, 101):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            instances.append((g, random_prescription(g, 0)))
+    for k in range(4):
+        g, p, _ = gen_counterexample(k)
+        instances.append((g, p))
+    calls = _count_chi_calls(monkeypatch)
+    for g, p in instances:
+        solve(g, p)
+    assert calls == []
 
 
 # ------------------------------------------------------------ golden traces
