@@ -12,9 +12,11 @@ vertex if the graph carries one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,6 +403,43 @@ def _abstract_digest(edges: dict[int, tuple[int, int]]) -> str:
     return _digest_of_lines(_digest_line(e, uv) for e, uv in sorted(edges.items()))
 
 
+class _SweepDigests:
+    """The step digests of one lift-then-sweep schedule, recorded as edge
+    changes while it runs and all hashed in one pass the first time one
+    is read."""
+
+    def __init__(self, edges: dict[int, tuple[int, int]]):
+        self.start = tuple(edges)  # the input's edge ids
+        self.edges = dict(edges)  # every edge the sweep has made, by id
+        self.changes: list[tuple[Sequence[int], int | None]] = []  # removed, added
+        self._digests: list[str] | None = None
+
+    def step(self, removed: Sequence[int], added: int | None = None):
+        """Record a step; returns its digest, as a function of no arguments."""
+        self.changes.append((removed, added))
+        return functools.partial(self.digest, len(self.changes) - 1)
+
+    def digest(self, i: int) -> str:
+        if self._digests is None:
+            # ids and lines stay in ascending id order: seeded sorted, and
+            # lifted ids from next_edge_id() exceed every input id.  Lists,
+            # not a dict: join reads a list as it is, while a dict's values
+            # are copied out past its deleted slots at every step.
+            ids = sorted(self.start)
+            lines = [_digest_line(e, self.edges[e]) for e in ids]
+            digests = []
+            for removed, added in self.changes:
+                for e in removed:
+                    k = bisect.bisect_left(ids, e)
+                    del ids[k], lines[k]
+                if added is not None:
+                    ids.append(added)
+                    lines.append(_digest_line(added, self.edges[added]))
+                digests.append(_digest_of_lines(lines))
+            self._digests = digests
+        return self._digests[i]
+
+
 def greedy_direct_and_delete(
     g: EmbeddedGraph,
     p: dict[int, int],
@@ -423,23 +462,30 @@ def greedy_direct_and_delete(
     ("OrientDeleteVertex", (vertex,)), each with the digest of the working
     multigraph after it: the solver's trace steps.
 
-    The sweep is O(|E| log Δ); each step also hashes the remaining edge
-    list for its digest.
+    The sweep is O(|E| log Δ).  The digests are hashed after it, from the
+    edge changes it recorded, in one pass that hashes O(|V|·|E|) bytes.
+    The solver runs the same sweep and leaves the hashing until a trace
+    is read.
     """
+    o, steps = _greedy_sweep(g, p, lifts, order)
+    return o, [(kind, args, digest()) for kind, args, digest in steps]
+
+
+def _greedy_sweep(g, p, lifts, order):
+    """``greedy_direct_and_delete`` with each step's digest left as a
+    function of no arguments; the first call hashes every step's."""
     if not prescription_ok(g, p):
         raise OrientationError("prescription is malformed")
     if g.darcs:
         raise ScheduleError("greedy schedules do not handle forced arcs")
+    log = _SweepDigests(g.edges)
+    ep = log.edges
     edges = dict(g.edges)
-    # digest lines stay in ascending id order: seeded sorted, and lifted ids
-    # from next_edge_id() exceed every existing id
-    lines = {e: _digest_line(e, edges[e]) for e in sorted(edges)}
-    steps: list[tuple[str, tuple[int, ...], str]] = []
+    steps = []
     inc: dict[int, set[int]] = {v: set() for v in g.rotation}
     for e, (a, b) in edges.items():
         inc[a].add(e)
         inc[b].add(e)
-    ep = dict(g.edges)
     lifted: list[tuple[int, int, int, int, int, int]] = []
     next_id = g.next_edge_id()
     for e1, e2, v in lifts:
@@ -462,10 +508,7 @@ def greedy_direct_and_delete(
         inc[u].add(next_id)
         inc[w].add(next_id)
         lifted.append((next_id, e1, e2, u, v, w))
-        del lines[e1]
-        del lines[e2]
-        lines[next_id] = _digest_line(next_id, (u, w))
-        steps.append(("LiftPair", (e1, e2, v), _digest_of_lines(lines.values())))
+        steps.append(("LiftPair", (e1, e2, v), log.step((e1, e2), next_id)))
         next_id += 1
 
     direction: dict[int, tuple[int, int]] = {}
@@ -483,7 +526,6 @@ def greedy_direct_and_delete(
                 vertex=v,
             )
         for idx, e in enumerate(mine):
-            del lines[e]
             a, b = edges.pop(e)
             other = b if a == v else a
             inc[other].discard(e)
@@ -493,7 +535,7 @@ def greedy_direct_and_delete(
             else:
                 direction[e] = (v, other)
                 cur[other] += 1
-        steps.append(("OrientDeleteVertex", (v,), _digest_of_lines(lines.values())))
+        steps.append(("OrientDeleteVertex", (v,), log.step(mine)))
 
     if edges:
         raise ScheduleError(f"{len(edges)} edges left undirected by the schedule")

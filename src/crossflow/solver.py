@@ -1,8 +1,8 @@
 """Hybrid valid-orientation solver with replayable traces.
 
 Strategy order, fixed here: a detected circulant schedule runs
-first (complete for those two families; the sweep is O(|E| log Δ), but
-each traced step also hashes the remaining edge list), then robust-cut
+first (complete for those two families; the sweep is O(|E| log Δ), and
+its step digests are hashed only when the trace is read), then robust-cut
 contraction with orientation transfer, on a side found by a search for
 bonds of size <= 5 that never grows a side through the protected or the
 directed vertex (cuts.smallest_bond_side), then the doubled-boundary-vertex
@@ -31,8 +31,9 @@ chi itself.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
@@ -52,7 +53,7 @@ from .orient import (
     OrientationError,
     ScheduleError,
     _abstract_digest,
-    greedy_direct_and_delete,
+    _greedy_sweep,
     is_valid_orientation,
     oracle_solve,
     prescription_ok,
@@ -87,11 +88,55 @@ class TraceError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
 class ReductionStep:
-    kind: str
-    arguments: tuple[int, ...]
-    result_digest: str
+    """One reduction taken: its kind, its integer arguments and the digest
+    of the working multigraph after it.
+
+    ``result_digest`` is given either as the digest itself (``parse_trace``
+    does this) or as a function of no arguments that returns it.  The
+    solver gives a function over a snapshot of the edges, taken when the
+    step is made, so that later edits to a working graph cannot change the
+    digest; it is hashed the first time it is read (``serialize_trace``,
+    ``replay``, ``==``), then kept, and never while ``solve`` runs.
+    Equality, hashing and repr are by the digest's value.
+    """
+
+    __slots__ = ("kind", "arguments", "_digest")
+
+    def __init__(
+        self, kind: str, arguments: tuple[int, ...], result_digest: str | Callable[[], str]
+    ):
+        self.kind = kind
+        self.arguments = arguments
+        self._digest = result_digest
+
+    @property
+    def result_digest(self) -> str:
+        if not isinstance(self._digest, str):
+            self._digest = self._digest()
+        return self._digest
+
+    def _key(self) -> tuple[str, tuple[int, ...], str]:
+        return self.kind, self.arguments, self.result_digest
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReductionStep):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ReductionStep(kind={self.kind!r}, arguments={self.arguments!r}, "
+            f"result_digest={self.result_digest!r})"
+        )
+
+
+def _deferred_digest(g: EmbeddedGraph) -> Callable[[], str]:
+    """g's digest as it is now, to be hashed when first called."""
+    return partial(_abstract_digest, dict(g.edges))
 
 
 @dataclass
@@ -318,7 +363,7 @@ def _reduce_by_cut(
     p1 = {v: p[v] for v in g.vertices if v not in side}
     p1[merged] = _norm(sum(p[v] for v in side))
     steps = [
-        ReductionStep("ContractSide", tuple(sorted(side)), _abstract_digest(g1.edges))
+        ReductionStep("ContractSide", tuple(sorted(side)), _deferred_digest(g1))
     ]
     try:
         o1, sub1 = _solve_inner(g1, p1, top)
@@ -340,7 +385,7 @@ def _reduce_by_cut(
     p2 = {v: p[v] for v in side}
     p2[merged] = _norm(sum(p[v] for v in comp))
     steps.append(
-        ReductionStep("TransferOrientation", (merged,), _abstract_digest(g2.edges))
+        ReductionStep("TransferOrientation", (merged,), _deferred_digest(g2))
     )
     try:
         o2, sub2 = _solve_inner(g2, p2, top)
@@ -370,7 +415,7 @@ def _solve_inner(
             spec, posmap = det
             lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
             try:
-                o, steps = greedy_direct_and_delete(g, p, lifts, order)
+                o, steps = _greedy_sweep(g, p, lifts, order)
                 return o, [ReductionStep(*st) for st in steps]
             except ScheduleError:
                 pass
@@ -395,7 +440,7 @@ def _solve_inner(
             except EmbeddingError:
                 continue
             steps = [
-                ReductionStep("SplitBoundaryVertex", (v,), _abstract_digest(flat.edges))
+                ReductionStep("SplitBoundaryVertex", (v,), _deferred_digest(flat))
             ]
             try:
                 o3, sub3 = _solve_inner(flat, p, top)
@@ -413,7 +458,7 @@ def _solve_inner(
             f"{exc}, and no schedule, usable 2-robust cut of size <= 5, or "
             "doubled boundary vertex applies"
         ) from exc
-    return o4, [ReductionStep("OracleCall", (n_free,), _abstract_digest(g.edges))]
+    return o4, [ReductionStep("OracleCall", (n_free,), _deferred_digest(g))]
 
 
 def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, ReductionTrace]:

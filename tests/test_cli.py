@@ -11,8 +11,9 @@ import pytest
 from conftest import build_graph, cycle_graph, triangle_with_loop
 from crossflow.cli import main
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
+from crossflow.orient import random_prescription
 from crossflow.pgr import parse_graph, read_graph, serialize_graph, write_graph
-from crossflow.solver import parse_trace, replay
+from crossflow.solver import parse_trace, replay, serialize_trace, solve
 
 
 def run(capsys, *argv):
@@ -90,6 +91,21 @@ def test_solve_b7_random_prescription(b7_file, tmp_path, capsys):
     trace = parse_trace(trace_path.read_text())
     g, _ = read_graph(b7_file)
     assert replay(g, trace).matches
+
+
+def test_solve_trace_file_is_the_in_process_trace(tmp_path, capsys):
+    path = tmp_path / "b51.pgr"
+    write_graph(path, gen_circulant_b(51))
+    trace_path = tmp_path / "b51.trace"
+    code, _, _ = run(
+        capsys, "solve", str(path), "--p", "random", "--seed", "3",
+        "--trace", str(trace_path),
+    )
+    assert code == 0
+    g, _ = read_graph(path)
+    _, trace = solve(g, random_prescription(g, 3))
+    assert trace_path.read_bytes() == serialize_trace(trace).encode()
+    assert replay(g, parse_trace(trace_path.read_text())).matches
 
 
 def test_solve_counterexample_exit1(ce_file, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_multigraph, triangle_with_loop
 from crossflow import cuts, embedding
+from crossflow import orient as orient_module
 from crossflow import solver as solver_module
 from crossflow.families import (
     gen_a,
@@ -331,6 +332,169 @@ def test_replay_flags_tampered_digest():
     rep = replay(g, bad)
     assert not rep.matches
     assert rep.mismatch_index == 0
+
+
+def test_replay_flags_tampered_greedy_digest():
+    g = gen_circulant_b(51)
+    p = random_prescription(g, 3)
+    _, trace = solve(g, p)
+    for k in (0, len(trace.steps) // 2, len(trace.steps) - 1):
+        bad_steps = list(trace.steps)
+        s = bad_steps[k]
+        assert s.kind in ("LiftPair", "OrientDeleteVertex")
+        bad_steps[k] = ReductionStep(s.kind, s.arguments, "0" * 16)
+        bad = ReductionTrace(bad_steps, trace.outcome, trace.prescription)
+        rep = replay(g, bad)
+        assert not rep.matches
+        assert rep.mismatch_index == k
+
+
+# ------------------------------------------------------- deferred digests
+
+_GREEDY_KINDS = ("LiftPair", "OrientDeleteVertex")
+
+
+def _count_hashing(monkeypatch) -> Counter:
+    """Count the calls of orient._digest_of_lines, which hashes every step
+    digest, and of solver._abstract_digest, which the non-greedy steps use."""
+    calls = Counter()
+    lines, abstract = orient_module._digest_of_lines, solver_module._abstract_digest
+
+    def counted_lines(ls):
+        calls["lines"] += 1
+        return lines(ls)
+
+    def counted_abstract(edges):
+        calls["abstract"] += 1
+        return abstract(edges)
+
+    monkeypatch.setattr(orient_module, "_digest_of_lines", counted_lines)
+    monkeypatch.setattr(solver_module, "_abstract_digest", counted_abstract)
+    return calls
+
+
+def _count_steps_made(monkeypatch) -> Counter:
+    made = Counter()
+
+    class Counted(ReductionStep):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made["steps"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver_module, "ReductionStep", Counted)
+    return made
+
+
+def _assert_hashed_once_on_read(trace, calls):
+    """No digest is hashed until the trace is written; then each kept step's
+    is hashed once, and a second write hashes nothing."""
+    assert sum(calls.values()) == 0
+    text = serialize_trace(trace)
+    kept = len(trace.steps)
+    greedy = sum(st.kind in _GREEDY_KINDS for st in trace.steps)
+    assert calls == Counter({"lines": kept, "abstract": kept - greedy})
+    assert serialize_trace(trace) == text
+    assert calls == Counter({"lines": kept, "abstract": kept - greedy})
+
+
+def test_solve_hashes_no_digest_until_the_trace_is_read(monkeypatch):
+    b51 = gen_circulant_b(51)
+    ce1, ce1_p, _ = gen_counterexample(1)
+    instances = [(b51, random_prescription(b51, 3)), gen_random_pt(0, 12), (ce1, ce1_p)]
+    calls = _count_hashing(monkeypatch)
+    kinds = set()
+    for g, p in instances:
+        calls.clear()
+        _, trace = solve(g, p)
+        _assert_hashed_once_on_read(trace, calls)
+        kinds |= {st.kind for st in trace.steps}
+    assert kinds >= {
+        "LiftPair",
+        "OrientDeleteVertex",
+        "ContractSide",
+        "TransferOrientation",
+        "SplitBoundaryVertex",
+        "OracleCall",
+    }
+
+
+def test_abandoned_cut_branch_is_never_hashed(monkeypatch):
+    # refuse every remainder pass, so that each _reduce_by_cut drops the
+    # steps it has made and the level falls through to the split or oracle
+    inner = solver_module._solve_inner
+
+    def refuse_remainders(g, p, top):
+        if g.dvertex is not None:
+            raise solver_module.SolverRefusal("remainder refused")
+        return inner(g, p, top)
+
+    monkeypatch.setattr(solver_module, "_solve_inner", refuse_remainders)
+    made = _count_steps_made(monkeypatch)
+    calls = _count_hashing(monkeypatch)
+    g, p = gen_random_pt(0, 12)
+    _, trace = solve(g, p)
+    assert made["steps"] > len(trace.steps)
+    assert "TransferOrientation" not in {st.kind for st in trace.steps}
+    _assert_hashed_once_on_read(trace, calls)
+
+
+def test_failed_schedule_is_never_hashed(monkeypatch):
+    # a schedule whose last vertex is missing fails after every other step
+    # was recorded; the solve falls through to the other strategies
+    schedule = solver_module.circulant_schedule
+
+    def broken(*args):
+        lifts, order = schedule(*args)
+        return lifts, order + [10**6]
+
+    monkeypatch.setattr(solver_module, "circulant_schedule", broken)
+    made = _count_steps_made(monkeypatch)
+    calls = _count_hashing(monkeypatch)
+    g = gen_circulant_b(21)
+    p = random_prescription(g, 3)
+    o, trace = solve(g, p)
+    assert o is not None
+    assert made["steps"] == len(trace.steps)
+    assert not {st.kind for st in trace.steps} & set(_GREEDY_KINDS)
+    _assert_hashed_once_on_read(trace, calls)
+
+
+class _EagerStep(ReductionStep):
+    """A step that hashes its digest when it is made."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.result_digest
+
+
+def _digest_instances():
+    for seed in range(400):
+        yield gen_random_pt(seed, 12)
+    for k in range(4):
+        g, p, _ = gen_counterexample(k)
+        yield g, p
+    for i in (5, 7, 21, 51):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            for seed in range(3):
+                yield g.copy(), random_prescription(g, seed)
+
+
+def test_deferred_digests_equal_eager_ones(monkeypatch):
+    deferred = []
+    for g, p in _digest_instances():
+        _, trace = solve(g, p)
+        # edit the input in place: the trace must not see it
+        for e, (u, v) in list(g.edges.items()):
+            g.edges[e] = (v, u)
+        g.edges[g.next_edge_id()] = (u, u)
+        deferred.append(serialize_trace(trace))
+    monkeypatch.setattr(solver_module, "ReductionStep", _EagerStep)
+    eager = [serialize_trace(solve(g, p)[1]) for g, p in _digest_instances()]
+    assert deferred == eager
 
 
 # ------------------------------------------------------ carried face data
