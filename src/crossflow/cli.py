@@ -70,6 +70,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _parse_prescription_file(text: str, path: str) -> dict[int, int]:

@@ -696,7 +696,7 @@ def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
 
 
 def contract_subgraph(
-    g: EmbeddedGraph, side, face_policy: str | None = None
+    g: EmbeddedGraph, side, face_policy: str | None = None, walks: list[FaceWalk] | None = None
 ) -> EmbeddedGraph:
     """Contract the connected subgraph induced by ``side`` to one vertex.
 
@@ -707,15 +707,11 @@ def contract_subgraph(
     if its entire boundary is swallowed the caller must choose a
     replacement with ``face_policy="at-merged"`` (canonical face at the new
     vertex).
+
+    ``walks`` are g's specified faces' walks in ``specified_walk`` order, as
+    a caller that holds them already passes them (the solver does), or None
+    to walk them here; carrying them saves one walk per specified face.
     """
-    return _contract_subgraph(g, side, face_policy, None)
-
-
-def _contract_subgraph(
-    g: EmbeddedGraph, side, face_policy: str | None, walks: list[FaceWalk] | None
-) -> EmbeddedGraph:
-    """``contract_subgraph`` given ``walks``, the walks of g's specified
-    faces in order, or None to walk them here."""
     verts = set(side)
     if not verts or not verts <= set(g.rotation):
         raise OperationError("side must be a non-empty set of vertices")
@@ -857,7 +853,9 @@ def _corner_gap(rot: list[Dart], arrive: Dart, depart: Dart, s: int) -> int:
     raise StructureError("face corner darts are not adjacent in the rotation")
 
 
-def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
+def split_doubled_boundary_vertex(
+    g: EmbeddedGraph, v: int, walk: FaceWalk | None = None, chi: int | None = None
+) -> EmbeddedGraph:
     """A projective-plane instance whose specified face visits ``v`` twice
     is cut along the crosscap curve through the face and ``v``, then the two
     copies of ``v`` are re-identified in the plane.  The result is a plane
@@ -870,28 +868,23 @@ def split_doubled_boundary_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
       at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
       faces, F' one or two: Euler characteristic chi(g) + F'.  It must be 2
       on a connected result, else OperationError.  Cost: one search for
-      connectivity, one walk of F in the result, and chi(g): here one
-      ``euler_characteristic(g)`` (a face count, no walks built).  The
-      solver passes chi(g) down instead, from at most one count of its
-      input per solve (see ``solver``).
+      connectivity, one walk of F in the result, and chi(g).
     * Re-identifying the copies at a corner of each must split their
       shared face in two, or the result is not plane: the walk from ``v``'s
       corner holds the fresh copy's corner before the merge and not after
       it, else StructureError.  Cost: two walks of that face.
 
     The two new anchors cost one walk of one orbit each.
+
+    ``walk`` (F's ``specified_walk``) and ``chi`` (chi(g)) come from a
+    caller that holds them already, as the solver does (see ``solver``);
+    with None the split walks F itself and, when the cut needs it, counts
+    chi(g) by one ``euler_characteristic(g)`` (a face count, no walks built).
     """
     if len(g.specified) != 1:
         raise OperationError("split needs exactly one specified face")
-    return _split_doubled_boundary_vertex(g, v, specified_walk(g), None)
-
-
-def _split_doubled_boundary_vertex(
-    g: EmbeddedGraph, v: int, walk: FaceWalk, chi: int | None
-) -> EmbeddedGraph:
-    """``split_doubled_boundary_vertex`` of a graph with one specified
-    face, given that face's ``walk`` and ``chi``, the Euler characteristic
-    of g, or None to count it here when the cut needs it."""
+    if walk is None:
+        walk = specified_walk(g)
     occ = [i for i, t in enumerate(walk.tails) if t == v]
     if len(occ) < 2:
         raise OperationError(f"vertex {v} does not repeat on the boundary")

@@ -26,7 +26,7 @@ from .embedding import (
     canonical_anchor,
     euler_characteristic,
 )
-from .orient import DirectedVertexSpec
+from .orient import DirectedVertexSpec, _draw_prescription
 
 
 class FamilyError(Exception):
@@ -291,11 +291,7 @@ def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int
         deg3 = [v for v in range(n) if want[v] == 3]
         if deg3:
             g.tvertex = deg3[0]
-        p: dict[int, int] = {}
-        for v in range(n - 1):
-            p[v] = int(rng.integers(-1, 2))
-        last = (-sum(p.values())) % 3
-        p[n - 1] = last - 3 if last == 2 else last
+        p = _draw_prescription(rng, list(range(n)))
         # check_class(g, p, "pt"), without counting chi a second time
         if _check_pt(g, p, strong=False, chi=1).holds:
             return g, p

@@ -104,8 +104,12 @@ def prescription_ok(g: EmbeddedGraph, p: dict[int, int]) -> bool:
 def random_prescription(g: EmbeddedGraph, seed: int) -> dict[int, int]:
     """Uniform over valid prescriptions: free residues on all vertices but
     the last, which is forced to close the total."""
-    rng = np.random.default_rng(seed)
-    verts = g.vertices
+    return _draw_prescription(np.random.default_rng(seed), g.vertices)
+
+
+def _draw_prescription(rng: np.random.Generator, verts: list[int]) -> dict[int, int]:
+    """One residue in {-1, 0, 1} from ``rng`` for each of ``verts`` but the
+    last, in order; the last closes the total to 0 mod 3."""
     if not verts:
         return {}
     p: dict[int, int] = {}

@@ -14,9 +14,11 @@ the bound.  Every orientation leaving this module is validated against
 the untouched input.
 
 Face data is carried down the recursion rather than re-derived.  Each
-level walks its specified faces at most once and hands the walks to
-family detection, both contractions and the split.  The split also needs
-chi of the graph it cuts, and no level counts it: Euler genus (2 - chi)
+level walks its specified faces at most once and hands the walks to the
+public operations it calls, ``detect_family``, ``contract_subgraph`` (both
+contractions) and ``split_doubled_boundary_vertex``, which take them in
+place of walking the faces themselves.  The split also takes chi of the
+graph it cuts, and no level counts it: Euler genus (2 - chi)
 never rises along the recursion.  Contracting a non-loop edge keeps chi,
 deleting a loop raises it by 0, 1 or 2, and a split's output is plane,
 which the split checks itself.  So when the input to ``solve`` has chi 1
@@ -41,9 +43,9 @@ from .embedding import (
     EmbeddingError,
     FaceWalk,
     _balance_potentials,
-    _contract_subgraph,
-    _split_doubled_boundary_vertex,
+    contract_subgraph,
     euler_characteristic,
+    split_doubled_boundary_vertex,
     specified_walk,
 )
 from .families import FamilySpec, circulant_schedule
@@ -234,7 +236,9 @@ def _chord_partners(g: EmbeddedGraph, v: int, boundary_ids: set[int]) -> list[in
     return out
 
 
-def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
+def detect_family(
+    g: EmbeddedGraph, walk: FaceWalk | None = None
+) -> tuple[FamilySpec, dict[int, int]] | None:
     """Recognize the two circulant families from the shape of the specified
     face, whatever the vertex ids.  Returns the family and a position map
     (boundary position -> vertex id, position 0 for the subdivider) usable
@@ -243,17 +247,15 @@ def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
     Both families are determined by their chord pattern relative to the
     boundary cycle; the pattern is invariant under rotation and reflection
     of the cycle, so the first labelling that matches is as good as any.
+
+    ``walk`` is the specified face's walk (``specified_walk(g)``), as a
+    caller that holds it already passes it (``solve`` does), or None to
+    walk it here: either way the face is walked once.
     """
     if g.dvertex is not None or g.darcs or len(g.specified) != 1:
         return None
-    return _detect_family(g, specified_walk(g))
-
-
-def _detect_family(
-    g: EmbeddedGraph, walk: FaceWalk
-) -> tuple[FamilySpec, dict[int, int]] | None:
-    """``detect_family`` of a graph with one specified face, no directed
-    vertex and no forced arcs, given that face's ``walk``."""
+    if walk is None:
+        walk = specified_walk(g)
     cyc = walk.tails
     verts = g.vertices
     nv = len(verts)
@@ -359,7 +361,7 @@ def _reduce_by_cut(
     inconclusive."""
     comp = frozenset(g.vertices) - side
     merged = g.next_vertex_id()  # both contractions mint the same id
-    g1 = _contract_subgraph(g, side, "at-merged", walks)
+    g1 = contract_subgraph(g, side, "at-merged", walks)
     p1 = {v: p[v] for v in g.vertices if v not in side}
     p1[merged] = _norm(sum(p[v] for v in side))
     steps = [
@@ -374,7 +376,7 @@ def _reduce_by_cut(
         # any valid orientation of the input would contract to one of g1
         return None, steps
     part1 = transfer_orientation(g, side, o1, merged)
-    g2 = _contract_subgraph(g, comp, "at-merged", walks)
+    g2 = contract_subgraph(g, comp, "at-merged", walks)
     arcs = {}
     for e, (u, v) in g2.edges.items():
         if merged in (u, v):
@@ -410,7 +412,7 @@ def _solve_inner(
     # 1. complete schedule of a recognized family; a failed one falls through
     if g.dvertex is None and not g.darcs and len(g.specified) == 1:
         walks = _specified_walks(g)
-        det = _detect_family(g, walks[0])
+        det = detect_family(g, walks[0])
         if det is not None:
             spec, posmap = det
             lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
@@ -436,7 +438,7 @@ def _solve_inner(
         chi = _carried_chi(g, top) if doubled else None
         for v in doubled:
             try:
-                flat = _split_doubled_boundary_vertex(g, v, walk, chi)
+                flat = split_doubled_boundary_vertex(g, v, walk, chi)
             except EmbeddingError:
                 continue
             steps = [

@@ -430,6 +430,26 @@ def test_malformed_graph_exit3(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{bad}"],
+        ["faces", "{bad}"],
+        ["cuts", "{bad}"],
+        ["check", "{bad}", "--class", "pt"],
+        ["solve", "{good}", "--p", "{bad}"],
+        ["verify", "{good}", "{bad}", "--p", "random"],
+    ],
+)
+def test_non_utf8_input_file_exit3(b7_file, tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("p 0 1  # r\xe9sidu\n".encode("latin-1"))
+    argv = [a.format(bad=bad, good=b7_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"input error: cannot read {bad}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
 def test_negative_random_seed_exit3(b7_file, tmp_path, capsys, command):
     orientation = tmp_path / "o.txt"

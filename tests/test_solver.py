@@ -511,13 +511,32 @@ def _carried_face_data_instances():
         yield g, random_prescription(g, seed)
 
 
+def _same_when_walked_here(fn, carried, fresh):
+    """fn(*carried), after checking that fn(*fresh), which walks and counts
+    the face data itself, gives an equal result or raises alike."""
+    outcomes = []
+    for args in (carried, fresh):
+        try:
+            outcomes.append((fn(*args), None))
+        except Exception as exc:  # compared below, then raised again
+            outcomes.append((None, exc))
+    (got, exc), (again, exc_again) = outcomes
+    assert got == again
+    assert (type(exc), str(exc)) == (type(exc_again), str(exc_again))
+    if exc is not None:
+        raise exc
+    return got
+
+
 def test_carried_face_data_matches_a_fresh_count(monkeypatch):
     # Every split gets chi(g) carried from the input, or None to count it
-    # itself; every walk handed down equals a fresh walk of the same face.
+    # itself; every walk handed down equals a fresh walk of the same face;
+    # and each operation gives the same result when it walks and counts
+    # the face data itself.
     seen = Counter()
-    split = solver_module._split_doubled_boundary_vertex
-    contract = solver_module._contract_subgraph
-    detect = solver_module._detect_family
+    split = solver_module.split_doubled_boundary_vertex
+    contract = solver_module.contract_subgraph
+    detect = solver_module.detect_family
 
     def fresh_walks(g):
         return [embedding.specified_walk(g, i) for i in range(len(g.specified))]
@@ -529,21 +548,23 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
         else:
             assert chi == embedding.euler_characteristic(g)
             seen["carried"] += 1
-        return split(g, v, walk, chi)
+        return _same_when_walked_here(split, (g, v, walk, chi), (g, v, None, None))
 
     def checked_contract(g, side, face_policy, walks):
         assert walks == fresh_walks(g)
         seen["contract"] += 1
-        return contract(g, side, face_policy, walks)
+        return _same_when_walked_here(
+            contract, (g, side, face_policy, walks), (g, side, face_policy, None)
+        )
 
     def checked_detect(g, walk):
         assert [walk] == fresh_walks(g)
         seen["detect"] += 1
-        return detect(g, walk)
+        return _same_when_walked_here(detect, (g, walk), (g, None))
 
-    monkeypatch.setattr(solver_module, "_split_doubled_boundary_vertex", checked_split)
-    monkeypatch.setattr(solver_module, "_contract_subgraph", checked_contract)
-    monkeypatch.setattr(solver_module, "_detect_family", checked_detect)
+    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", checked_split)
+    monkeypatch.setattr(solver_module, "contract_subgraph", checked_contract)
+    monkeypatch.setattr(solver_module, "detect_family", checked_detect)
     for g, p in _carried_face_data_instances():
         try:
             solve(g, p)
@@ -553,26 +574,41 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
     assert seen["contract"] > 0 and seen["detect"] > 0
 
 
-def _count_chi_calls(monkeypatch) -> list[int]:
-    """Count embedding.euler_characteristic calls, wherever crossflow binds it."""
+def _count_calls(monkeypatch, fn) -> list[int]:
+    """Count calls of ``fn``, wherever crossflow binds it (by identity, as
+    solvebench's spans patch their targets)."""
     calls = []
-    count = embedding.euler_characteristic
 
-    def counted(g):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return count(g)
+        return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "crossflow":
             for attr, value in list(vars(module).items()):
-                if value is count:
+                if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
 
 
+def test_solver_reaches_the_public_face_operations(monkeypatch):
+    # The solver calls each face operation by its one public name, so a
+    # wrapper around that name (a solvebench span) sees every call.
+    corpus = [gen_random_pt(seed, 12) for seed in range(20)]
+    ops = (
+        solver_module.detect_family,
+        embedding.contract_subgraph,
+        embedding.split_doubled_boundary_vertex,
+    )
+    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in ops}
+    for g, p in corpus:
+        solve(g, p)
+    assert all(calls.values()), {name: len(c) for name, c in calls.items()}
+
+
 def test_solve_counts_chi_at_most_once(monkeypatch):
     corpus = [gen_random_pt(seed, 12) for seed in range(100)]
-    calls = _count_chi_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, embedding.euler_characteristic)
     per_solve = []
     for g, p in corpus:
         calls.clear()
@@ -589,7 +625,7 @@ def test_solve_without_splits_counts_no_chi(monkeypatch):
     for k in range(4):
         g, p, _ = gen_counterexample(k)
         instances.append((g, p))
-    calls = _count_chi_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, embedding.euler_characteristic)
     for g, p in instances:
         solve(g, p)
     assert calls == []
