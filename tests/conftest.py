@@ -6,6 +6,8 @@ take an explicit numpy seed.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,23 @@ def random_multigraph(seed, max_vertices=9, max_extra=6):
     g.specified = [canonical_anchor(g, pick)]
     g.validate()
     return g
+
+
+def _count_calls(monkeypatch, fn) -> list[int]:
+    """Count calls of ``fn``, wherever crossflow binds it (by identity, as
+    solvebench's spans patch their targets)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crossflow":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture

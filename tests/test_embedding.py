@@ -24,6 +24,7 @@ from conftest import (
 from crossflow.embedding import (
     DisconnectedError,
     EmbeddedGraph,
+    EmbeddingError,
     OperationError,
     StructureError,
     _face_through,
@@ -556,6 +557,51 @@ def test_operations_do_not_mutate_input():
     contract_subgraph(g, set(boundary_cycle(g)[:2]))
     delete_edge(g, next(iter(g.edges)))
     assert g._key() == key
+
+
+# sha256 over (seed, operation, arguments, outcome class, message, output) for
+# every contraction of an edge's two ends, edge deletion, vertex deletion and
+# lift of the first two distinct non-loop edges at a vertex, on
+# random_multigraph seeds 0..299
+OPERATION_OUTCOME_DIGEST = "3350532dd2d43f1b1160835763a122a234522f5a65e081c99f60333e4866a7f8"
+
+
+def _operations(g):
+    """(operation, its arguments after ``g``, whether it swallows a
+    specified face) for every operation the digest below covers on ``g``."""
+    walks = [specified_walk(g, i) for i in range(len(g.specified))]
+    for e in sorted(g.edges):
+        u, v = g.edges[e]
+        if u != v:
+            inside = {x for x, (a, b) in g.edges.items() if {a, b} <= {u, v}}
+            swallows = any(w.edge_ids() <= inside for w in walks)
+            yield contract_subgraph, ({u, v}, "at-merged"), swallows
+    for e in sorted(g.edges):
+        yield delete_edge, (e,), False
+    for v in g.vertices:
+        yield delete_vertex, (v,), False
+    for v in g.vertices:
+        pair = list(dict.fromkeys(e for e in g.incident(v) if not g.is_loop(e)))[:2]
+        if len(pair) == 2:
+            yield lift_pair, (*pair, v), False
+
+
+def test_face_operations_random_multigraphs():
+    h = hashlib.sha256()
+    swallowed = 0
+    for seed in range(300):
+        g = random_multigraph(seed)
+        for op, args, swallows in _operations(g):
+            label = f"{seed} {op.__name__} {args}"
+            try:
+                out = op(g, *args)
+            except EmbeddingError as exc:
+                h.update(f"{label} {type(exc).__name__} {exc}\n".encode())
+                continue
+            h.update(f"{label} ok\n{serialize_graph(out)}".encode())
+            swallowed += swallows
+    assert swallowed >= 40  # the at-merged replacement face is exercised
+    assert h.hexdigest() == OPERATION_OUTCOME_DIGEST
 
 
 @settings(max_examples=60, deadline=None)

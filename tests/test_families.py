@@ -6,6 +6,7 @@ here were worked out by hand from the constructions before checking
 them against the code.
 """
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from crossflow.orient import (
     prescription_ok,
     random_prescription,
 )
+from crossflow.pgr import serialize_graph
 
 
 # -------------------------------------------------------------- B family
@@ -268,3 +270,23 @@ def test_disk_crosscap_postconditions():
     for e in g.edges:
         assert g.sign[e] == (1 if e < m else -1)
     assert sum(f.length for f in trace_faces(g)) == 2 * len(g.edges)
+
+
+# sha256 over the .pgr text, prescription included, of gen_random_pt(s, 12)
+# for s in 0..199, B_i and A_i for i in {5, 7, 51} with the zero
+# prescription, and CE_0..CE_3
+GENERATED_TEXT_DIGEST = "f2a3357f7b8a20ee5d77786e64b39882a9598b1e74a00b331d74ca11b92ccb74"
+
+
+def test_generated_texts_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(200):
+        g, p = gen_random_pt(seed, 12)
+        h.update(serialize_graph(g, p).encode())
+    for i in (5, 7, 51):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            h.update(serialize_graph(g, {v: 0 for v in g.rotation}).encode())
+    for k in range(4):
+        g, p, _ = gen_counterexample(k)
+        h.update(serialize_graph(g, p).encode())
+    assert h.hexdigest() == GENERATED_TEXT_DIGEST

@@ -1,12 +1,11 @@
 """The hybrid solver: strategy selection, reduction traces, replay."""
 
 import hashlib
-import sys
 from collections import Counter
 
 import pytest
 
-from conftest import random_multigraph, triangle_with_loop
+from conftest import _count_calls, random_multigraph, triangle_with_loop
 from crossflow import cuts, embedding
 from crossflow import orient as orient_module
 from crossflow import solver as solver_module
@@ -572,23 +571,6 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
             pass
     assert seen["carried"] > 1000 and seen["fallback"] > 100
     assert seen["contract"] > 0 and seen["detect"] > 0
-
-
-def _count_calls(monkeypatch, fn) -> list[int]:
-    """Count calls of ``fn``, wherever crossflow binds it (by identity, as
-    solvebench's spans patch their targets)."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "crossflow":
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 def test_solver_reaches_the_public_face_operations(monkeypatch):
