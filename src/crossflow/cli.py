@@ -164,6 +164,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tails = parse_orientation(_read_text(args.orientation))
     try:
         orientation = orientation_from_tails(g, tails)
+        undirected = min(set(g.edges) - set(tails), default=None)
+        if undirected is not None:
+            raise OrientationError(f"edge {undirected} is undirected")
     except OrientationError as exc:
         _say(f"orientation does not fit the graph: {exc}")
         _emit("invalid", args.output)

@@ -227,6 +227,26 @@ def test_verify_rejects_wrong_orientation(tmp_path, capsys):
     assert code != code2 or code2 == 1
 
 
+@pytest.mark.parametrize("keep", ["one line dropped", "empty"])
+def test_verify_partial_orientation_is_invalid(b7_file, tmp_path, capsys, keep):
+    # an edge the file leaves undirected is a misfit, like an unknown edge:
+    # "invalid" and exit 1, not an input error
+    ofile = tmp_path / "o.txt"
+    code, _, _ = run(
+        capsys, "solve", b7_file, "--p", "random", "--seed", "3", "-o", str(ofile)
+    )
+    assert code == 0
+    lines = ofile.read_text().splitlines(keepends=True)
+    kept = lines[:2] + lines[3:] if keep == "one line dropped" else []
+    ofile.write_text("".join(kept))
+    missing = 2 if kept else 0  # the least edge id without a line
+    code, out, err = run(
+        capsys, "verify", b7_file, str(ofile), "--p", "random", "--seed", "3"
+    )
+    assert code == 1 and out.strip() == "invalid"
+    assert f"orientation does not fit the graph: edge {missing} is undirected" in err
+
+
 # ------------------------------------------------------------------ oracle
 
 
