@@ -434,19 +434,15 @@ class ClassReport:
     violations: tuple[tuple[int, str], ...]
 
 
-def _surface_violations(
-    g, p, chi_want: int, n_faces: int, chi: int | None = None
-) -> list[tuple[int, str]]:
+def _surface_violations(g, p, chi_want: int, n_faces: int) -> list[tuple[int, str]]:
     """Index-0 plumbing checks shared by every class: connectivity, the
-    expected surface, the expected number of face anchors, and p.  ``chi``
-    is g's Euler characteristic when the caller has counted it."""
+    expected surface, the expected number of face anchors, and p."""
     out = []
     if not g.rotation:
         return [(0, "empty graph")]
     if not g.is_connected():
         return [(0, "graph is disconnected")]
-    if chi is None:
-        chi = euler_characteristic(g)
+    chi = euler_characteristic(g)
     if chi != chi_want:
         out.append((0, f"euler characteristic {chi}, expected {chi_want}"))
     if len(g.specified) != n_faces:
@@ -533,9 +529,9 @@ def check_class(g: EmbeddedGraph, p: dict[int, int], class_name: str) -> ClassRe
     raise OperationError(f"unknown class {class_name!r}")
 
 
-def _check_pt(g, p, strong: bool, chi: int | None = None) -> ClassReport:
+def _check_pt(g, p, strong: bool) -> ClassReport:
     name = "3PT" if strong else "PT"
-    v = _surface_violations(g, p, chi_want=1, n_faces=1, chi=chi)
+    v = _surface_violations(g, p, chi_want=1, n_faces=1)
     if v and v[0][1] in ("empty graph", "graph is disconnected"):
         return ClassReport(name, False, tuple(v))
     small = len(g.vertices) <= 2

@@ -369,11 +369,13 @@ def specified_walk(g: EmbeddedGraph, which: int = 0) -> FaceWalk:
     return _as_facewalk(g, _walk_from(g, (anchor, 1)))
 
 
+def _specified_walks(g: EmbeddedGraph) -> list[FaceWalk]:
+    """Every specified face's walk, in ``specified_walk`` order."""
+    return [specified_walk(g, i) for i in range(len(g.specified))]
+
+
 def boundary_vertices(g: EmbeddedGraph) -> set[int]:
-    out: set[int] = set()
-    for i in range(len(g.specified)):
-        out.update(specified_walk(g, i).tails)
-    return out
+    return {t for walk in _specified_walks(g) for t in walk.tails}
 
 
 def boundary_cycle(g: EmbeddedGraph, which: int = 0) -> list[int] | None:
@@ -562,6 +564,14 @@ def _resign_all_positive(g: EmbeddedGraph, track: list[State]) -> None:
 # ----------------------------------------------------- face-updating ops
 
 
+def _move_darts(g: EmbeddedGraph, darts, x: int) -> None:
+    """Make ``x`` the end of each dart ``(e, end)``: endpoint ``end`` of
+    edge ``e``."""
+    for e, end in darts:
+        a, b = g.edges[e]
+        g.edges[e] = (x, b) if end == 0 else (a, x)
+
+
 def _reanchor(g: EmbeddedGraph, witnesses: list[State | None]) -> None:
     """Set g.specified from witness states, canonically, deduplicated."""
     anchors: list[Dart] = []
@@ -590,8 +600,8 @@ def delete_edge(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     if e not in g.edges:
         raise OperationError(f"unknown edge {e}")
     witnesses = []
-    for i in range(len(g.specified)):
-        w = _witness_for_face(specified_walk(g, i), {e})
+    for walk in _specified_walks(g):
+        w = _witness_for_face(walk, {e})
         if w is None:
             raise OperationError("specified face is bounded by that edge alone")
         witnesses.append(w)
@@ -619,9 +629,7 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     if v not in g.rotation:
         raise OperationError(f"unknown vertex {v}")
     dead = {d[0] for d in g.rotation[v]}
-    witnesses: list[State | None] = []
-    for i in range(len(g.specified)):
-        witnesses.append(_witness_for_face(specified_walk(g, i), dead))
+    witnesses = [_witness_for_face(walk, dead) for walk in _specified_walks(g)]
     if any(w is None for w in witnesses):
         # boundary entirely at v: fall back to the first surviving side of a
         # face incident to v, which joins the merged face
@@ -671,10 +679,7 @@ def _contract_edge_inplace(g: EmbeddedGraph, e: int, track: list[State]) -> int:
     spliced = rg[ig + 1 :] + rg[:ig]
     g.rotation[keep] = rk[:ik] + spliced + rk[ik + 1 :]
     del g.rotation[gone]
-    for d in spliced:
-        eid, end = d
-        a, b = g.edges[eid]
-        g.edges[eid] = (keep, b) if end == 0 else (a, keep)
+    _move_darts(g, spliced, keep)
     del g.edges[e]
     del g.sign[e]
     g.labels.pop(gone, None)
@@ -689,10 +694,10 @@ def _delete_loop_inplace(g: EmbeddedGraph, e: int) -> None:
 
 
 def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
-    faces = _faces_at(g, v)
-    if not faces:
+    """The least canonical anchor of a face at ``v``."""
+    if not g.rotation[v]:
         raise StructureError("no face is incident to the merged vertex")
-    return min(canonical_anchor(g, f) for f in faces)
+    return min(_anchor_through(g, (d, s)) for d in g.rotation[v] for s in (1, -1))
 
 
 def contract_subgraph(
@@ -729,7 +734,7 @@ def contract_subgraph(
     witnesses: list[State | None] = []
     swallowed = []
     if walks is None:
-        walks = [specified_walk(g, i) for i in range(len(g.specified))]
+        walks = _specified_walks(g)
     for i, walk in enumerate(walks):
         w = _witness_for_face(walk, internal_set)
         witnesses.append(w)
@@ -754,10 +759,7 @@ def contract_subgraph(
     witnesses = [next(it) if w is not None else None for w in witnesses]
     fresh = g.next_vertex_id()
     out.rotation[fresh] = out.rotation.pop(merged)
-    for d in out.rotation[fresh]:
-        eid, end = d
-        a, b = out.edges[eid]
-        out.edges[eid] = (fresh, b) if end == 0 else (a, fresh)
+    _move_darts(out, out.rotation[fresh], fresh)
     if out.tvertex in verts:
         out.tvertex = None
     if out.dvertex in verts:
@@ -796,8 +798,8 @@ def lift_pair(g: EmbeddedGraph, e1: int, e2: int, v: int) -> EmbeddedGraph:
         raise OperationError("lift would create a loop")
     dead = {e1, e2}
     witnesses = []
-    for i in range(len(g.specified)):
-        wit = _witness_for_face(specified_walk(g, i), dead)
+    for walk in _specified_walks(g):
+        wit = _witness_for_face(walk, dead)
         if wit is None:
             raise OperationError("specified face is bounded by the lifted pair")
         witnesses.append(wit)
@@ -907,10 +909,7 @@ def split_doubled_boundary_vertex(
     fresh = out.next_vertex_id()
     out.rotation[v] = arc_a
     out.rotation[fresh] = arc_b
-    for d in arc_b:
-        eid, end = d
-        a, b = out.edges[eid]
-        out.edges[eid] = (fresh, b) if end == 0 else (a, fresh)
+    _move_darts(out, arc_b, fresh)
     # witness into the cut-open face: the first boundary departure survives
     st0 = walk.states[p1] if walk.darts[p1] in arc_a else walk.states[p2]
     # F's orbit pair (2n states) now holds two orbits of length n, or four
@@ -942,22 +941,10 @@ def split_doubled_boundary_vertex(
     merged_rot = rv[gv:] + rv[:gv] + rw[gw:] + rw[:gw]
     del out.rotation[fresh]
     out.rotation[v] = merged_rot
-    for eid, end in merged_rot:
-        a, b = out.edges[eid]
-        if end == 0 and a == fresh:
-            out.edges[eid] = (v, b)
-        elif end == 1 and b == fresh:
-            out.edges[eid] = (a, v)
+    _move_darts(out, merged_rot, v)
     if not joined or other in _walk_from(out, start):
         raise StructureError("re-identification broke the plane embedding")
-    anchors = []
-    for dep in (dep_v, dep_w):
-        if not _is_dart(out, dep):
-            raise StructureError("lost a face after re-identification")
-        a = _anchor_through(out, (dep, 1))
-        if a not in anchors:
-            anchors.append(a)
-    if len(anchors) != 2:
+    _reanchor(out, [(dep_v, 1), (dep_w, 1)])
+    if len(out.specified) != 2:
         raise StructureError("split did not produce two distinct faces")
-    out.specified = anchors
     return out

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import _check_pt
-from .embedding import (
-    EmbeddedGraph,
-    _face_through,
-    _state_key,
-    canonical_anchor,
-    euler_characteristic,
-)
+from .cuts import check_class
+from .embedding import EmbeddedGraph, _orbit_anchor, _walk_from, euler_characteristic
 from .orient import DirectedVertexSpec, _draw_prescription
 
 
@@ -87,13 +81,13 @@ def disk_crosscap_graph(cycle: list[int], chords: list[tuple[int, int]]) -> Embe
     for v in cycle:
         headings[v].sort()
         g.rotation[v] = [(e, end) for _, e, end in headings[v]]
-    # a face walking the cycle once uses boundary edge 0 on one of its sides
-    boundary_ids = set(range(m))
-    sides = (_face_through(g, ((0, 0), s)) for s in (1, -1))
-    disk = [f for f in sides if f.length == m and f.edge_ids() <= boundary_ids]
+    # a face walking the cycle once uses boundary edge 0 (ids below m are the
+    # boundary edges) on one of its sides
+    sides = (_walk_from(g, ((0, 0), s)) for s in (1, -1))
+    disk = [o for o in sides if len(o) == m and all(d[0] < m for d, _ in o)]
     if not disk:
         raise FamilyError("layout failed: the cycle does not bound a face")
-    g.specified = [canonical_anchor(g, min(disk, key=lambda f: _state_key(f.states[0])))]
+    g.specified = [min(_orbit_anchor(g, o) for o in disk)]
     return g
 
 
@@ -292,8 +286,7 @@ def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int
         if deg3:
             g.tvertex = deg3[0]
         p = _draw_prescription(rng, list(range(n)))
-        # check_class(g, p, "pt"), without counting chi a second time
-        if _check_pt(g, p, strong=False, chi=1).holds:
+        if check_class(g, p, "pt").holds:
             return g, p
     raise FamilyError(
         f"no instance passed the class filter in {_RANDOM_PT_ATTEMPTS} attempts "

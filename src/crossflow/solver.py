@@ -43,6 +43,7 @@ from .embedding import (
     EmbeddingError,
     FaceWalk,
     _balance_potentials,
+    _specified_walks,
     contract_subgraph,
     euler_characteristic,
     split_doubled_boundary_vertex,
@@ -341,10 +342,6 @@ def _carried_chi(h: EmbeddedGraph, top: _Input) -> int | None:
     if top.chi not in (1, 2):
         return None
     return 2 if _balance_potentials(h, set(h.rotation)) is not None else 1
-
-
-def _specified_walks(g: EmbeddedGraph) -> list[FaceWalk]:
-    return [specified_walk(g, i) for i in range(len(g.specified))]
 
 
 def _reduce_by_cut(

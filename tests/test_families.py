@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import _count_calls
 from crossflow.cuts import check_class, edge_connectivity
 from crossflow.embedding import (
     boundary_cycle,
@@ -228,6 +229,15 @@ def test_random_pt_instances_pass_class_check():
         assert euler_characteristic(g) == 1
         assert len(g.vertices) <= 9
         assert prescription_ok(g, p)
+
+
+def test_random_pt_reaches_check_class(monkeypatch):
+    # The generator vets its instances through the public class check, so a
+    # wrapper around that name (a solvebench span) sees the set-up's checks.
+    calls = _count_calls(monkeypatch, check_class)
+    for seed in range(20):
+        gen_random_pt(seed, 12)
+    assert len(calls) >= 20
 
 
 def test_random_pt_deterministic():
