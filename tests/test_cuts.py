@@ -5,6 +5,7 @@ implementations: plain bipartition scans with no normal form and no flow
 algorithm, against which the package's versions are checked.
 """
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -33,8 +34,16 @@ from crossflow.cuts import (
     smallest_bond_side,
     _scan_masks,
 )
-from crossflow.embedding import EmbeddedGraph, _induced_connected, boundary_vertices
-from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
+from crossflow.embedding import (
+    EmbeddedGraph,
+    EmbeddingError,
+    _induced_connected,
+    boundary_vertices,
+    canonical_anchor,
+    specified_walk,
+    trace_faces,
+)
+from crossflow.families import gen_a, gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.orient import random_prescription
 
 
@@ -477,3 +486,148 @@ def test_plane_instance_fails_pt_on_surface():
     rep = check_class(g, p, "pt")
     assert not rep.holds
     assert any(idx == 0 for idx, _ in rep.violations)
+
+
+# ------------------------------------------------------------ pinned outputs
+
+CLASS_NAMES = ("pt", "3pt", "ft", "dts", "3dts")
+
+
+def _with_roles(g, seed, t=False, d=False):
+    """A copy of g with a protected vertex t and/or a directed vertex d
+    picked from the seed; d's arcs cover all its edges on even seeds and
+    all but one on odd ones, so both answers of "fully directed" occur."""
+    h = g.copy()
+    verts = h.vertices
+    if t:
+        h.tvertex = verts[seed % len(verts)]
+    if d:
+        h.dvertex = verts[(7 * seed + 1) % len(verts)]
+        inc = list(dict.fromkeys(h.incident(h.dvertex)))
+        if seed % 2 and inc:
+            inc.pop()
+        h.darcs = {e: ("out" if i % 2 else "in") for i, e in enumerate(inc)}
+    return h
+
+
+def _small_graphs():
+    """The empty graph and graphs on one and two vertices."""
+    yield "empty", EmbeddedGraph()
+    lone = EmbeddedGraph()
+    lone.rotation = {0: []}
+    yield "lone", lone
+    for sign in (1, -1):
+        yield f"loop{sign}", build_graph(
+            {0: (0, 0)}, signs={0: sign}, specified_anchor=(0, 0)
+        )
+    yield "edge", build_graph({0: (0, 1)}, specified_anchor=(0, 0))
+    yield "two", build_graph({0: (0, 1), 1: (2, 3)}, specified_anchor=(0, 0))
+    yield "triple", build_graph(
+        {0: (0, 1), 1: (0, 1), 2: (0, 1)}, specified_anchor=(0, 0)
+    )
+
+
+def _with_far_face(g):
+    """A copy of g with a second specified face: the one sharing the fewest
+    vertices with the first (the first itself when it is the only one)."""
+    h = g.copy()
+    near = set(specified_walk(h).tails)
+    far = min(trace_faces(h), key=lambda f: len(near & set(f.tails)))
+    h.specified.append(canonical_anchor(h, far))
+    return h
+
+
+def _class_cases():
+    """(label, graph, prescription) for the class-report pin below."""
+    rng = np.random.default_rng(5)
+    for seed in range(60):
+        g = random_multigraph(seed)
+        p = random_prescription(g, seed)
+        if seed % 5 == 0:  # a total that misses 0 mod 3
+            v = g.vertices[0]
+            p[v] = (p[v] + 2) % 3 - 1
+        yield f"rm{seed}", g, p
+        yield f"rm{seed}/t", _with_roles(g, seed, t=True), p
+        yield f"rm{seed}/d", _with_roles(g, seed, d=True), p
+        yield f"rm{seed}/td", _with_roles(g, seed, t=True, d=True), p
+        yield f"rm{seed}/2", _with_far_face(g), p
+        if seed % 4 == 0:  # often disconnected, and with no specified face
+            yield f"rm{seed}/cut", without_edges(g, rng), p
+    for seed in range(12):
+        g, p = gen_random_pt(seed, 9)
+        yield f"rpt{seed}", g, p
+        h = g.copy()
+        faces = trace_faces(h)
+        h.specified.append(canonical_anchor(h, faces[seed % len(faces)]))
+        yield f"rpt{seed}/2", h, p
+    for i in (5, 7, 21):
+        for name, g in ((f"B{i}", gen_circulant_b(i)), (f"A{i}", gen_a(i))):
+            yield name, g, {v: 0 for v in g.rotation}
+    for k in range(4):
+        g, p, _ = gen_counterexample(k)
+        yield f"CE{k}", g, p
+        h = g.copy()
+        h.dvertex, h.darcs = None, {}
+        yield f"CE{k}/-d", h, p
+    for name, g in _small_graphs():
+        yield name, g, {v: 0 for v in g.rotation}
+    for name, g in (("wheel5", wheel(5)), ("square", square_with_chord())):
+        zero = {v: 0 for v in g.rotation}
+        yield name, g, zero
+        for seed in range(2):
+            yield f"{name}/td{seed}", _with_roles(g, seed, t=True, d=True), zero
+
+
+# sha256 over each case's class report (class name, holds, violations), or
+# the exception it raises, for every class on the cases of _class_cases
+CLASS_REPORT_DIGEST = "7aefc6a97878e9e4b6f9384f77450fb7e274aa9f6cb7469d4fdbab8823d9d56b"
+
+
+def test_class_reports_are_pinned():
+    h = hashlib.sha256()
+    for label, g, p in _class_cases():
+        for name in CLASS_NAMES:
+            try:
+                rep = check_class(g, p, name)
+                line = f"{rep.class_name} {rep.holds} {rep.violations!r}"
+            except EmbeddingError as exc:
+                line = f"{type(exc).__name__} {exc}"
+            h.update(f"{label} {name} {line}\n".encode())
+    assert h.hexdigest() == CLASS_REPORT_DIGEST
+
+
+def _robust_cut_graphs():
+    rng = np.random.default_rng(3)
+    for seed in range(60):
+        g = random_multigraph(seed, max_vertices=8)
+        yield f"rm{seed}", g
+        yield f"rm{seed}/cut", without_edges(g, rng)
+    for seed in range(10):
+        yield f"rpt{seed}", gen_random_pt(seed, 9)[0]
+    for i in (5, 7):
+        yield f"B{i}", gen_circulant_b(i)
+        yield f"A{i}", gen_a(i)
+    yield from _small_graphs()
+
+
+# sha256 over every cut (side, edges, size, robust) that
+# enumerate_robust_cuts lists, or the exception it raises, for max 2..5 and
+# min-side 0..3 on the graphs of _robust_cut_graphs
+ROBUST_CUTS_DIGEST = "242f91153666e845b3a670eb2c4611eedaf80e381c1b5f8ea5dc2d4e0c78f2eb"
+
+
+def test_robust_cuts_are_pinned():
+    h = hashlib.sha256()
+    for label, g in _robust_cut_graphs():
+        for k in range(2, 6):
+            for m in range(4):
+                try:
+                    cuts = [
+                        (sorted(c.side), c.edges, c.size, c.robust)
+                        for c in enumerate_robust_cuts(g, k, m)
+                    ]
+                    line = repr(cuts)
+                except EmbeddingError as exc:
+                    line = f"{type(exc).__name__} {exc}"
+                h.update(f"{label} {k} {m} {line}\n".encode())
+    assert h.hexdigest() == ROBUST_CUTS_DIGEST
