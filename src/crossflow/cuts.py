@@ -1,6 +1,6 @@
 """Edge cuts: connectivity, small-cut enumeration, the Type 1/2/3
-taxonomy against the specified face, crossing tests, and the validators
-for the graph classes the solver dispatches on.
+taxonomy against the specified face, crossing tests, and one table-driven
+check for the graph classes the solver dispatches on.
 
 Small cuts are enumerated in polynomial time for a fixed cut size, on
 any number of vertices, within a budget of search steps.  Both searches
@@ -277,40 +277,16 @@ def enumerate_robust_cuts(
     bipartition, the normal side named (lexicographically smaller when both
     qualify); sorted by (size, side).  Raises CutBudgetError when the
     enumeration outgrows its step budget."""
-    verts = g.vertices
-    if len(verts) < 2:
+    if len(g.vertices) < 2:
         return []
     out = []
-    vset = frozenset(verts)
+    vset = frozenset(g.vertices)
     for side in _scan_masks(g, max_size, min_side):
-        comp = vset - side
-        ok_a = _normal_side(g, side)
-        ok_b = _normal_side(g, comp)
-        if not ok_a and not ok_b:
-            continue
-        if ok_a and ok_b:
-            rep = min(side, comp, key=sorted)
-        else:
-            rep = side if ok_a else comp
-        edges = cut_edges(g, rep)
-        out.append(
-            EdgeCut(
-                side=rep,
-                vertices=vset,
-                edges=edges,
-                size=len(edges),
-                robust=len(rep) >= 2 and len(vset - rep) >= 2,
-            )
-        )
+        normal = [s for s in (side, vset - side) if _normal_side(g, s)]
+        if normal:
+            out.append(make_cut(g, min(normal, key=sorted)))
     out.sort(key=lambda c: (c.size, sorted(c.side)))
     return out
-
-
-def _all_small_cuts(g: EmbeddedGraph, max_size: int):
-    """(side, edge set) of every bipartition cutting <= max_size edges; no
-    normal-form or side-size filtering."""
-    for side in _scan_masks(g, max_size, 1):
-        yield side, frozenset(cut_edges(g, side))
 
 
 def classify_cut(g: EmbeddedGraph, cut: EdgeCut) -> EdgeCut:
@@ -434,30 +410,13 @@ class ClassReport:
     violations: tuple[tuple[int, str], ...]
 
 
-def _surface_violations(g, p, chi_want: int, n_faces: int) -> list[tuple[int, str]]:
-    """Index-0 plumbing checks shared by every class: connectivity, the
-    expected surface, the expected number of face anchors, and p."""
-    out = []
-    if not g.rotation:
-        return [(0, "empty graph")]
-    if not g.is_connected():
-        return [(0, "graph is disconnected")]
-    chi = euler_characteristic(g)
-    if chi != chi_want:
-        out.append((0, f"euler characteristic {chi}, expected {chi_want}"))
-    if len(g.specified) != n_faces:
-        out.append((0, f"{len(g.specified)} specified faces, expected {n_faces}"))
-    if not prescription_ok(g, p):
-        out.append((0, "prescription invalid"))
-    return out
-
-
-def _three_cut_sets(g: EmbeddedGraph):
-    """Distinct 3-edge-cuts as (edge set -> one witness side)."""
-    found: dict[frozenset[int], frozenset[int]] = {}
-    for side, edges in _all_small_cuts(g, 3):
-        if len(edges) == 3 and edges not in found:
-            found[edges] = side
+def _three_cut_sets(g: EmbeddedGraph) -> dict[frozenset[int], frozenset[int]]:
+    """Distinct 3-edge-cuts as (edge set -> the first side that cuts it)."""
+    found = {}
+    for side in _scan_masks(g, 3, 1):
+        edges = frozenset(cut_edges(g, side))
+        if len(edges) == 3:
+            found.setdefault(edges, side)
     return found
 
 
@@ -469,22 +428,113 @@ def _fmt_cut(edges) -> str:
     return "edges " + ",".join(map(str, sorted(edges)))
 
 
-def _check_paths(g, bound: int, cond: int, out: list) -> None:
-    if not g.specified:
-        return
+def _d_violations(g, cond: int, bnd: set[int], where: str) -> list[tuple[int, str]]:
+    """The directed vertex d has degree 3..5, all its edges directed, and
+    lies in ``bnd``; nothing to check without d."""
+    d = g.dvertex
+    if d is None:
+        return []
+    checks = [
+        (g.degree(d) not in (3, 4, 5), f"d={d} has degree {g.degree(d)}"),
+        (set(g.darcs) != set(g.incident(d)), f"d={d} is not fully directed"),
+        (d not in bnd, f"d={d} is not on {where}"),
+    ]
+    return [(cond, text) for failed, text in checks if failed]
+
+
+def _t_violations(g, cond: int, bnd: set[int], where: str) -> list[tuple[int, str]]:
+    """The protected vertex t has degree 3 and lies in ``bnd``; nothing to
+    check without t."""
+    t = g.tvertex
+    if t is None:
+        return []
+    checks = [
+        (g.degree(t) != 3, f"t={t} has degree {g.degree(t)}"),
+        (t not in bnd, f"t={t} is not on {where}"),
+    ]
+    return [(cond, text) for failed, text in checks if failed]
+
+
+def _only_cuts_around(g, cond: int, three, centres, most: int | None = None):
+    """Every 3-edge-cut in ``three`` is the cut around one of ``centres``
+    (None entries skipped), and there are at most ``most`` of them."""
+    allowed = {_vertex_cut(g, x) for x in centres if x is not None}
+    out = []
+    if most is not None and len(three) > most:
+        out.append((cond, f"{len(three)} distinct 3-edge-cuts"))
+    return out + [(cond, _fmt_cut(edges)) for edges in three if edges not in allowed]
+
+
+def _pt(g, strong: bool, v: list) -> int | None:
+    if len(g.vertices) <= 2:
+        return None
+    t = g.tvertex
+    if g.dvertex is not None:
+        v.append((2, f"directed vertex {g.dvertex} is not allowed"))
+    v += _t_violations(g, 3, boundary_vertices(g), "the boundary")
+    three = _three_cut_sets(g)
+    if not strong:
+        v += _only_cuts_around(g, 4, three, [t])
+        return 5
+    for x in g.vertices:
+        if x != t and g.degree(x) < 4:
+            v.append((4, f"vertex {x} has degree {g.degree(x)}"))
+    if t is not None:
+        for edges, side in three.items():
+            tside = side if t in side else frozenset(g.rotation) - side
+            if _balance_potentials(g, set(tside)) is None:
+                v.append((4, f"t-side of {_fmt_cut(edges)} is not in a disk"))
+    return 5
+
+
+def _ft(g, strong: bool, v: list) -> int:
+    d, t = g.dvertex, g.tvertex
+    if d is not None and t is not None:
+        v.append((2, "both d and t are present"))
+    b0 = set(specified_walk(g, 0).tails) if g.specified else set()
+    b1 = set(specified_walk(g, 1).tails) if len(g.specified) > 1 else set()
+    if len(g.specified) > 1 and not b0 & b1:
+        v.append((3, "the two boundaries share no vertex"))
+    v += _d_violations(g, 4, b0 & b1, "both boundaries")
+    v += _t_violations(g, 5, b0 | b1, "a boundary")
+    v += _only_cuts_around(g, 6, _three_cut_sets(g), [d, t], most=1)
+    return 7
+
+
+def _dts(g, strong: bool, v: list) -> int:
+    d = g.dvertex
+    roles = sorted(x for x in g.vertices if x != d and g.degree(x) == 3)
+    if len(roles) > 2:
+        v.append((2, f"degree-3 vertices {roles} exceed the two t/s slots"))
+        roles = roles[:2]
     bnd = boundary_vertices(g)
-    for v in g.vertices:
-        if v in bnd:
-            continue
-        k = boundary_connectivity(g, v)
-        if k < bound:
-            out.append((cond, f"vertex {v} has only {k} edge-disjoint paths"))
+    v += _d_violations(g, 3, bnd, "the boundary")
+    for x in roles:
+        if x not in bnd:
+            v.append((4, f"degree-3 vertex {x} is not on the boundary"))
+    if d is not None and g.degree(d) > 5 - len(roles):
+        v.append((5, f"deg(d)={g.degree(d)} with {len(roles)} role vertices"))
+    three = _three_cut_sets(g)
+    if not strong:
+        v += _only_cuts_around(g, 6, three, [d, *roles], most=3)
+    elif d is not None and len(roles) == 2:
+        for edges, side in three.items():
+            inside = sum(1 for x in (d, *roles) if x in side)
+            if inside not in (1, 2):
+                v.append((6, f"{_fmt_cut(edges)} does not split d/t/s 1-vs-2"))
+    return 7
 
 
-def _d_is_oriented(g) -> bool:
-    if g.dvertex is None:
-        return False
-    return set(g.darcs) == set(g.incident(g.dvertex))
+# class name -> (report name, chi, specified faces, conditions, strong).  The
+# conditions function appends the class's own violations and returns the
+# index of the off-boundary path condition, or None to skip that condition.
+_CLASSES = {
+    "pt": ("PT", 1, 1, _pt, False),
+    "3pt": ("3PT", 1, 1, _pt, True),
+    "ft": ("FT", 2, 2, _ft, False),
+    "dts": ("DTS", 2, 1, _dts, False),
+    "3dts": ("3DTS", 2, 1, _dts, True),
+}
 
 
 def check_class(g: EmbeddedGraph, p: dict[int, int], class_name: str) -> ClassReport:
@@ -519,137 +569,30 @@ def check_class(g: EmbeddedGraph, p: dict[int, int], class_name: str) -> ClassRe
         (3dts) if d and both roles exist, every 3-cut splits one from two
       7 off-boundary vertices have >= 5 paths to the boundary
     """
-    name = class_name.lower()
-    if name in ("pt", "3pt"):
-        return _check_pt(g, p, strong=(name == "3pt"))
-    if name == "ft":
-        return _check_ft(g, p)
-    if name in ("dts", "3dts"):
-        return _check_dts(g, p, strong=(name == "3dts"))
-    raise OperationError(f"unknown class {class_name!r}")
-
-
-def _check_pt(g, p, strong: bool) -> ClassReport:
-    name = "3PT" if strong else "PT"
-    v = _surface_violations(g, p, chi_want=1, n_faces=1)
-    if v and v[0][1] in ("empty graph", "graph is disconnected"):
-        return ClassReport(name, False, tuple(v))
-    small = len(g.vertices) <= 2
+    try:
+        name, chi_want, n_faces, conditions, strong = _CLASSES[class_name.lower()]
+    except KeyError:
+        raise OperationError(f"unknown class {class_name!r}") from None
+    if not g.rotation:
+        return ClassReport(name, False, ((0, "empty graph"),))
+    if not g.is_connected():
+        return ClassReport(name, False, ((0, "graph is disconnected"),))
+    v = []
+    chi = euler_characteristic(g)
+    if chi != chi_want:
+        v.append((0, f"euler characteristic {chi}, expected {chi_want}"))
+    if len(g.specified) != n_faces:
+        v.append((0, f"{len(g.specified)} specified faces, expected {n_faces}"))
+    if not prescription_ok(g, p):
+        v.append((0, "prescription invalid"))
     if len(g.vertices) >= 2:
         lam = edge_connectivity(g)
         if lam < 3:
             v.append((1, f"edge connectivity {lam}"))
-    if small:
-        return ClassReport(name, not v, tuple(v))
-    bnd = boundary_vertices(g) if g.specified else set()
-    t = g.tvertex
-    if g.dvertex is not None:
-        v.append((2, f"directed vertex {g.dvertex} is not allowed"))
-    if t is not None:
-        if g.degree(t) != 3:
-            v.append((3, f"t={t} has degree {g.degree(t)}"))
-        if t not in bnd:
-            v.append((3, f"t={t} is not on the boundary"))
-    allowed = {_vertex_cut(g, t)} if t is not None else set()
-    three = _three_cut_sets(g)
-    if strong:
-        for x in g.vertices:
-            if x != t and g.degree(x) < 4:
-                v.append((4, f"vertex {x} has degree {g.degree(x)}"))
-        if t is not None:
-            for edges, side in three.items():
-                tside = side if t in side else frozenset(g.rotation) - side
-                if _balance_potentials(g, set(tside)) is None:
-                    v.append((4, f"t-side of {_fmt_cut(edges)} is not in a disk"))
-    else:
-        for edges in three:
-            if edges not in allowed:
-                v.append((4, _fmt_cut(edges)))
-    _check_paths(g, bound=5, cond=5, out=v)
-    return ClassReport(name, not v, tuple(v))
-
-
-def _check_ft(g, p) -> ClassReport:
-    v = _surface_violations(g, p, chi_want=2, n_faces=2)
-    if v and v[0][1] in ("empty graph", "graph is disconnected"):
-        return ClassReport("FT", False, tuple(v))
-    if len(g.vertices) >= 2:
-        lam = edge_connectivity(g)
-        if lam < 3:
-            v.append((1, f"edge connectivity {lam}"))
-    d, t = g.dvertex, g.tvertex
-    if d is not None and t is not None:
-        v.append((2, "both d and t are present"))
-    b0 = set(specified_walk(g, 0).tails) if g.specified else set()
-    b1 = set(specified_walk(g, 1).tails) if len(g.specified) > 1 else set()
-    if g.specified and len(g.specified) > 1 and not b0 & b1:
-        v.append((3, "the two boundaries share no vertex"))
-    if d is not None:
-        if g.degree(d) not in (3, 4, 5):
-            v.append((4, f"d={d} has degree {g.degree(d)}"))
-        if not _d_is_oriented(g):
-            v.append((4, f"d={d} is not fully directed"))
-        if not (d in b0 and d in b1):
-            v.append((4, f"d={d} is not on both boundaries"))
-    if t is not None:
-        if g.degree(t) != 3:
-            v.append((5, f"t={t} has degree {g.degree(t)}"))
-        if t not in b0 | b1:
-            v.append((5, f"t={t} is not on a boundary"))
-    allowed = {_vertex_cut(g, x) for x in (d, t) if x is not None}
-    three = _three_cut_sets(g)
-    if len(three) > 1:
-        v.append((6, f"{len(three)} distinct 3-edge-cuts"))
-    for edges in three:
-        if edges not in allowed:
-            v.append((6, _fmt_cut(edges)))
-    _check_paths(g, bound=5, cond=7, out=v)
-    return ClassReport("FT", not v, tuple(v))
-
-
-def _check_dts(g, p, strong: bool) -> ClassReport:
-    name = "3DTS" if strong else "DTS"
-    v = _surface_violations(g, p, chi_want=2, n_faces=1)
-    if v and v[0][1] in ("empty graph", "graph is disconnected"):
-        return ClassReport(name, False, tuple(v))
-    if len(g.vertices) >= 2:
-        lam = edge_connectivity(g)
-        if lam < 3:
-            v.append((1, f"edge connectivity {lam}"))
-    d = g.dvertex
-    roles = sorted(
-        x for x in g.vertices if x != d and g.degree(x) == 3
-    )
-    if len(roles) > 2:
-        v.append((2, f"degree-3 vertices {roles} exceed the two t/s slots"))
-        roles = roles[:2]
-    bnd = boundary_vertices(g) if g.specified else set()
-    if d is not None:
-        if g.degree(d) not in (3, 4, 5):
-            v.append((3, f"d={d} has degree {g.degree(d)}"))
-        if not _d_is_oriented(g):
-            v.append((3, f"d={d} is not fully directed"))
-        if d not in bnd:
-            v.append((3, f"d={d} is not on the boundary"))
-    for x in roles:
-        if x not in bnd:
-            v.append((4, f"degree-3 vertex {x} is not on the boundary"))
-    if d is not None and g.degree(d) > 5 - len(roles):
-        v.append((5, f"deg(d)={g.degree(d)} with {len(roles)} role vertices"))
-    three = _three_cut_sets(g)
-    if strong:
-        if d is not None and len(roles) == 2:
-            marks = [d, roles[0], roles[1]]
-            for edges, side in three.items():
-                inside = sum(1 for x in marks if x in side)
-                if inside not in (1, 2):
-                    v.append((6, f"{_fmt_cut(edges)} does not split d/t/s 1-vs-2"))
-    else:
-        allowed = {_vertex_cut(g, x) for x in [d, *roles] if x is not None}
-        if len(three) > 3:
-            v.append((6, f"{len(three)} distinct 3-edge-cuts"))
-        for edges in three:
-            if edges not in allowed:
-                v.append((6, _fmt_cut(edges)))
-    _check_paths(g, bound=5, cond=7, out=v)
+    paths = conditions(g, strong, v)
+    if paths is not None and g.specified:
+        for x in sorted(set(g.rotation) - boundary_vertices(g)):
+            k = boundary_connectivity(g, x)
+            if k < 5:
+                v.append((paths, f"vertex {x} has only {k} edge-disjoint paths"))
     return ClassReport(name, not v, tuple(v))
