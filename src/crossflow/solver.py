@@ -323,9 +323,15 @@ def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
 
 @dataclass
 class _Input:
-    """The graph handed to ``solve``, and its chi, counted on first use."""
+    """The graph handed to ``solve``, whether it is connected, and its chi,
+    each found on first use."""
 
     graph: EmbeddedGraph
+
+    @cached_property
+    def connected(self) -> bool:
+        # contraction and the split keep the number of components
+        return self.graph.is_connected()
 
     @cached_property
     def chi(self) -> int | None:
@@ -419,8 +425,9 @@ def _solve_inner(
             except ScheduleError:
                 pass
 
-    # 2. robust-cut contraction and transfer
-    side = _pick_cut_side(g)
+    # 2. robust-cut contraction and transfer; on a disconnected input the
+    # bond search would return a whole component, a cut of size 0
+    side = _pick_cut_side(g) if top.connected else None
     if side is not None:
         if walks is None:
             walks = _specified_walks(g)

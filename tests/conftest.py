@@ -115,6 +115,28 @@ def bowtie_crosscap():
     return g
 
 
+def two_triangles():
+    """Two plane triangles, 0-1-2 (edges 0..2) and 3-4-5 (edges 3..5), as
+    one graph with two components; the specified face is on the first."""
+    edges = {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (3, 4), 4: (4, 5), 5: (5, 3)}
+    return build_graph(edges, specified_anchor=(0, 0))
+
+
+def disjoint_union(a, b):
+    """a and b side by side as one graph, b's vertex and edge ids shifted
+    past a's; the specified faces are a's, then b's."""
+    g = a.copy()
+    de, dv = max(a.edges) + 1, max(a.rotation) + 1
+    for e, (u, v) in b.edges.items():
+        g.edges[e + de] = (u + dv, v + dv)
+        g.sign[e + de] = b.sign[e]
+    for v, rot in b.rotation.items():
+        g.rotation[v + dv] = [(e + de, s) for e, s in rot]
+    g.specified += [(e + de, s) for e, s in b.specified]
+    g.validate()
+    return g
+
+
 def random_multigraph(seed, max_vertices=9, max_extra=6):
     """Random connected embedded multigraph: a spanning cycle plus extra
     random edges, random rotations and signs, one random specified face.

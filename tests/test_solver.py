@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import _count_calls, random_multigraph, triangle_with_loop
+from conftest import (
+    _count_calls,
+    disjoint_union,
+    random_multigraph,
+    triangle_with_loop,
+    two_triangles,
+)
 from crossflow import cuts, embedding
 from crossflow import orient as orient_module
 from crossflow import solver as solver_module
@@ -222,6 +228,34 @@ def test_solve_agrees_with_oracle_on_corpus():
         got, _ = solve(g, p)
         want = oracle_solve(g, p)
         assert (got is None) == (want is None), f"seed {seed}"
+
+
+def test_solve_two_triangles_matches_oracle():
+    # the bond search would name a whole component, a cut of size 0, whose
+    # contraction swallows the specified face; solve asks the oracle instead
+    g = two_triangles()
+    valid = {v: 0 for v in g.rotation}
+    none = {**valid, 0: 1, 3: -1}  # total 0, but 1 and -1 per component
+    for p, outcome in ((valid, "valid"), (none, "none")):
+        o, trace = solve(g, p)
+        assert trace.outcome == outcome
+        assert (oracle_solve(g, p) is None) == (o is None)
+        assert [s.kind for s in trace.steps] == ["OracleCall"]
+
+
+def test_solve_agrees_with_oracle_on_two_components():
+    outcomes = Counter()
+    for seed in range(30):
+        a = random_multigraph(seed, max_vertices=6)
+        b = random_multigraph(seed + 100, max_vertices=6)
+        for g in (disjoint_union(a, b), disjoint_union(b, a)):
+            for ps in range(2):
+                p = random_prescription(g, ps)
+                got, trace = solve(g, p)
+                want = oracle_solve(g, p)
+                assert (got is None) == (want is None), f"seed {seed}"
+                outcomes[trace.outcome] += 1
+    assert min(outcomes["valid"], outcomes["none"]) >= 10
 
 
 def test_solve_leaves_input_untouched():
