@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .cuts import CutBudgetError, check_class, classify_cut, enumerate_robust_cuts
 from .embedding import (
@@ -274,14 +275,16 @@ def _seed_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _seed(text: str) -> int:
+def _non_negative(what: str, text: str) -> int:
+    """An integer >= 0, read as the argparse type ``partial(_non_negative,
+    what)``; ``what`` names it in the error."""
     try:
-        seed = int(text)
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,6 +298,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("-o", "--output", default=None, help="write results here instead of stdout")
 
+    def add_prescription(p):
+        p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE",
+                       help="prescription source (default: the one in the file)")
+        p.add_argument("--seed", type=partial(_non_negative, "seed"), default=0,
+                       help="seed for --p random (default 0)")
+
     p = sub.add_parser("gen", help="generate a family instance as .pgr")
     p.add_argument("family", choices=["b", "a", "ce", "rpt"])
     p.add_argument("parameter", type=int, help="family index, scale, or seed")
@@ -303,30 +312,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find a valid orientation or prove none")
     p.add_argument("input")
-    p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE",
-                   help="prescription source (default: the one in the file)")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for --p random (default 0)")
+    add_prescription(p)
     p.add_argument("--trace", dest="trace_path", default=None, help="write the reduction trace here")
     add_output(p)
 
     p = sub.add_parser("verify", help="check an orientation file against a graph")
     p.add_argument("input")
     p.add_argument("orientation")
-    p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE")
-    p.add_argument("--seed", type=_seed, default=0)
+    add_prescription(p)
     add_output(p)
 
     p = sub.add_parser("oracle", help="decide with the frontier DP and read its witness, "
                        "no reductions")
     p.add_argument("input")
-    p.add_argument("--p", dest="prescription", default=None, metavar="random|FILE")
-    p.add_argument("--seed", type=_seed, default=0)
+    add_prescription(p)
     add_output(p)
 
     p = sub.add_parser("cuts", help="enumerate and classify robust small cuts")
     p.add_argument("input")
-    p.add_argument("--max", dest="max_size", type=int, default=5, help="largest cut size (default 5)")
-    p.add_argument("--min-side", dest="min_side", type=int, default=2,
+    p.add_argument("--max", dest="max_size", default=5, type=partial(_non_negative, "cut size"),
+                   help="largest cut size (default 5)")
+    p.add_argument("--min-side", dest="min_side", default=2,
+                   type=partial(_non_negative, "side order"),
                    help="minimum vertices per side (default 2)")
     add_output(p)
 

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from conftest import build_graph, cycle_graph, triangle_with_loop
+from conftest import build_graph, cycle_graph, triangle_with_loop, two_triangles
 from crossflow.cli import main
+from crossflow.embedding import EmbeddedGraph
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.orient import random_prescription
 from crossflow.pgr import parse_graph, read_graph, serialize_graph, write_graph
@@ -297,6 +298,58 @@ def test_empty_graph_random_prescription_exit0(tmp_path, capsys, command):
     assert code == 0 and out.strip() == "valid"
 
 
+@pytest.mark.parametrize("total, code", [(0, 0), (1, 1)], ids=["valid", "none"])
+def test_solve_two_components_exits_as_oracle(tmp_path, capsys, total, code):
+    # the per-component totals are (0, 0) or (1, -1): both total 0 mod 3
+    g = two_triangles()
+    path = tmp_path / "two.pgr"
+    write_graph(path, g, {**{v: 0 for v in g.rotation}, 0: total, 3: -total})
+    for command in ("solve", "oracle"):
+        got, _, err = run(capsys, command, str(path))
+        assert got == code, (command, err)
+
+
+def _odd_graphs():
+    """Small inputs at the edge of what the commands expect."""
+    lone = EmbeddedGraph()
+    lone.rotation = {0: []}
+    loops = {
+        f"loop{s:+d}": build_graph({0: (0, 0)}, signs={0: s}, specified_anchor=(0, 0))
+        for s in (1, -1)
+    }
+    anchors = cycle_graph(3)
+    anchors.specified = [(0, 0), (0, 1)]
+    return {"two": two_triangles(), "lone": lone, **loops, "anchors": anchors}
+
+
+_ODD_COMMANDS = [
+    ["solve"],
+    ["oracle"],
+    ["solve", "--p", "random", "--seed", "1"],
+    ["oracle", "--p", "random", "--seed", "1"],
+    ["faces"],
+    ["cuts"],
+    ["cuts", "--max", "3", "--min-side", "0"],
+] + [["check", "--class", k] for k in ("pt", "3pt", "ft", "dts", "3dts")]
+
+
+@pytest.mark.parametrize("name", ["two", "lone", "loop+1", "loop-1", "anchors"])
+def test_odd_files_give_an_exit_code(tmp_path, capsys, name):
+    # every command answers with an exit code, nothing escapes main, and
+    # solve answers as the oracle does
+    g = _odd_graphs()[name]
+    path = tmp_path / f"{name}.pgr"
+    write_graph(path, g, {v: 0 for v in g.rotation})
+    codes = {}
+    for command in _ODD_COMMANDS:
+        code, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert code in (0, 1, 2, 3), (command, code)
+        assert "Traceback" not in err
+        codes[" ".join(command)] = code
+    for args in ("", " --p random --seed 1"):
+        assert codes["solve" + args] == codes["oracle" + args], args
+
+
 def _b5_prescription_cases(tmp_path):
     """B5 with an orientation of it, and a prescription file for each
     defect: a vertex missing, an unknown vertex, a residue out of range."""
@@ -494,6 +547,21 @@ def test_corpus_arguments_out_of_range_exit3(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--max", "-1"], "cut size must be >= 0, got -1"),
+        (["--min-side", "-2"], "side order must be >= 0, got -2"),
+        (["--max", "two"], "expected an integer, got 'two'"),
+    ],
+    ids=["max", "min-side", "not-integer"],
+)
+def test_cuts_negative_arguments_exit3(b7_file, capsys, option, message):
+    code, out, err = run(capsys, "cuts", b7_file, *option)
+    assert code == 3 and out == ""
+    assert message in err
 
 
 def test_unknown_subcommand_exit3(capsys):
