@@ -277,10 +277,10 @@ def enumerate_robust_cuts(
     bipartition, the normal side named (lexicographically smaller when both
     qualify); sorted by (size, side).  Raises CutBudgetError when the
     enumeration outgrows its step budget."""
-    if len(g.vertices) < 2:
+    vset = frozenset(g.rotation)
+    if len(vset) < 2:
         return []
     out = []
-    vset = frozenset(g.vertices)
     for side in _scan_masks(g, max_size, min_side):
         normal = [s for s in (side, vset - side) if _normal_side(g, s)]
         if normal:
@@ -371,14 +371,7 @@ def edge_connectivity(g: EmbeddedGraph) -> int:
         raise OperationError("edge connectivity needs at least two vertices")
     if not g.is_connected():
         return 0
-    s = verts[0]
-    best = None
-    for t in verts[1:]:
-        caps = _unit_caps(g)
-        f = _max_flow(caps, s, t)
-        if best is None or f < best:
-            best = f
-    return best
+    return min(_max_flow(_unit_caps(g), verts[0], t) for t in verts[1:])
 
 
 def boundary_connectivity(g: EmbeddedGraph, v: int) -> int:
@@ -429,8 +422,7 @@ def _fmt_cut(edges) -> str:
 
 
 def _d_violations(g, cond: int, bnd: set[int], where: str) -> list[tuple[int, str]]:
-    """The directed vertex d has degree 3..5, all its edges directed, and
-    lies in ``bnd``; nothing to check without d."""
+    """d has degree 3..5, every edge directed, and lies in ``bnd``."""
     d = g.dvertex
     if d is None:
         return []
@@ -443,8 +435,7 @@ def _d_violations(g, cond: int, bnd: set[int], where: str) -> list[tuple[int, st
 
 
 def _t_violations(g, cond: int, bnd: set[int], where: str) -> list[tuple[int, str]]:
-    """The protected vertex t has degree 3 and lies in ``bnd``; nothing to
-    check without t."""
+    """t has degree 3 and lies in ``bnd``."""
     t = g.tvertex
     if t is None:
         return []
