@@ -426,9 +426,10 @@ def _solve_inner(
                 pass
 
     # 2. robust-cut contraction and transfer; on a disconnected input the
-    # bond search would return a whole component, a cut of size 0
-    side = _pick_cut_side(g) if top.connected else None
-    if side is not None:
+    # bond search returns a whole component, a cut of size 0, so its side
+    # is dropped (connectivity is checked only once a side is found)
+    side = _pick_cut_side(g)
+    if side is not None and top.connected:
         if walks is None:
             walks = _specified_walks(g)
         decided = _reduce_by_cut(g, p, side, walks, top)
