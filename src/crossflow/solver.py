@@ -5,12 +5,12 @@ first (complete for those two families; the sweep is O(|E| log Δ), and
 its step digests are hashed only when the trace is read), then robust-cut
 contraction with orientation transfer, on a side found by a search for
 bonds of size <= 5 that never grows a side through the protected or the
-directed vertex (cuts.smallest_bond_side), then the doubled-boundary-vertex
-split, then the oracle.  There a frontier DP decides, within a fixed
-state budget, whether any valid orientation exists, and reads the
-lexicographically first witness by self-reduction; past the state budget
-or the cut search budget the instance is refused, and the refusal names
-the bound.  Every orientation leaving this module is validated against
+directed vertex (cuts.smallest_bond_side) and only on connected input,
+then the doubled-boundary-vertex split, then the oracle.  There a
+frontier DP decides, within a fixed state budget, whether any valid
+orientation exists, and reads the lexicographically first witness by
+self-reduction; past the state budget or the cut search budget the
+instance is refused, and the refusal names the bound.  Every orientation leaving this module is validated against
 the untouched input.
 
 Face data is carried down the recursion rather than re-derived.  Each
