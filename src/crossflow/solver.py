@@ -10,8 +10,8 @@ then the doubled-boundary-vertex split, then the oracle.  There a
 frontier DP decides, within a fixed state budget, whether any valid
 orientation exists, and reads the lexicographically first witness by
 self-reduction; past the state budget or the cut search budget the
-instance is refused, and the refusal names the bound.  Every orientation leaving this module is validated against
-the untouched input.
+instance is refused, and the refusal names the bound.  Every orientation
+leaving this module is validated against the untouched input.
 
 Face data is carried down the recursion rather than re-derived.  Each
 level walks its specified faces at most once and hands the walks to the
