@@ -18,7 +18,6 @@ from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
     OperationError,
-    euler_characteristic,
     face_of_anchor,
     trace_faces,
 )
@@ -211,9 +210,13 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
 
 def _cmd_faces(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.input)
+    if not g.rotation:
+        raise OperationError("empty graph has no embedding")
     faces = trace_faces(g)
     marked = {face_of_anchor(g, faces, a) for a in g.specified}
-    lines = [f"chi {euler_characteristic(g)}"]
+    lines = []
+    if g.is_connected():  # chi is defined only for a connected graph
+        lines.append(f"chi {len(g.rotation) - len(g.edges) + len(faces)}")
     for i, f in enumerate(faces):
         tag = " specified" if i in marked else ""
         walk = ",".join(str(t) for t in f.tails)

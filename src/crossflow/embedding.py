@@ -515,20 +515,20 @@ def is_contractible_chord(g: EmbeddedGraph, e: int) -> bool:
     if e not in g.edges:
         raise OperationError(f"unknown edge {e}")
     walk = specified_walk(g)
-    cyc = boundary_cycle(g)
-    if cyc is None:
+    pos = {t: k for k, t in enumerate(walk.tails)}  # a vertex's place on the cycle
+    if len(pos) != walk.length or len(pos) < 2:
         raise OperationError("specified face boundary is not a cycle")
     if e in walk.edge_ids():
         raise OperationError(f"edge {e} lies on the specified face boundary")
     u, v = g.edges[e]
-    if u == v or u not in cyc or v not in cyc:
+    if u == v or u not in pos or v not in pos:
         raise OperationError(f"edge {e} is not a chord of the boundary")
-    i, j = cyc.index(u), cyc.index(v)
+    i, j = pos[u], pos[v]
     if i > j:
         i, j = j, i
     arc = 1
-    for k in range(i, j):
-        arc *= g.sign[walk.darts[k][0]]
+    for (f, _), _ in walk.states[i:j]:
+        arc *= g.sign[f]
     return arc * g.sign[e] == 1
 
 

@@ -91,43 +91,38 @@ def disk_crosscap_graph(cycle: list[int], chords: list[tuple[int, int]]) -> Embe
     return g
 
 
-def _require_odd(i: int) -> None:
+def _circulant(i: int, subdivided: bool) -> EmbeddedGraph:
+    """B_i, the circulant on vertices 1..i with unit jumps (the disk
+    boundary) and half-way jumps (the crosscap chords); or, ``subdivided``,
+    A_i: B_i with vertex 0 on the boundary edge from i to 1 and a chord
+    from 0 to its antipode."""
     if i < 5 or i % 2 == 0:
         raise FamilyError(f"family index must be odd and >= 5, got {i}")
-
-
-def _wrap(x: int, i: int) -> int:
-    return ((x - 1) % i) + 1
+    h = (i - 1) // 2
+    cycle = list(range(1, i + 1))
+    chords = [(j, (j + h - 1) % i + 1) for j in cycle]
+    if subdivided:
+        cycle.append(0)
+        chords.append((0, (i + 1) // 2))
+    g = disk_crosscap_graph(cycle, chords)
+    g.labels = {j: f"v{j}" for j in sorted(cycle)}
+    if euler_characteristic(g) != 1:
+        raise FamilyError(f"{'A' if subdivided else 'B'}_{i} layout is not projective")
+    return g
 
 
 def gen_circulant_b(i: int) -> EmbeddedGraph:
     """Circulant on vertices 1..i with unit jumps (the disk boundary) and
     half-way jumps (the crosscap chords); 4-regular, 2i edges."""
-    _require_odd(i)
-    h = (i - 1) // 2
-    cycle = list(range(1, i + 1))
-    chords = [(j, _wrap(j + h, i)) for j in range(1, i + 1)]
-    g = disk_crosscap_graph(cycle, chords)
-    g.labels = {j: f"v{j}" for j in cycle}
-    if euler_characteristic(g) != 1:
-        raise FamilyError(f"B_{i} layout is not projective")
-    return g
+    return _circulant(i, subdivided=False)
 
 
 def gen_a(i: int) -> EmbeddedGraph:
     """The circulant with one boundary edge subdivided by a new vertex 0,
     which also gains a crosscap chord to the antipodal vertex; vertex 0 is
     the protected degree-3 vertex."""
-    _require_odd(i)
-    h = (i - 1) // 2
-    cycle = list(range(1, i + 1)) + [0]
-    chords = [(j, _wrap(j + h, i)) for j in range(1, i + 1)]
-    chords.append((0, (i + 1) // 2))
-    g = disk_crosscap_graph(cycle, chords)
+    g = _circulant(i, subdivided=True)
     g.tvertex = 0
-    g.labels = {j: f"v{j}" for j in range(i + 1)}
-    if euler_characteristic(g) != 1:
-        raise FamilyError(f"A_{i} layout is not projective")
     return g
 
 

@@ -1,17 +1,19 @@
 """Hybrid valid-orientation solver with replayable traces.
 
-Strategy order, fixed here: a detected circulant schedule runs
-first (complete for those two families; the sweep is O(|E| log Δ), and
-its step digests are hashed only when the trace is read), then robust-cut
-contraction with orientation transfer, on a side found by a search for
-bonds of size <= 5 that never grows a side through the protected or the
-directed vertex (cuts.smallest_bond_side) and only on connected input,
-then the doubled-boundary-vertex split, then the oracle.  There a
-frontier DP decides, within a fixed state budget, whether any valid
-orientation exists, and reads the lexicographically first witness by
-self-reduction; past the state budget or the cut search budget the
-instance is refused, and the refusal names the bound.  Every orientation
-leaving this module is validated against the untouched input.
+Strategy order, fixed here: a detected circulant schedule runs first,
+through orient.greedy_direct_and_delete, whose steps are the trace's as
+they are (complete for those two families; the sweep is O(|E| log Δ),
+and its step digests are hashed only when the trace is read), then
+robust-cut contraction with orientation transfer, on a side found by a
+search for bonds of size <= 5 that never grows a side through the
+protected or the directed vertex (cuts.smallest_bond_side) and only on
+connected input, then the doubled-boundary-vertex split, then the
+oracle.  There a frontier DP decides, within a fixed state budget,
+whether any valid orientation exists, and reads the lexicographically
+first witness by self-reduction; past the state budget or the cut search
+budget the instance is refused, and the refusal names the bound.  Every
+orientation leaving this module is validated against the untouched
+input.
 
 Face data is carried down the recursion rather than re-derived.  Each
 level walks its specified faces at most once and hands the walks to the
@@ -33,9 +35,8 @@ chi itself.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
@@ -54,9 +55,11 @@ from .orient import (
     OracleBoundError,
     Orientation,
     OrientationError,
+    ReductionStep,
     ScheduleError,
-    _abstract_digest,
-    _greedy_sweep,
+    _deferred_digest,
+    _mod3,
+    greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
     prescription_ok,
@@ -89,57 +92,6 @@ class TraceError(Exception):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class ReductionStep:
-    """One reduction taken: its kind, its integer arguments and the digest
-    of the working multigraph after it.
-
-    ``result_digest`` is given either as the digest itself (``parse_trace``
-    does this) or as a function of no arguments that returns it.  The
-    solver gives a function over a snapshot of the edges, taken when the
-    step is made, so that later edits to a working graph cannot change the
-    digest; it is hashed the first time it is read (``serialize_trace``,
-    ``replay``, ``==``), then kept, and never while ``solve`` runs.
-    Equality, hashing and repr are by the digest's value.
-    """
-
-    __slots__ = ("kind", "arguments", "_digest")
-
-    def __init__(
-        self, kind: str, arguments: tuple[int, ...], result_digest: str | Callable[[], str]
-    ):
-        self.kind = kind
-        self.arguments = arguments
-        self._digest = result_digest
-
-    @property
-    def result_digest(self) -> str:
-        if not isinstance(self._digest, str):
-            self._digest = self._digest()
-        return self._digest
-
-    def _key(self) -> tuple[str, tuple[int, ...], str]:
-        return self.kind, self.arguments, self.result_digest
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReductionStep):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ReductionStep(kind={self.kind!r}, arguments={self.arguments!r}, "
-            f"result_digest={self.result_digest!r})"
-        )
-
-
-def _deferred_digest(g: EmbeddedGraph) -> Callable[[], str]:
-    """g's digest as it is now, to be hashed when first called."""
-    return partial(_abstract_digest, dict(g.edges))
 
 
 @dataclass
@@ -221,10 +173,6 @@ def parse_trace(text: str) -> ReductionTrace:
 
 
 # ------------------------------------------------------- family detection
-
-
-def _norm(r: int) -> int:
-    return (r + 1) % 3 - 1
 
 
 def _chord_partners(g: EmbeddedGraph, v: int, boundary_ids: set[int]) -> list[int]:
@@ -366,7 +314,7 @@ def _reduce_by_cut(
     merged = g.next_vertex_id()  # both contractions mint the same id
     g1 = contract_subgraph(g, side, "at-merged", walks)
     p1 = {v: p[v] for v in g.vertices if v not in side}
-    p1[merged] = _norm(sum(p[v] for v in side))
+    p1[merged] = _mod3(sum(p[v] for v in side))
     steps = [
         ReductionStep("ContractSide", tuple(sorted(side)), _deferred_digest(g1))
     ]
@@ -388,7 +336,7 @@ def _reduce_by_cut(
     g2.dvertex = merged
     g2.darcs = arcs
     p2 = {v: p[v] for v in side}
-    p2[merged] = _norm(sum(p[v] for v in comp))
+    p2[merged] = _mod3(sum(p[v] for v in comp))
     steps.append(
         ReductionStep("TransferOrientation", (merged,), _deferred_digest(g2))
     )
@@ -420,8 +368,7 @@ def _solve_inner(
             spec, posmap = det
             lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
             try:
-                o, steps = _greedy_sweep(g, p, lifts, order)
-                return o, [ReductionStep(*st) for st in steps]
+                return greedy_direct_and_delete(g, p, lifts, order)
             except ScheduleError:
                 pass
 

@@ -165,20 +165,25 @@ def random_multigraph(seed, max_vertices=9, max_extra=6):
     return g
 
 
-def _count_calls(monkeypatch, fn) -> list[int]:
-    """Count calls of ``fn``, wherever crossflow binds it (by identity, as
+def _replace_everywhere(monkeypatch, old, new) -> None:
+    """Bind ``new`` wherever crossflow binds ``old`` (by identity, as
     solvebench's spans patch their targets)."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crossflow":
+            for attr, value in list(vars(module).items()):
+                if value is old:
+                    monkeypatch.setattr(module, attr, new)
+
+
+def _count_calls(monkeypatch, fn) -> list[int]:
+    """Count calls of ``fn``, wherever crossflow binds it."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "crossflow":
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+    _replace_everywhere(monkeypatch, fn, counted)
     return calls
 
 

@@ -443,6 +443,16 @@ def test_faces_report(b7_file, capsys):
     assert any("specified" in l for l in lines)
 
 
+def test_faces_on_a_disconnected_graph_prints_no_chi(tmp_path, capsys):
+    path = tmp_path / "two.pgr"
+    write_graph(path, two_triangles())
+    code, out, _ = run(capsys, "faces", str(path))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 4 and all(l.startswith("face ") for l in lines)
+    assert sum("specified" in l for l in lines) == 1
+
+
 def test_check_class_pass(b7_file, tmp_path, capsys):
     g = gen_circulant_b(7)
     gfile = tmp_path / "g.pgr"

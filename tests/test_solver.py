@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     _count_calls,
+    _replace_everywhere,
     disjoint_union,
     random_multigraph,
     triangle_with_loop,
@@ -124,6 +125,15 @@ def test_solve_a_family():
     p = random_prescription(g, 2)
     o, trace = solve(g, p)
     assert o is not None and is_valid_orientation(g, p, o)
+
+
+def test_solve_runs_circulant_schedules_through_the_greedy_engine(monkeypatch):
+    calls = _count_calls(monkeypatch, orient_module.greedy_direct_and_delete)
+    for g in (gen_circulant_b(7), gen_a(9)):
+        calls.clear()
+        _, trace = solve(g, random_prescription(g, 5))
+        assert len(calls) == 1
+        assert {st.kind for st in trace.steps} == {"LiftPair", "OrientDeleteVertex"}
 
 
 def test_solve_counterexample_proves_none():
@@ -389,9 +399,9 @@ _GREEDY_KINDS = ("LiftPair", "OrientDeleteVertex")
 
 def _count_hashing(monkeypatch) -> Counter:
     """Count the calls of orient._digest_of_lines, which hashes every step
-    digest, and of solver._abstract_digest, which the non-greedy steps use."""
+    digest, and of orient._abstract_digest, which the non-greedy steps use."""
     calls = Counter()
-    lines, abstract = orient_module._digest_of_lines, solver_module._abstract_digest
+    lines, abstract = orient_module._digest_of_lines, orient_module._abstract_digest
 
     def counted_lines(ls):
         calls["lines"] += 1
@@ -401,8 +411,8 @@ def _count_hashing(monkeypatch) -> Counter:
         calls["abstract"] += 1
         return abstract(edges)
 
-    monkeypatch.setattr(orient_module, "_digest_of_lines", counted_lines)
-    monkeypatch.setattr(solver_module, "_abstract_digest", counted_abstract)
+    _replace_everywhere(monkeypatch, lines, counted_lines)
+    _replace_everywhere(monkeypatch, abstract, counted_abstract)
     return calls
 
 
@@ -416,7 +426,7 @@ def _count_steps_made(monkeypatch) -> Counter:
             made["steps"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(solver_module, "ReductionStep", Counted)
+    _replace_everywhere(monkeypatch, ReductionStep, Counted)
     return made
 
 
@@ -525,7 +535,7 @@ def test_deferred_digests_equal_eager_ones(monkeypatch):
             g.edges[e] = (v, u)
         g.edges[g.next_edge_id()] = (u, u)
         deferred.append(serialize_trace(trace))
-    monkeypatch.setattr(solver_module, "ReductionStep", _EagerStep)
+    _replace_everywhere(monkeypatch, ReductionStep, _EagerStep)
     eager = [serialize_trace(solve(g, p)[1]) for g, p in _digest_instances()]
     assert deferred == eager
 
