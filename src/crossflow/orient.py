@@ -1,6 +1,6 @@
 """Prescriptions, orientations mod 3, the oracle (a frontier DP that
-decides, and reads the witness by self-reduction), and the greedy
-direct-and-delete engine.
+decides, and reads the witness by self-reduction), the greedy
+direct-and-delete engine, and the reduction steps it and the solver make.
 
 A prescription assigns every vertex a residue in {-1, 0, +1}; its total
 must vanish mod 3 (reversing the handshake argument, no orientation can
