@@ -50,6 +50,7 @@ from .families import (
     FamilyError,
     FamilySpec,
     circulant_schedule,
+    detect_family,
     disk_crosscap_graph,
     gen_a,
     gen_circulant_b,
@@ -88,7 +89,6 @@ from .solver import (
     ReplayReport,
     SolverRefusal,
     TraceError,
-    detect_family,
     parse_trace,
     replay,
     serialize_trace,

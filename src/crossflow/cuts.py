@@ -23,8 +23,8 @@ from .embedding import (
     EmbeddedGraph,
     OperationError,
     _balance_potentials,
+    _cycle_of,
     _induced_connected,
-    boundary_cycle,
     boundary_vertices,
     euler_characteristic,
     specified_walk,
@@ -293,9 +293,10 @@ def classify_cut(g: EmbeddedGraph, cut: EdgeCut) -> EdgeCut:
     """Fill cut_type from the boundary-edge count of the specified face
     (which must be bounded by a cycle) and disk_side from sign balance of
     each side's induced subgraph."""
-    if boundary_cycle(g) is None:
+    walk = specified_walk(g)
+    if _cycle_of(walk) is None:
         raise OperationError("specified face boundary is not a cycle")
-    brd = specified_walk(g).edge_ids()
+    brd = walk.edge_ids()
     k = len(set(cut.edges) & brd)
     if k % 2 != 0:
         raise OperationError("cut meets the boundary cycle in an odd edge count")

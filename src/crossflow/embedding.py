@@ -190,7 +190,7 @@ class FaceWalk:
 
     ``states[i]`` is the (dart, orientation) state traversed at step i,
     ``darts[i]`` its dart and ``tails[i]`` the vertex it leaves.  The empty
-    walk stands for the single face of an edgeless graph.
+    walk stands for the single face of an isolated vertex.
     """
 
     states: tuple[State, ...]
@@ -294,14 +294,14 @@ def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
 
     Deterministic: each walk starts at its smallest state and faces are
     listed by that key.  Every dart side belongs to exactly one walk, so the
-    walk lengths sum to twice the number of edges.
+    walk lengths sum to twice the number of edges.  Each isolated vertex,
+    a sphere of its own, adds one empty walk after these.
     """
-    if not g.edges:
-        return [FaceWalk(states=(), tails=())] if g.rotation else []
     orbits, pairs = _orbit_pairs(g)
     faces = [_canonical_walk(g, orbits[i], orbits[j]) for i, j in pairs]
     faces.sort(key=lambda f: _state_key(f.states[0]))
-    return faces
+    isolated = sum(1 for rot in g.rotation.values() if not rot)
+    return faces + [FaceWalk(states=(), tails=())] * isolated
 
 
 def _is_dart(g: EmbeddedGraph, d: Dart) -> bool:
@@ -378,14 +378,19 @@ def boundary_vertices(g: EmbeddedGraph) -> set[int]:
     return {t for walk in _specified_walks(g) for t in walk.tails}
 
 
-def boundary_cycle(g: EmbeddedGraph, which: int = 0) -> list[int] | None:
-    """Vertices of the specified face in walk order, or None if the walk
-    repeats a vertex (so the boundary is not a cycle)."""
-    walk = specified_walk(g, which)
+def _cycle_of(walk: FaceWalk) -> list[int] | None:
+    """The walk's vertices in order, or None if it repeats a vertex (so
+    its face is not bounded by a cycle)."""
     tails = list(walk.tails)
     if len(set(tails)) != len(tails) or len(tails) < 2:
         return None
     return tails
+
+
+def boundary_cycle(g: EmbeddedGraph, which: int = 0) -> list[int] | None:
+    """Vertices of the specified face in walk order, or None if the walk
+    repeats a vertex (so the boundary is not a cycle)."""
+    return _cycle_of(specified_walk(g, which))
 
 
 def euler_characteristic(g: EmbeddedGraph) -> int:

@@ -14,12 +14,20 @@ mirrors its endpoints, and the darts at a vertex are sorted by heading.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cuts import check_class
-from .embedding import EmbeddedGraph, _orbit_anchor, _walk_from, euler_characteristic
+from .embedding import (
+    EmbeddedGraph,
+    FaceWalk,
+    _orbit_anchor,
+    _walk_from,
+    euler_characteristic,
+    specified_walk,
+)
 from .orient import DirectedVertexSpec, _draw_prescription
 
 
@@ -29,10 +37,10 @@ class FamilyError(Exception):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family an instance belongs to.  parameter is the family index
-    (odd >= 5), the counterexample scale k, or the corpus seed."""
+    """Which circulant family ``detect_family`` recognised an instance as,
+    and its index (odd >= 5)."""
 
-    kind: str  # "B" | "A" | "CE" | "randomPT"
+    kind: str  # "B" | "A"
     parameter: int
 
 
@@ -91,20 +99,27 @@ def disk_crosscap_graph(cycle: list[int], chords: list[tuple[int, int]]) -> Embe
     return g
 
 
+def _circulant_chords(i: int, subdivided: bool) -> Iterator[tuple[int, int]]:
+    """The crosscap chords of B_i, or ``subdivided`` of A_i, as pairs of
+    boundary positions: each position 1..i joined to the one (i - 1) / 2
+    further round, and A_i's subdivider (position 0) to its antipode.
+    Yielded one at a time, so a reader that keeps none holds no pairs."""
+    h = (i - 1) // 2
+    for j in range(1, i + 1):
+        yield (j, (j + h - 1) % i + 1)
+    if subdivided:
+        yield (0, (i + 1) // 2)
+
+
 def _circulant(i: int, subdivided: bool) -> EmbeddedGraph:
     """B_i, the circulant on vertices 1..i with unit jumps (the disk
     boundary) and half-way jumps (the crosscap chords); or, ``subdivided``,
     A_i: B_i with vertex 0 on the boundary edge from i to 1 and a chord
-    from 0 to its antipode."""
+    from 0 to its antipode.  Each vertex id is its boundary position."""
     if i < 5 or i % 2 == 0:
         raise FamilyError(f"family index must be odd and >= 5, got {i}")
-    h = (i - 1) // 2
-    cycle = list(range(1, i + 1))
-    chords = [(j, (j + h - 1) % i + 1) for j in cycle]
-    if subdivided:
-        cycle.append(0)
-        chords.append((0, (i + 1) // 2))
-    g = disk_crosscap_graph(cycle, chords)
+    cycle = list(range(1, i + 1)) + ([0] if subdivided else [])
+    g = disk_crosscap_graph(cycle, list(_circulant_chords(i, subdivided)))
     g.labels = {j: f"v{j}" for j in sorted(cycle)}
     if euler_characteristic(g) != 1:
         raise FamilyError(f"{'A' if subdivided else 'B'}_{i} layout is not projective")
@@ -156,6 +171,55 @@ def circulant_schedule(
         positions += [(i - 1) // 2 - m, i - 1 - m]
     positions.append(2)
     return lifts, [posmap[j] for j in positions]
+
+
+def detect_family(
+    g: EmbeddedGraph, walk: FaceWalk | None = None
+) -> tuple[FamilySpec, dict[int, int]] | None:
+    """Recognize B_i and A_i whatever the vertex ids.  Returns the family
+    and a position map (boundary position -> vertex id, position 0 for
+    the subdivider) usable with circulant_schedule, or None.
+
+    The specified face must pass every vertex once; the walk numbers them
+    by boundary position, from A_i's degree-3 vertex (the protected
+    vertex, if the graph names one).  Then the graph is B_i or A_i
+    exactly when it has 2|V| edges and the edges off the walk are
+    ``_circulant_chords``: the walk's |V| edges are distinct, so the
+    chords are as many as the edges left, and set equality is exact.  The
+    chord pattern is invariant under rotation and reflection of the
+    boundary, so any start and direction of the walk will do.
+
+    ``walk`` is the specified face's walk (``specified_walk(g)``), as a
+    caller that holds it already passes it (``solve`` does), or None to
+    walk it here: either way the face is walked once.
+    """
+    if g.dvertex is not None or g.darcs or len(g.specified) != 1:
+        return None
+    if walk is None:
+        walk = specified_walk(g)
+    ring = walk.tails
+    nv = len(g.rotation)
+    if nv < 5 or len(ring) != nv or len(set(ring)) != nv or len(g.edges) != 2 * nv:
+        return None
+    subdivided = nv % 2 == 0
+    i = nv - 1 if subdivided else nv
+    if subdivided:
+        v0 = g.tvertex
+        if v0 is None:  # any other start fails the chord check
+            v0 = next((v for v in ring if g.degree(v) == 3), ring[0])
+        k = ring.index(v0)
+        ring = ring[k:] + ring[:k]
+    posmap = dict(enumerate(ring, start=0 if subdivided else 1))
+    pos = {v: j for j, v in posmap.items()}
+
+    def code(a: int, b: int) -> int:  # one int per position pair; positions run 0..i
+        return a * (i + 1) + b if a < b else b * (i + 1) + a
+
+    on_walk = walk.edge_ids()
+    chords = {code(pos[a], pos[b]) for e, (a, b) in g.edges.items() if e not in on_walk}
+    if chords != {code(a, b) for a, b in _circulant_chords(i, subdivided)}:
+        return None
+    return FamilySpec("A" if subdivided else "B", i), posmap
 
 
 def gen_counterexample(

@@ -1,10 +1,11 @@
 """Hybrid valid-orientation solver with replayable traces.
 
-Strategy order, fixed here: a detected circulant schedule runs first,
-through orient.greedy_direct_and_delete, whose steps are the trace's as
-they are (complete for those two families; the sweep is O(|E| log Δ),
-and its step digests are hashed only when the trace is read), then
-robust-cut contraction with orientation transfer, on a side found by a
+Strategy order, fixed here: when families.detect_family recognises B_i
+or A_i, their circulant schedule runs first, through
+orient.greedy_direct_and_delete, whose steps are the trace's as they are
+(complete for those two families; the sweep is O(|E| log Δ), and its
+step digests are hashed only when the trace is read), then robust-cut
+contraction with orientation transfer, on a side found by a
 search for bonds of size <= 5 that never grows a side through the
 protected or the directed vertex (cuts.smallest_bond_side) and only on
 connected input, then the doubled-boundary-vertex split, then the
@@ -50,7 +51,7 @@ from .embedding import (
     split_doubled_boundary_vertex,
     specified_walk,
 )
-from .families import FamilySpec, circulant_schedule
+from .families import circulant_schedule, detect_family
 from .orient import (
     OracleBoundError,
     Orientation,
@@ -170,84 +171,6 @@ def parse_trace(text: str) -> ReductionTrace:
     if outcome is None:
         raise TraceError("trace has no outcome line")
     return ReductionTrace(steps=steps, outcome=outcome, prescription=prescription)
-
-
-# ------------------------------------------------------- family detection
-
-
-def _chord_partners(g: EmbeddedGraph, v: int, boundary_ids: set[int]) -> list[int]:
-    out = []
-    for e in g.incident(v):
-        if e in boundary_ids:
-            continue
-        a, b = g.edges[e]
-        out.append(b if a == v else a)
-    return out
-
-
-def detect_family(
-    g: EmbeddedGraph, walk: FaceWalk | None = None
-) -> tuple[FamilySpec, dict[int, int]] | None:
-    """Recognize the two circulant families from the shape of the specified
-    face, whatever the vertex ids.  Returns the family and a position map
-    (boundary position -> vertex id, position 0 for the subdivider) usable
-    with circulant_schedule, or None.
-
-    Both families are determined by their chord pattern relative to the
-    boundary cycle; the pattern is invariant under rotation and reflection
-    of the cycle, so the first labelling that matches is as good as any.
-
-    ``walk`` is the specified face's walk (``specified_walk(g)``), as a
-    caller that holds it already passes it (``solve`` does), or None to
-    walk it here: either way the face is walked once.
-    """
-    if g.dvertex is not None or g.darcs or len(g.specified) != 1:
-        return None
-    if walk is None:
-        walk = specified_walk(g)
-    cyc = walk.tails
-    verts = g.vertices
-    nv = len(verts)
-    # the walk passes every vertex once: the boundary is a Hamilton cycle
-    if len(cyc) != nv or set(cyc) != set(verts) or nv < 5:
-        return None
-    if any(u == v for u, v in g.edges.values()):
-        return None
-    walk_ids = walk.edge_ids()
-    degs = {v: g.degree(v) for v in verts}
-
-    if nv % 2 == 1:
-        i = nv
-        if len(g.edges) != 2 * i or any(d != 4 for d in degs.values()):
-            return None
-        h = (i - 1) // 2
-        for j, v in enumerate(cyc):
-            want = {cyc[(j + h) % i], cyc[(j - h) % i]}
-            if set(_chord_partners(g, v, walk_ids)) != want:
-                return None
-        return FamilySpec("B", i), {j + 1: cyc[j] for j in range(i)}
-
-    i = nv - 1
-    if i < 5 or len(g.edges) != 2 * i + 2:
-        return None
-    if sorted(degs.values()) != [3] + [4] * (i - 1) + [5]:
-        return None
-    v0 = next(v for v in verts if degs[v] == 3)
-    if g.tvertex is not None and g.tvertex != v0:
-        return None
-    k = cyc.index(v0)
-    ring = cyc[k:] + cyc[:k]  # ring[0] == v0, ring[1..i] = positions 1..i
-    h = (i - 1) // 2
-    m = (i + 1) // 2
-    if _chord_partners(g, v0, walk_ids) != [ring[m]]:
-        return None
-    for j in range(1, i + 1):
-        want = {ring[(j - 1 + h) % i + 1], ring[(j - 1 - h) % i + 1]}
-        if j == m:
-            want.add(v0)
-        if set(_chord_partners(g, ring[j], walk_ids)) != want:
-            return None
-    return FamilySpec("A", i), {j: ring[j] for j in range(i + 1)}
 
 
 # ----------------------------------------------------------------- solve

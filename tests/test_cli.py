@@ -444,13 +444,34 @@ def test_faces_report(b7_file, capsys):
 
 
 def test_faces_on_a_disconnected_graph_prints_no_chi(tmp_path, capsys):
-    path = tmp_path / "two.pgr"
-    write_graph(path, two_triangles())
+    # an isolated vertex is a sphere with one face, listed as an empty walk
+    triangle_and_lone = cycle_graph(3)
+    triangle_and_lone.rotation[3] = []
+    lone_pair = EmbeddedGraph()
+    lone_pair.rotation = {0: [], 1: []}
+    cases = {  # graph, face lines, specified faces
+        "two": (two_triangles(), 4, 1),
+        "triangle+lone": (triangle_and_lone, 3, 1),
+        "lone-pair": (lone_pair, 2, 0),
+    }
+    for name, (g, faces, specified) in cases.items():
+        path = tmp_path / f"{name}.pgr"
+        write_graph(path, g)
+        code, out, _ = run(capsys, "faces", str(path))
+        assert code == 0, name
+        lines = out.strip().splitlines()
+        assert len(lines) == faces and all(l.startswith("face ") for l in lines), name
+        assert sum("specified" in l for l in lines) == specified, name
+
+
+def test_faces_on_one_vertex_prints_chi_2(tmp_path, capsys):
+    lone = EmbeddedGraph()
+    lone.rotation = {0: []}
+    path = tmp_path / "lone.pgr"
+    write_graph(path, lone)
     code, out, _ = run(capsys, "faces", str(path))
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 4 and all(l.startswith("face ") for l in lines)
-    assert sum("specified" in l for l in lines) == 1
+    assert out.splitlines() == ["chi 2", "face 0 length=0 walk="]
 
 
 def test_check_class_pass(b7_file, tmp_path, capsys):

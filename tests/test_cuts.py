@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _count_calls,
     build_graph,
     random_multigraph,
     square_with_chord,
     triangle,
     wheel,
 )
-from crossflow import _kernels
+from crossflow import _kernels, embedding
 from crossflow.cuts import (
     CutBudgetError,
     EdgeCut,
@@ -340,6 +341,22 @@ def test_classify_requires_cycle_boundary():
     g.specified = [canonical_anchor(g, trace_faces(g)[0])]
     with pytest.raises(OperationError):
         classify_cut(g, make_cut(g, {0}))
+
+
+def test_classify_cut_walks_the_face_once(monkeypatch):
+    # the cycle check and the boundary edge ids come from one walk
+    path = build_graph({0: (0, 1), 1: (1, 2)})
+    path.specified = [canonical_anchor(path, trace_faces(path)[0])]
+    cases = [(wheel(5), {5}), (gen_circulant_b(7), {1, 4}), (gen_a(7), {0, 1})]
+    walks = _count_calls(monkeypatch, embedding._walk_from)
+    for g, side in cases:
+        walks.clear()
+        classify_cut(g, make_cut(g, side))
+        assert len(walks) == 1
+    walks.clear()
+    with pytest.raises(OperationError, match="^specified face boundary is not a cycle$"):
+        classify_cut(path, make_cut(path, {0}))
+    assert len(walks) == 1
 
 
 # -------------------------------------------------------------- crossing

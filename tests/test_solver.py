@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -17,6 +18,10 @@ from crossflow import cuts, embedding
 from crossflow import orient as orient_module
 from crossflow import solver as solver_module
 from crossflow.families import (
+    FamilySpec,
+    _circulant_chords,
+    circulant_schedule,
+    disk_crosscap_graph,
     gen_a,
     gen_circulant_b,
     gen_counterexample,
@@ -75,16 +80,52 @@ def test_detects_a9_with_t():
     assert posmap[0] == 0
 
 
-def test_detection_survives_relabelling():
-    g = gen_circulant_b(7)
-    shift = {v: (v * 3) % 7 + 20 for v in g.vertices}
+def _relabelled(g, seed):
+    """g with its vertex ids permuted (seeded) and moved past 20."""
+    perm = np.random.default_rng(seed).permutation(len(g.rotation)) + 20
+    new = dict(zip(sorted(g.rotation), perm.tolist()))
     h = g.copy()
-    h.edges = {e: (shift[u], shift[v]) for e, (u, v) in g.edges.items()}
-    h.rotation = {shift[v]: list(r) for v, r in g.rotation.items()}
+    h.edges = {e: (new[u], new[v]) for e, (u, v) in g.edges.items()}
+    h.rotation = {new[v]: list(r) for v, r in g.rotation.items()}
     h.labels = {}
+    if g.tvertex is not None:
+        h.tvertex = new[g.tvertex]
     h.validate()
-    hit = detect_family(h)
-    assert hit is not None and hit[0].kind == "B"
+    return h
+
+
+def test_detection_survives_relabelling():
+    # the schedule, read through the returned position map, solves the
+    # relabelled graph
+    for i in (5, 7, 21):
+        for kind, g in (("B", gen_circulant_b(i)), ("A", gen_a(i))):
+            h = _relabelled(g, i)
+            hit = detect_family(h)
+            assert hit is not None and hit[0] == FamilySpec(kind, i)
+            lifts, order = circulant_schedule(h, i, kind == "A", hit[1])
+            for seed in range(10):
+                p = random_prescription(h, seed)
+                o, _ = orient_module.greedy_direct_and_delete(h, p, lifts, order)
+                assert is_valid_orientation(h, p, o), (kind, i, seed)
+
+
+def _perturbed_circulants():
+    """B_i and A_i with one change each: a chord end moved, a chord
+    replaced by a copy of another, or A_i's protected vertex moved."""
+    for i in (5, 7, 21):
+        for subdivided in (False, True):
+            cycle = list(range(1, i + 1)) + ([0] if subdivided else [])
+            moved = list(_circulant_chords(i, subdivided))
+            moved[0] = (1, (i - 1) // 2 + 3)
+            parallel = list(_circulant_chords(i, subdivided))
+            parallel[0] = parallel[1]
+            for chords in (moved, parallel):
+                g = disk_crosscap_graph(cycle, chords)
+                g.tvertex = 0 if subdivided else None
+                yield g
+        g = gen_a(i)
+        g.tvertex = 1
+        yield g
 
 
 def test_detect_family_walks_the_face_once(monkeypatch):
@@ -105,6 +146,16 @@ def test_detect_family_walks_the_face_once(monkeypatch):
 def test_no_detection_on_counterexample():
     g, p, dspec = gen_counterexample(0)
     assert detect_family(g) is None
+
+
+def test_no_detection_on_a_perturbed_circulant():
+    # each keeps a specified face through every vertex once and 2|V|
+    # edges, so only the chords tell it from B_i or A_i
+    for g in _perturbed_circulants():
+        walk = embedding.specified_walk(g)
+        assert sorted(walk.tails) == g.vertices and len(g.edges) == 2 * len(g.rotation)
+        assert detect_family(g) is None
+        assert detect_family(_relabelled(g, 0)) is None
 
 
 # ------------------------------------------------------------------ solve
