@@ -63,7 +63,6 @@ from .orient import (
     Orientation,
     OrientationError,
     ScheduleError,
-    count_valid,
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,

@@ -1,9 +1,9 @@
 """Numeric kernels in plain Python and numpy: the backtracking orientation
-search, which ``orient.count_valid`` uses to count valid orientations and
-the tests use as the reference for the frontier DP's answer and witness,
-and the scan of all 2^(n-1) bipartitions that the tests use as the
-reference for ``cuts._scan_masks``.  No answer path of the package runs
-either one.
+search, which the tests use as the reference for the frontier DP's count,
+answer and witness, and the scan of all 2^(n-1) bipartitions that the
+tests use as the reference for ``cuts._scan_masks``.  No other module of
+the package imports this one; it stays in the package because solvebench
+imports it, to time both kernels and to stamp ``USING_NUMBA``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ def orient_search(lo, hi, cur, und, tgt, mode, out_dirs):
     numpy arrays here.  Direction code 1 means tail at lo (edge runs
     lo -> hi), 2 the reverse; out_dirs is an int8 buffer of length m.
 
-    The search is exponential.  ``orient.count_valid`` runs it under its
-    own edge bound, and the tests read mode 0's witness as the reference
-    for the one the oracle reads from the frontier DP.
+    The search is exponential.  The tests count with mode 1 under an edge
+    bound of their own, and read mode 0's witness as the reference for
+    the one the oracle reads from the frontier DP.
 
     Feasibility pruning at each assignment, exact in both directions:
     a vertex with no undirected edges left must sit on its target residue

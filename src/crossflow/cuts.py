@@ -43,7 +43,8 @@ class CutBudgetError(OperationError):
 @dataclass(frozen=True)
 class EdgeCut:
     """One edge cut, named by a side.  ``vertices`` is the graph's vertex
-    set, so the complement is recoverable without the graph in hand."""
+    set, so the complement is recoverable without the graph in hand.
+    ``cut_type`` (1, 2 or 3) is None until ``classify_cut`` fills it."""
 
     side: frozenset[int]
     vertices: frozenset[int]
@@ -51,7 +52,6 @@ class EdgeCut:
     size: int
     robust: bool
     cut_type: int | None = None
-    disk_side: str | None = None
 
     @property
     def complement(self) -> frozenset[int]:
@@ -290,9 +290,9 @@ def enumerate_robust_cuts(
 
 
 def classify_cut(g: EmbeddedGraph, cut: EdgeCut) -> EdgeCut:
-    """Fill cut_type from the boundary-edge count of the specified face
-    (which must be bounded by a cycle) and disk_side from sign balance of
-    each side's induced subgraph."""
+    """Fill cut_type from the count of the specified face's boundary
+    edges in the cut.  The face must be bounded by a cycle, which the cut
+    meets in an even count."""
     walk = specified_walk(g)
     if _cycle_of(walk) is None:
         raise OperationError("specified face boundary is not a cycle")
@@ -301,15 +301,7 @@ def classify_cut(g: EmbeddedGraph, cut: EdgeCut) -> EdgeCut:
     if k % 2 != 0:
         raise OperationError("cut meets the boundary cycle in an odd edge count")
     cut_type = 1 if k == 0 else (2 if k == 2 else 3)
-    in_disk_a = _balance_potentials(g, set(cut.side)) is not None
-    in_disk_b = _balance_potentials(g, set(cut.complement)) is not None
-    disk = {
-        (True, True): "both",
-        (True, False): "side",
-        (False, True): "complement",
-        (False, False): "neither",
-    }[(in_disk_a, in_disk_b)]
-    return replace(cut, cut_type=cut_type, disk_side=disk)
+    return replace(cut, cut_type=cut_type)
 
 
 def cuts_cross(c1: EdgeCut, c2: EdgeCut) -> bool:
@@ -414,10 +406,6 @@ def _three_cut_sets(g: EmbeddedGraph) -> dict[frozenset[int], frozenset[int]]:
     return found
 
 
-def _vertex_cut(g: EmbeddedGraph, v: int) -> frozenset[int]:
-    return frozenset(e for e, uv in g.edges.items() if v in uv and uv[0] != uv[1])
-
-
 def _fmt_cut(edges) -> str:
     return "edges " + ",".join(map(str, sorted(edges)))
 
@@ -450,7 +438,7 @@ def _t_violations(g, cond: int, bnd: set[int], where: str) -> list[tuple[int, st
 def _only_cuts_around(g, cond: int, three, centres, most: int | None = None):
     """Every 3-edge-cut in ``three`` is the cut around one of ``centres``
     (None entries skipped), and there are at most ``most`` of them."""
-    allowed = {_vertex_cut(g, x) for x in centres if x is not None}
+    allowed = {frozenset(cut_edges(g, {x})) for x in centres if x is not None}
     out = []
     if most is not None and len(three) > most:
         out.append((cond, f"{len(three)} distinct 3-edge-cuts"))

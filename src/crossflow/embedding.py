@@ -63,7 +63,9 @@ class EmbeddedGraph:
       tvertex   protected degree-3 vertex, if any
       dvertex   vertex whose incident edges carry forced directions
       darcs     edge id -> "in" | "out", directions at ``dvertex``
-      labels    display names; ignored by equality and serialization
+
+    ``.pgr`` text carries every field, and equality compares every field:
+    rotations up to cyclic shift, specified anchors in any order.
     """
 
     edges: dict[int, tuple[int, int]] = field(default_factory=dict)
@@ -73,7 +75,6 @@ class EmbeddedGraph:
     tvertex: int | None = None
     dvertex: int | None = None
     darcs: dict[int, str] = field(default_factory=dict)
-    labels: dict[int, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------ queries
 
@@ -113,7 +114,6 @@ class EmbeddedGraph:
             tvertex=self.tvertex,
             dvertex=self.dvertex,
             darcs=dict(self.darcs),
-            labels=dict(self.labels),
         )
 
     def _canonical_rotation(self, v: int) -> tuple[Dart, ...]:
@@ -653,7 +653,6 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
                 out.rotation[x].remove((e, end))
         out.darcs.pop(e, None)
     del out.rotation[v]
-    out.labels.pop(v, None)
     if out.tvertex == v:
         out.tvertex = None
     if out.dvertex == v:
@@ -687,7 +686,6 @@ def _contract_edge_inplace(g: EmbeddedGraph, e: int, track: list[State]) -> int:
     _move_darts(g, spliced, keep)
     del g.edges[e]
     del g.sign[e]
-    g.labels.pop(gone, None)
     return keep
 
 
@@ -770,8 +768,6 @@ def contract_subgraph(
     if out.dvertex in verts:
         out.dvertex = None
         out.darcs = {}
-    for v in verts:
-        out.labels.pop(v, None)
     _reanchor(out, [w for w in witnesses if w is not None] or [None])
     if swallowed:
         anchor = _face_at_vertex_anchor(out, fresh)

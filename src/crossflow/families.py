@@ -120,7 +120,6 @@ def _circulant(i: int, subdivided: bool) -> EmbeddedGraph:
         raise FamilyError(f"family index must be odd and >= 5, got {i}")
     cycle = list(range(1, i + 1)) + ([0] if subdivided else [])
     g = disk_crosscap_graph(cycle, list(_circulant_chords(i, subdivided)))
-    g.labels = {j: f"v{j}" for j in sorted(cycle)}
     if euler_characteristic(g) != 1:
         raise FamilyError(f"{'A' if subdivided else 'B'}_{i} layout is not projective")
     return g
@@ -256,9 +255,6 @@ def gen_counterexample(
     d = vid(n - 1)
     g.dvertex = d
     g.darcs = {e: "out" for e in g.incident(d)}
-    g.labels = {t: "t", w: "w"}
-    g.labels.update({i: f"u{i}" for i in range(1, n + 1)})
-    g.labels.update({vid(j): f"v{j}" for j in range(1, n + 1)})
     p = {v: 1 for v in g.rotation}
     p[t] = 0
     p[w] = 0

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .embedding import EmbeddedGraph
 
 
@@ -185,14 +184,12 @@ _FRONTIER_STATE_BUDGET = 1 << 18
 def _oracle_lists(g, p, directed):
     """The oracle's instance over vertex indices: the free edge ids, their
     lower and higher endpoints, the in-minus-out sum of the directed edges
-    at each vertex, its count of free edges, and its target residue.
-    Loops are left out: either way round, a loop adds nothing to a
-    residue."""
+    at each vertex, and its target residue.  Loops are left out: either
+    way round, a loop adds nothing to a residue."""
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     cur = [0] * n
-    und = [0] * n
     tgt = [p[v] for v in verts]
     free, lo, hi = [], [], []
     for e in sorted(g.edges):
@@ -208,9 +205,7 @@ def _oracle_lists(g, p, directed):
             free.append(e)
             lo.append(min(a, b))
             hi.append(max(a, b))
-            und[a] += 1
-            und[b] += 1
-    return free, lo, hi, cur, und, tgt
+    return free, lo, hi, cur, tgt
 
 
 @functools.lru_cache(maxsize=4096)
@@ -345,7 +340,7 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     if not prescription_ok(g, p):
         return None
     directed = _forced_arcs(g)
-    free, lo, hi, cur, _, tgt = _oracle_lists(g, p, directed)
+    free, lo, hi, cur, tgt = _oracle_lists(g, p, directed)
     need = [(t - c) % 3 for t, c in zip(tgt, cur)]
     rank = _search_rank(len(need), lo, hi)
     if not _frontier_orientable(lo, hi, need, rank):
@@ -370,27 +365,6 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     if not is_valid_orientation(g, p, o):
         raise OrientationError("the oracle read an invalid orientation")
     return o
-
-
-# count_valid's backtracking search is exponential; it refuses graphs with
-# more edges than this.
-_COUNT_EDGE_BOUND = 24
-
-
-def count_valid(g: EmbeddedGraph, p: dict[int, int]) -> int:
-    """Number of valid total orientations (extending forced arcs), counted
-    by the backtracking search; the reference the frontier DP is tested
-    against.  Loops are not branched on: a loop adds nothing to a
-    residue, and the count is over the other edges.  Refuses, with
-    OracleBoundError, a graph of more than ``_COUNT_EDGE_BOUND`` edges."""
-    if len(g.edges) > _COUNT_EDGE_BOUND:
-        raise OracleBoundError(
-            f"|E|={len(g.edges)} exceeds the count bound {_COUNT_EDGE_BOUND}"
-        )
-    if not prescription_ok(g, p):
-        return 0
-    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, _forced_arcs(g))
-    return int(_kernels.orient_search(lo, hi, cur, und, tgt, 1, np.zeros(0, np.int8)))
 
 
 # --------------------------------------------------- greedy direct-and-delete
@@ -639,14 +613,6 @@ def transfer_orientation(
         u, v = g.edges[e]
         if u in side and v in side:
             continue
-        if t == merged:
-            t = u if u in side else v
-            hh = v if t == u else u
-            direction[e] = (t, hh)
-        elif h == merged:
-            hh = u if u in side else v
-            tt = v if hh == u else u
-            direction[e] = (tt, hh)
-        else:
-            direction[e] = (t, h)
+        inner = u if u in side else v
+        direction[e] = (inner if t == merged else t, inner if h == merged else h)
     return Orientation(direction=direction, fixed=frozenset(direction))

@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from crossflow import _kernels
 from crossflow.embedding import EmbeddedGraph, canonical_anchor, trace_faces
+from crossflow.orient import OracleBoundError, _forced_arcs, _oracle_lists, prescription_ok
 
 
 def build_graph(edges, signs=None, rotations=None, specified_anchor=None):
@@ -163,6 +165,38 @@ def random_multigraph(seed, max_vertices=9, max_extra=6):
     g.specified = [canonical_anchor(g, pick)]
     g.validate()
     return g
+
+
+# count_valid's backtracking search is exponential; it refuses graphs with
+# more edges than this.
+_COUNT_EDGE_BOUND = 24
+
+
+def free_edge_counts(n, lo, hi):
+    """The number of free edges at each of the vertex indices 0..n-1, from
+    the free edges' lower and higher endpoints."""
+    und = [0] * n
+    for a, b in zip(lo, hi):
+        und[a] += 1
+        und[b] += 1
+    return und
+
+
+def count_valid(g, p):
+    """Number of valid total orientations (extending forced arcs), counted
+    by the backtracking search; the reference the frontier DP is tested
+    against.  Loops are not branched on: a loop adds nothing to a
+    residue, and the count is over the other edges.  Refuses, with
+    OracleBoundError, a graph of more than ``_COUNT_EDGE_BOUND`` edges."""
+    if len(g.edges) > _COUNT_EDGE_BOUND:
+        raise OracleBoundError(
+            f"|E|={len(g.edges)} exceeds the count bound {_COUNT_EDGE_BOUND}"
+        )
+    if not prescription_ok(g, p):
+        return 0
+    free, lo, hi, cur, tgt = _oracle_lists(g, p, _forced_arcs(g))
+    und = free_edge_counts(len(cur), lo, hi)
+    return int(_kernels.orient_search(lo, hi, cur, und, tgt, 1, np.zeros(0, np.int8)))
 
 
 def _replace_everywhere(monkeypatch, old, new) -> None:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from conftest import build_graph, random_multigraph, wheel
+from conftest import build_graph, count_valid, random_multigraph, wheel
 from crossflow.cuts import (
     boundary_connectivity,
     cut_edges,
@@ -46,7 +46,6 @@ from crossflow.families import (
     gen_random_pt,
 )
 from crossflow.orient import (
-    count_valid,
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,

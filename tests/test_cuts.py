@@ -344,15 +344,18 @@ def test_classify_requires_cycle_boundary():
 
 
 def test_classify_cut_walks_the_face_once(monkeypatch):
-    # the cycle check and the boundary edge ids come from one walk
+    # the cycle check and the boundary edge ids come from one walk, and
+    # the type needs no sign-balance search of either side
     path = build_graph({0: (0, 1), 1: (1, 2)})
     path.specified = [canonical_anchor(path, trace_faces(path)[0])]
     cases = [(wheel(5), {5}), (gen_circulant_b(7), {1, 4}), (gen_a(7), {0, 1})]
     walks = _count_calls(monkeypatch, embedding._walk_from)
+    balances = _count_calls(monkeypatch, embedding._balance_potentials)
     for g, side in cases:
         walks.clear()
         classify_cut(g, make_cut(g, side))
         assert len(walks) == 1
+        assert len(balances) == 0
     walks.clear()
     with pytest.raises(OperationError, match="^specified face boundary is not a cycle$"):
         classify_cut(path, make_cut(path, {0}))

@@ -296,8 +296,7 @@ def test_whole_b5_not_in_disk():
 
 def test_counterexample_pair_side_in_disk():
     g, p, dspec = gen_counterexample(0)
-    u2 = next(v for v in g.vertices if g.labels.get(v) == "u2")
-    u3 = next(v for v in g.vertices if g.labels.get(v) == "u3")
+    u2, u3 = 2, 3  # gen_counterexample's ids: u_i = i
     assert side_in_open_disk(g, frozenset({u2, u3}))
 
 
@@ -311,7 +310,7 @@ def test_jump_chords_non_contractible():
 def test_tw_chord_non_contractible():
     g, p, dspec = gen_counterexample(0)
     t = g.tvertex
-    w = next(v for v in g.vertices if g.labels.get(v) == "w")
+    w = 6  # gen_counterexample's ids: w = n + 1, n = 5 at k = 0
     e = g.edges_between(t, w)[0]
     assert not is_contractible_chord(g, e)
 
@@ -373,8 +372,7 @@ def test_contract_single_vertex_identity():
 
 def test_contract_boundary_pair_of_counterexample():
     g, p, dspec = gen_counterexample(0)
-    u2 = next(v for v in g.vertices if g.labels.get(v) == "u2")
-    u3 = next(v for v in g.vertices if g.labels.get(v) == "u3")
+    u2, u3 = 2, 3  # gen_counterexample's ids: u_i = i
     before = specified_walk(g).length
     out = contract_subgraph(g, {u2, u3})
     merged = out.next_vertex_id() - 1
@@ -437,7 +435,7 @@ def test_planarize_b5_chord():
 def test_planarize_counterexample_tw():
     g, p, dspec = gen_counterexample(0)
     t = g.tvertex
-    w = next(v for v in g.vertices if g.labels.get(v) == "w")
+    w = 6  # gen_counterexample's ids: w = n + 1, n = 5 at k = 0
     e = g.edges_between(t, w)[0]
     out = planarize_along_chord(g, e)
     assert euler_characteristic(out) == 2

@@ -115,9 +115,10 @@ def test_counterexample_zero_published_facts():
     assert euler_characteristic(g) == 1
     assert specified_walk(g).length == 2 * n + 2
     # prescription: 0 at t and w, -1 at u1 and d, +1 elsewhere; total 6
-    by_label = {lbl: v for v, lbl in g.labels.items()}
-    assert p[by_label["t"]] == 0 and p[by_label["w"]] == 0
-    assert p[by_label["u1"]] == -1 and p[g.dvertex] == -1
+    t, u1, w = 0, 1, n + 1  # the ids the docstring fixes
+    assert g.tvertex == t
+    assert p[t] == 0 and p[w] == 0
+    assert p[u1] == -1 and p[g.dvertex] == -1
     assert sum(p.values()) == 6
     assert prescription_ok(g, p)
     # all four forced arcs leave d
@@ -180,7 +181,6 @@ def test_schedule_posmap_relabelling():
     h = g.copy()
     h.edges = {e: (shift[u], shift[v]) for e, (u, v) in g.edges.items()}
     h.rotation = {shift[v]: list(r) for v, r in g.rotation.items()}
-    h.labels = {}
     h.validate()
     posmap = {j: shift[j] for j in range(1, 8)}
     lifts, order = circulant_schedule(h, 7, with_subdivision=False, posmap=posmap)

@@ -8,6 +8,7 @@ pruning and no shared code with the package's search kernel.
 import time
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     build_graph,
+    count_valid,
     cycle_graph,
+    free_edge_counts,
     random_multigraph,
     triangle,
     triangle_with_loop,
@@ -38,7 +41,6 @@ from crossflow.orient import (
     _abstract_digest,
     _forced_arcs,
     _oracle_lists,
-    count_valid,
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
@@ -331,7 +333,8 @@ def _without_partial(g, p, partial):
 def _first_witness(g, p):
     """The free edges' directions in the backtracker's first witness, read
     from the same instance lists the oracle builds."""
-    free, lo, hi, cur, und, tgt = _oracle_lists(g, p, _forced_arcs(g))
+    free, lo, hi, cur, tgt = _oracle_lists(g, p, _forced_arcs(g))
+    und = free_edge_counts(len(cur), lo, hi)
     out = np.zeros(len(free), dtype=np.int8)
     assert _kernels.orient_search(lo, hi, cur, und, tgt, 0, out)
     verts = g.vertices
@@ -468,6 +471,18 @@ def test_count_matches_bruteforce_property(seed):
         return
     p = random_prescription(g, seed + 1)
     assert count_valid(g, p) == len(enumerate_all_orientations(g, p))
+
+
+def test_only_the_tests_reach_the_backtracking_kernels():
+    # the backtracking search and the bipartition scan are test
+    # references: no other module of the package imports or names them
+    package = Path(orient.__file__).parent
+    naming = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_kernels.py" and "_kernels" in path.read_text()
+    ]
+    assert naming == []
 
 
 # ------------------------------------------------------------------- greedy

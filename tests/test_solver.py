@@ -87,7 +87,6 @@ def _relabelled(g, seed):
     h = g.copy()
     h.edges = {e: (new[u], new[v]) for e, (u, v) in g.edges.items()}
     h.rotation = {new[v]: list(r) for v, r in g.rotation.items()}
-    h.labels = {}
     if g.tvertex is not None:
         h.tvertex = new[g.tvertex]
     h.validate()
