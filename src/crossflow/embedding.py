@@ -369,13 +369,8 @@ def specified_walk(g: EmbeddedGraph, which: int = 0) -> FaceWalk:
     return _as_facewalk(g, _walk_from(g, (anchor, 1)))
 
 
-def _specified_walks(g: EmbeddedGraph) -> list[FaceWalk]:
-    """Every specified face's walk, in ``specified_walk`` order."""
-    return [specified_walk(g, i) for i in range(len(g.specified))]
-
-
 def boundary_vertices(g: EmbeddedGraph) -> set[int]:
-    return {t for walk in _specified_walks(g) for t in walk.tails}
+    return {t for i in range(len(g.specified)) for t in specified_walk(g, i).tails}
 
 
 def _cycle_of(walk: FaceWalk) -> list[int] | None:
@@ -591,11 +586,22 @@ def _reanchor(g: EmbeddedGraph, witnesses: list[State | None]) -> None:
     g.specified = anchors
 
 
-def _witness_for_face(walk: FaceWalk, dead_edges: set[int]) -> State | None:
-    for st in walk.states:
-        if st[0][0] not in dead_edges:
-            return st
-    return None
+def _first_survivor(states, dead) -> State | None:
+    """The first of ``states`` whose edge is not in ``dead``, or None."""
+    return next((st for st in states if st[0][0] not in dead), None)
+
+
+def _witnesses(g: EmbeddedGraph, dead) -> list[State | None]:
+    """Each specified face's witness for an operation that deletes the
+    edges ``dead``: its first state in ``specified_walk`` order whose edge
+    survives, or None when none does.  That walk starts at ``(anchor, +1)``,
+    so a face is walked only when its anchor's edge dies."""
+    return [
+        (a, 1)
+        if a[0] in g.edges and a[0] not in dead
+        else _first_survivor(specified_walk(g, i).states, dead)
+        for i, a in enumerate(g.specified)
+    ]
 
 
 def delete_edge(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
@@ -604,12 +610,9 @@ def delete_edge(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     a bridge raises DisconnectedError."""
     if e not in g.edges:
         raise OperationError(f"unknown edge {e}")
-    witnesses = []
-    for walk in _specified_walks(g):
-        w = _witness_for_face(walk, {e})
-        if w is None:
-            raise OperationError("specified face is bounded by that edge alone")
-        witnesses.append(w)
+    witnesses = _witnesses(g, {e})
+    if None in witnesses:
+        raise OperationError("specified face is bounded by that edge alone")
     out = g.copy()
     u, v = out.edges.pop(e)
     del out.sign[e]
@@ -634,15 +637,11 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     if v not in g.rotation:
         raise OperationError(f"unknown vertex {v}")
     dead = {d[0] for d in g.rotation[v]}
-    witnesses = [_witness_for_face(walk, dead) for walk in _specified_walks(g)]
-    if any(w is None for w in witnesses):
+    witnesses = _witnesses(g, dead)
+    if None in witnesses:
         # boundary entirely at v: fall back to the first surviving side of a
         # face incident to v, which joins the merged face
-        repl = None
-        for f in _faces_at(g, v):
-            repl = _witness_for_face(f, dead)
-            if repl is not None:
-                break
+        repl = _first_survivor((st for f in _faces_at(g, v) for st in f.states), dead)
         witnesses = [repl if w is None else w for w in witnesses]
     out = g.copy()
     for e in dead:
@@ -703,9 +702,7 @@ def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
     return min(_anchor_through(g, (d, s)) for d in g.rotation[v] for s in (1, -1))
 
 
-def contract_subgraph(
-    g: EmbeddedGraph, side, face_policy: str | None = None, walks: list[FaceWalk] | None = None
-) -> EmbeddedGraph:
+def contract_subgraph(g: EmbeddedGraph, side, face_policy: str | None = None) -> EmbeddedGraph:
     """Contract the connected subgraph induced by ``side`` to one vertex.
 
     Edges inside the side disappear (parallel ones become loops and are
@@ -714,11 +711,8 @@ def contract_subgraph(
     specified face that loses only part of its boundary keeps its identity;
     if its entire boundary is swallowed the caller must choose a
     replacement with ``face_policy="at-merged"`` (canonical face at the new
-    vertex).
-
-    ``walks`` are g's specified faces' walks in ``specified_walk`` order, as
-    a caller that holds them already passes them (the solver does), or None
-    to walk them here; carrying them saves one walk per specified face.
+    vertex).  A specified face is walked only when the side swallows the
+    edge of its anchor.
     """
     verts = set(side)
     if not verts or not verts <= set(g.rotation):
@@ -733,16 +727,8 @@ def contract_subgraph(
     internal = sorted(
         e for e, (a, b) in g.edges.items() if a in verts and b in verts
     )
-    internal_set = set(internal)
-    witnesses: list[State | None] = []
-    swallowed = []
-    if walks is None:
-        walks = _specified_walks(g)
-    for i, walk in enumerate(walks):
-        w = _witness_for_face(walk, internal_set)
-        witnesses.append(w)
-        if w is None:
-            swallowed.append(i)
+    witnesses = _witnesses(g, set(internal))
+    swallowed = [i for i, w in enumerate(witnesses) if w is None]
     if swallowed and face_policy != "at-merged":
         raise OperationError(
             "contraction swallows the specified face; choose a replacement"
@@ -797,13 +783,9 @@ def lift_pair(g: EmbeddedGraph, e1: int, e2: int, v: int) -> EmbeddedGraph:
     w = b if a == v else a
     if u == w:
         raise OperationError("lift would create a loop")
-    dead = {e1, e2}
-    witnesses = []
-    for walk in _specified_walks(g):
-        wit = _witness_for_face(walk, dead)
-        if wit is None:
-            raise OperationError("specified face is bounded by the lifted pair")
-        witnesses.append(wit)
+    witnesses = _witnesses(g, {e1, e2})
+    if None in witnesses:
+        raise OperationError("specified face is bounded by the lifted pair")
     out = g.copy()
     new = out.next_edge_id()
     out.edges[new] = (u, w)

@@ -22,7 +22,6 @@ import numpy as np
 from .cuts import check_class
 from .embedding import (
     EmbeddedGraph,
-    FaceWalk,
     _orbit_anchor,
     _walk_from,
     euler_characteristic,
@@ -172,33 +171,29 @@ def circulant_schedule(
     return lifts, [posmap[j] for j in positions]
 
 
-def detect_family(
-    g: EmbeddedGraph, walk: FaceWalk | None = None
-) -> tuple[FamilySpec, dict[int, int]] | None:
+def detect_family(g: EmbeddedGraph) -> tuple[FamilySpec, dict[int, int]] | None:
     """Recognize B_i and A_i whatever the vertex ids.  Returns the family
     and a position map (boundary position -> vertex id, position 0 for
     the subdivider) usable with circulant_schedule, or None.
 
-    The specified face must pass every vertex once; the walk numbers them
-    by boundary position, from A_i's degree-3 vertex (the protected
-    vertex, if the graph names one).  Then the graph is B_i or A_i
-    exactly when it has 2|V| edges and the edges off the walk are
+    The graph must have |V| >= 5 and 2|V| edges, checked before the
+    specified face is walked, and that face must pass every vertex once;
+    its one walk numbers them by boundary position, from A_i's degree-3
+    vertex (the protected vertex, if the graph names one).  Then the graph
+    is B_i or A_i exactly when the edges off the walk are
     ``_circulant_chords``: the walk's |V| edges are distinct, so the
     chords are as many as the edges left, and set equality is exact.  The
     chord pattern is invariant under rotation and reflection of the
     boundary, so any start and direction of the walk will do.
-
-    ``walk`` is the specified face's walk (``specified_walk(g)``), as a
-    caller that holds it already passes it (``solve`` does), or None to
-    walk it here: either way the face is walked once.
     """
     if g.dvertex is not None or g.darcs or len(g.specified) != 1:
         return None
-    if walk is None:
-        walk = specified_walk(g)
-    ring = walk.tails
     nv = len(g.rotation)
-    if nv < 5 or len(ring) != nv or len(set(ring)) != nv or len(g.edges) != 2 * nv:
+    if nv < 5 or len(g.edges) != 2 * nv:
+        return None
+    walk = specified_walk(g)
+    ring = walk.tails
+    if len(ring) != nv or len(set(ring)) != nv:
         return None
     subdivided = nv % 2 == 0
     i = nv - 1 if subdivided else nv

@@ -334,10 +334,14 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     ``_FRONTIER_STATE_BUDGET`` states raises OracleBoundError, but never a
     read run of an instance whose decision fits.  A loop adds
     nothing to a residue, so loops stay out of the DP, and each undirected
-    loop is directed at its vertex, ``(u, u)``.  The result's ``fixed``
-    names the forced arcs.
+    loop is directed at its vertex, ``(u, u)``.  A loop forced ``in`` at
+    the directed vertex has its tail there whichever way it runs, so no
+    orientation extends it, and the answer is None.  The result's
+    ``fixed`` names the forced arcs.
     """
     if not prescription_ok(g, p):
+        return None
+    if any(way == "in" and g.is_loop(e) for e, way in g.darcs.items()):
         return None
     directed = _forced_arcs(g)
     free, lo, hi, cur, tgt = _oracle_lists(g, p, directed)

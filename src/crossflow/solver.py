@@ -16,21 +16,21 @@ budget the instance is refused, and the refusal names the bound.  Every
 orientation leaving this module is validated against the untouched
 input.
 
-Face data is carried down the recursion rather than re-derived.  Each
-level walks its specified faces at most once and hands the walks to the
-public operations it calls, ``detect_family``, ``contract_subgraph`` (both
-contractions) and ``split_doubled_boundary_vertex``, which take them in
-place of walking the faces themselves.  The split also takes chi of the
-graph it cuts, and no level counts it: Euler genus (2 - chi)
-never rises along the recursion.  Contracting a non-loop edge keeps chi,
-deleting a loop raises it by 0, 1 or 2, and a split's output is plane,
-which the split checks itself.  So when the input to ``solve`` has chi 1
-or 2, every graph h reached has Euler genus at most 1, and chi(h) is 2
-when h is balanced (orientable) and 1 when it is not: one search, no face
-walk (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The input's chi
-is counted once, at the first split attempted, since most solves never
-split; on any other input, or one the count refuses, each split counts
-chi itself.
+Only the doubled-boundary-vertex split takes face data from the solver.
+Family detection and contraction find their own faces from the anchors,
+and contraction walks a face only when it swallows the anchor's edge.
+Each level that tries a split walks its specified face once, lists the
+doubled vertices from that walk and hands it to every split, together
+with chi of the graph it cuts; no level counts chi.  Euler genus
+(2 - chi) never rises along the recursion.  Contracting a non-loop edge
+keeps chi, deleting a loop raises it by 0, 1 or 2, and a split's output
+is plane, which the split checks itself.  So when the input to ``solve``
+has chi 1 or 2, every graph h reached has Euler genus at most 1, and
+chi(h) is 2 when h is balanced (orientable) and 1 when it is not: one
+search, no face walk (Mohar and Thomassen, *Graphs on Surfaces*, 2001).
+The input's chi is counted once, at the first split attempted, since
+most solves never split; on any other input, or one the count refuses,
+each split counts chi itself.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
-    FaceWalk,
     _balance_potentials,
-    _specified_walks,
     contract_subgraph,
     euler_characteristic,
     split_doubled_boundary_vertex,
@@ -225,17 +223,15 @@ def _reduce_by_cut(
     g: EmbeddedGraph,
     p: dict[int, int],
     side: frozenset[int],
-    walks: list[FaceWalk],
     top: _Input,
 ) -> tuple[Orientation | None, list[ReductionStep]] | None:
     """Contract ``side``, solve the contraction, transfer back, and solve
-    the remainder against the transferred cut-edge directions.  ``walks``
-    are g's specified faces' walks.  Returns (orientation, steps) on a
-    decisive answer, or None to fall through when the remainder pass is
-    inconclusive."""
+    the remainder against the transferred cut-edge directions.  Returns
+    (orientation, steps) on a decisive answer, or None to fall through
+    when the remainder pass is inconclusive."""
     comp = frozenset(g.vertices) - side
     merged = g.next_vertex_id()  # both contractions mint the same id
-    g1 = contract_subgraph(g, side, "at-merged", walks)
+    g1 = contract_subgraph(g, side, "at-merged")
     p1 = {v: p[v] for v in g.vertices if v not in side}
     p1[merged] = _mod3(sum(p[v] for v in side))
     steps = [
@@ -250,7 +246,7 @@ def _reduce_by_cut(
         # any valid orientation of the input would contract to one of g1
         return None, steps
     part1 = transfer_orientation(g, side, o1, merged)
-    g2 = contract_subgraph(g, comp, "at-merged", walks)
+    g2 = contract_subgraph(g, comp, "at-merged")
     arcs = {}
     for e, (u, v) in g2.edges.items():
         if merged in (u, v):
@@ -282,33 +278,28 @@ def _reduce_by_cut(
 def _solve_inner(
     g: EmbeddedGraph, p: dict[int, int], top: _Input
 ) -> tuple[Orientation | None, list[ReductionStep]]:
-    walks = None  # g's specified faces' walks, walked at the first use
     # 1. complete schedule of a recognized family; a failed one falls through
-    if g.dvertex is None and not g.darcs and len(g.specified) == 1:
-        walks = _specified_walks(g)
-        det = detect_family(g, walks[0])
-        if det is not None:
-            spec, posmap = det
-            lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
-            try:
-                return greedy_direct_and_delete(g, p, lifts, order)
-            except ScheduleError:
-                pass
+    det = detect_family(g)
+    if det is not None:
+        spec, posmap = det
+        lifts, order = circulant_schedule(g, spec.parameter, spec.kind == "A", posmap)
+        try:
+            return greedy_direct_and_delete(g, p, lifts, order)
+        except ScheduleError:
+            pass
 
     # 2. robust-cut contraction and transfer; on a disconnected input the
     # bond search returns a whole component, a cut of size 0, so its side
     # is dropped (connectivity is checked only once a side is found)
     side = _pick_cut_side(g)
     if side is not None and top.connected:
-        if walks is None:
-            walks = _specified_walks(g)
-        decided = _reduce_by_cut(g, p, side, walks, top)
+        decided = _reduce_by_cut(g, p, side, top)
         if decided is not None:
             return decided
 
     # 3. cut the crosscap at a doubled boundary vertex
     if len(g.specified) == 1:
-        walk = walks[0] if walks is not None else specified_walk(g)
+        walk = specified_walk(g)
         doubled = [v for v, c in sorted(Counter(walk.tails).items()) if c >= 2]
         chi = _carried_chi(g, top) if doubled else None
         for v in doubled:

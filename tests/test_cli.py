@@ -286,6 +286,22 @@ def test_loop_reaching_the_oracle_exit0(tmp_path, capsys, command):
     assert code == 0 and out.strip() == "valid"
 
 
+@pytest.mark.parametrize("way, code", [("in", 1), ("out", 0)])
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_forced_loop_at_the_directed_vertex(tmp_path, capsys, command, way, code):
+    # a loop's tail is the directed vertex either way round: forced "in" it
+    # is a proven none, forced "out" it is met
+    g = triangle_with_loop()
+    g.darcs = {0: "out", 3: way}
+    path = tmp_path / "loop.pgr"
+    write_graph(path, g, {v: 0 for v in g.vertices})
+    got, _, err = run(capsys, command, str(path), "-o", str(tmp_path / "o.txt"))
+    assert got == code, err
+    if code == 0:
+        got, out, _ = run(capsys, "verify", str(path), str(tmp_path / "o.txt"))
+        assert got == 0 and out.strip() == "valid"
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_empty_graph_random_prescription_exit0(tmp_path, capsys, command):
     path = tmp_path / "empty.pgr"

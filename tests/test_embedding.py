@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _count_calls,
     bowtie_crosscap,
     build_graph,
     random_multigraph,
@@ -45,7 +46,7 @@ from crossflow.embedding import (
     split_doubled_boundary_vertex,
     trace_faces,
 )
-from crossflow import families
+from crossflow import embedding, families
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.pgr import serialize_graph
 
@@ -600,6 +601,42 @@ def test_face_operations_random_multigraphs():
             swallowed += swallows
     assert swallowed >= 40  # the at-merged replacement face is exercised
     assert h.hexdigest() == OPERATION_OUTCOME_DIGEST
+
+
+def _dead_edges(g, op, args):
+    """The edges of ``g`` that an operation from ``_operations`` deletes."""
+    if op is contract_subgraph:
+        return {e for e, (a, b) in g.edges.items() if {a, b} <= args[0]}
+    if op is delete_vertex:
+        return set(g.incident(args[0]))
+    if op is lift_pair:
+        return set(args[:2])
+    return {args[0]}
+
+
+def test_operations_walk_only_a_face_whose_anchor_edge_dies(monkeypatch):
+    # a face whose anchor's edge survives keeps the anchor's state as its
+    # witness, so it is not walked; an operation that refuses may stop
+    # before it walks
+    graphs = [random_multigraph(seed) for seed in range(100)]
+    graphs.append(split_doubled_boundary_vertex(bowtie_crosscap(), 0))  # two faces
+    cases = [(g, op, args) for g in graphs for op, args, _ in _operations(g)]
+    walks = _count_calls(monkeypatch, embedding.specified_walk)
+    done = Counter()
+    for g, op, args in cases:
+        dead = _dead_edges(g, op, args)
+        dying = sum(a[0] in dead for a in g.specified)
+        walks.clear()
+        try:
+            op(g, *args)
+        except EmbeddingError:
+            assert len(walks) <= dying
+            continue
+        assert len(walks) == dying, f"{op.__name__} {args}"
+        done[op.__name__, dying] += 1
+    ops = (contract_subgraph, delete_edge, delete_vertex, lift_pair)
+    assert all(done[op.__name__, k] for op in ops for k in (0, 1)), done
+    assert done["delete_vertex", 2] > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -229,6 +229,29 @@ def test_oracle_directs_loops_at_their_vertex():
     assert oracle_solve(g, {0: -1, 1: 1, 2: 0}) is None  # 0 sends edge 0 out
 
 
+@pytest.mark.parametrize("way", ["in", "out"])
+def test_oracle_on_a_forced_loop_matches_bruteforce(way):
+    # a loop's tail is its vertex either way round, so a loop forced "in"
+    # at the directed vertex admits no valid orientation, and one forced
+    # "out" costs nothing
+    g = triangle_with_loop()
+    g.darcs = {0: "out", 3: way}
+    found = 0
+    for values in product((-1, 0, 1), repeat=3):
+        p = dict(zip(g.vertices, values))
+        if not prescription_ok(g, p):
+            continue
+        brute = any(
+            is_valid_orientation(g, p, Orientation(direction=dict(zip(g.edges, pick))))
+            for pick in product(*({uv, uv[::-1]} for uv in g.edges.values()))
+        )
+        o = oracle_solve(g, p)
+        assert (o is not None) == brute, p
+        assert o is None or is_valid_orientation(g, p, o)
+        found += brute
+    assert (found > 0) == (way == "out")
+
+
 def test_oracle_agrees_with_bruteforce():
     for seed in range(40):
         g = random_multigraph(seed, max_vertices=6, max_extra=4)
