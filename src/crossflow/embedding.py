@@ -586,12 +586,12 @@ def _reanchor(g: EmbeddedGraph, witnesses: list[State | None]) -> None:
     g.specified = anchors
 
 
-def _first_survivor(states, dead) -> State | None:
+def _first_survivor(states, dead: set[int]) -> State | None:
     """The first of ``states`` whose edge is not in ``dead``, or None."""
     return next((st for st in states if st[0][0] not in dead), None)
 
 
-def _witnesses(g: EmbeddedGraph, dead) -> list[State | None]:
+def _witnesses(g: EmbeddedGraph, dead: set[int]) -> list[State | None]:
     """Each specified face's witness for an operation that deletes the
     edges ``dead``: its first state in ``specified_walk`` order whose edge
     survives, or None when none does.  That walk starts at ``(anchor, +1)``,
