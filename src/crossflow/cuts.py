@@ -230,8 +230,9 @@ def smallest_bond_side(
     """A side of the first bond, in enumerate_robust_cuts order, whose
     cut has at most max_size edges, whose sides both hold at least two
     vertices and of which one side holds no vertex of ``avoid``; None
-    when there is no such bond.  A bond is a cut whose two sides both
-    induce connected subgraphs.
+    when there is no such bond.  A bond is a non-empty cut whose two
+    sides both induce connected subgraphs, so a disconnected graph has
+    none: a piece that cuts no edge is skipped.
 
     The side returned is the one avoiding ``avoid``; with nothing to
     avoid, the smaller side by (order, sorted vertices).  The search grows
@@ -251,7 +252,7 @@ def smallest_bond_side(
     full = (1 << n) - 1
     best = None  # (cut, sorted bits of the least vertex's side, piece)
     for cut, side, _ in _grow_pieces(nbr, max_size, banned)[0]:
-        if not 2 <= side.bit_count() <= n - 2:
+        if not cut or not 2 <= side.bit_count() <= n - 2:
             continue
         if best is not None and cut > best[0]:
             continue

@@ -164,9 +164,11 @@ class EmbeddedGraph:
                     raise StructureError(f"rotation at vertex {v} is malformed")
         if len(self.specified) > 2:
             raise StructureError("at most two specified faces are allowed")
-        for a in self.specified:
+        for i, a in enumerate(self.specified):
             if a[0] not in self.edges or a[1] not in (0, 1):
                 raise StructureError(f"face anchor {a} is not a dart")
+            if a in self.specified[:i]:
+                raise StructureError(f"face anchor {a} is given twice")
         if self.tvertex is not None and self.tvertex not in self.rotation:
             raise StructureError("tvertex is not a vertex")
         if self.dvertex is not None:
@@ -604,6 +606,16 @@ def _witnesses(g: EmbeddedGraph, dead: set[int]) -> list[State | None]:
     ]
 
 
+def _drop_edge(g: EmbeddedGraph, e: int) -> None:
+    """Remove edge ``e`` in place: its ends, sign, forced direction and
+    both darts."""
+    u, v = g.edges.pop(e)
+    del g.sign[e]
+    g.darcs.pop(e, None)
+    g.rotation[u].remove((e, 0))
+    g.rotation[v].remove((e, 1))
+
+
 def delete_edge(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     """Delete one edge.  If it lies on a specified face boundary the face
     absorbs its neighbour across ``e``; other faces are untouched.  Deleting
@@ -614,11 +626,7 @@ def delete_edge(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     if None in witnesses:
         raise OperationError("specified face is bounded by that edge alone")
     out = g.copy()
-    u, v = out.edges.pop(e)
-    del out.sign[e]
-    out.rotation[u].remove((e, 0))
-    out.rotation[v].remove((e, 1))
-    out.darcs.pop(e, None)
+    _drop_edge(out, e)
     if not out.is_connected():
         raise DisconnectedError(f"deleting edge {e} disconnects the graph")
     _reanchor(out, witnesses)
@@ -645,12 +653,7 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
         witnesses = [repl if w is None else w for w in witnesses]
     out = g.copy()
     for e in dead:
-        a, b = out.edges.pop(e)
-        del out.sign[e]
-        for end, x in ((0, a), (1, b)):
-            if x != v:
-                out.rotation[x].remove((e, end))
-        out.darcs.pop(e, None)
+        _drop_edge(out, e)
     del out.rotation[v]
     if out.tvertex == v:
         out.tvertex = None
@@ -688,13 +691,6 @@ def _contract_edge_inplace(g: EmbeddedGraph, e: int, track: list[State]) -> int:
     return keep
 
 
-def _delete_loop_inplace(g: EmbeddedGraph, e: int) -> None:
-    v = g.edges[e][0]
-    g.rotation[v] = [d for d in g.rotation[v] if d[0] != e]
-    del g.edges[e]
-    del g.sign[e]
-
-
 def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
     """The least canonical anchor of a face at ``v``."""
     if not g.rotation[v]:
@@ -702,17 +698,16 @@ def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
     return min(_anchor_through(g, (d, s)) for d in g.rotation[v] for s in (1, -1))
 
 
-def contract_subgraph(g: EmbeddedGraph, side, face_policy: str | None = None) -> EmbeddedGraph:
+def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
     """Contract the connected subgraph induced by ``side`` to one vertex.
 
     Edges inside the side disappear (parallel ones become loops and are
     removed); the new vertex takes the next free id and inherits the cyclic
     order in which the remaining edges leave the contracted patch.  A
     specified face that loses only part of its boundary keeps its identity;
-    if its entire boundary is swallowed the caller must choose a
-    replacement with ``face_policy="at-merged"`` (canonical face at the new
-    vertex).  A specified face is walked only when the side swallows the
-    edge of its anchor.
+    one whose entire boundary is swallowed is replaced by the face at the
+    new vertex with the least canonical anchor.  A specified face is walked
+    only when the side swallows the edge of its anchor.
     """
     verts = set(side)
     if not verts or not verts <= set(g.rotation):
@@ -729,16 +724,12 @@ def contract_subgraph(g: EmbeddedGraph, side, face_policy: str | None = None) ->
     )
     witnesses = _witnesses(g, set(internal))
     swallowed = [i for i, w in enumerate(witnesses) if w is None]
-    if swallowed and face_policy != "at-merged":
-        raise OperationError(
-            "contraction swallows the specified face; choose a replacement"
-        )
     track: list[State] = [w for w in witnesses if w is not None]
     merged = None
     for e in internal:
         a, b = out.edges[e]
         if a == b:
-            _delete_loop_inplace(out, e)
+            _drop_edge(out, e)
         else:
             merged = _contract_edge_inplace(out, e, track)
     if merged is None:
@@ -792,15 +783,10 @@ def lift_pair(g: EmbeddedGraph, e1: int, e2: int, v: int) -> EmbeddedGraph:
     out.sign[new] = out.sign[e1] * out.sign[e2]
     d1u = (e1, 0) if g.edges[e1][0] == u else (e1, 1)
     d2w = (e2, 0) if g.edges[e2][0] == w else (e2, 1)
-    out.rotation[u][out.rotation[u].index(d1u)] = (new, 0)
-    out.rotation[w][out.rotation[w].index(d2w)] = (new, 1)
-    out.rotation[v] = [
-        d for d in out.rotation[v] if d not in (reversed_dart(d1u), reversed_dart(d2w))
-    ]
-    for e in (e1, e2):
-        del out.edges[e]
-        del out.sign[e]
-        out.darcs.pop(e, None)
+    out.rotation[u].insert(out.rotation[u].index(d1u), (new, 0))
+    out.rotation[w].insert(out.rotation[w].index(d2w), (new, 1))
+    _drop_edge(out, e1)
+    _drop_edge(out, e2)
     _reanchor(out, witnesses)
     return out
 

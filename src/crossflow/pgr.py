@@ -1,4 +1,4 @@
-"""Reading and writing the .pgr text format and its companion files.
+"""Reading and writing the .pgr text format and orientation files.
 
 A .pgr file carries one embedded graph per file, one declaration per
 line, and may bundle a prescription:
@@ -7,7 +7,7 @@ line, and may bundle a prescription:
     vertex <id>
     edge <id> <u> <v> <+1|-1>
     rot <v> <dart> <dart> ...     # dart written <edge_id>.<0|1>
-    face <edge_id>.<0|1>          # specified-face anchor, at most two
+    face <edge_id>.<0|1>          # specified-face anchor, at most two, distinct
     tvertex <id>
     dvertex <id>
     darc <edge_id> in|out
@@ -22,9 +22,8 @@ Parsing is one pass over the lines with int() inline: each line's shape,
 integers, signs, residues and duplicates, then that rot lines, edge ends
 and p lines name declared vertices, then EmbeddedGraph.validate().
 
-Orientation files hold one `<edge_id> <tail_vertex>` line per edge;
-flow files hold `<edge_id> <1|2>`.  Both are handled here as plain
-edge-keyed dicts.
+Orientation files hold one `<edge_id> <tail_vertex>` line per edge,
+read and written here as plain edge-keyed dicts.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ def digest_graph(g: EmbeddedGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-# ------------------------------------------------- orientations and flows
+# ----------------------------------------------------------- orientations
 
 
 def serialize_orientation(tails: dict[int, int]) -> str:

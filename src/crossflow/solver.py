@@ -5,32 +5,31 @@ or A_i, their circulant schedule runs first, through
 orient.greedy_direct_and_delete, whose steps are the trace's as they are
 (complete for those two families; the sweep is O(|E| log Δ), and its
 step digests are hashed only when the trace is read), then robust-cut
-contraction with orientation transfer, on a side found by a
-search for bonds of size <= 5 that never grows a side through the
-protected or the directed vertex (cuts.smallest_bond_side) and only on
-connected input, then the doubled-boundary-vertex split, then the
-oracle.  There a frontier DP decides, within a fixed state budget,
-whether any valid orientation exists, and reads the lexicographically
-first witness by self-reduction; past the state budget or the cut search
-budget the instance is refused, and the refusal names the bound.  Every
-orientation leaving this module is validated against the untouched
-input.
+contraction with orientation transfer, on a side found by a search for
+bonds of size <= 5 that never grows a side through the protected or the
+directed vertex (cuts.smallest_bond_side), then the
+doubled-boundary-vertex split, then the oracle.  There a frontier DP
+decides, within a fixed state budget, whether any valid orientation
+exists, and reads the lexicographically first witness by self-reduction;
+past the state budget or the cut search budget the instance is refused,
+and the refusal names the bound.  Every orientation leaving this module
+is validated against the untouched input.
 
 Only the doubled-boundary-vertex split takes face data from the solver.
 Family detection and contraction find their own faces from the anchors,
 and contraction walks a face only when it swallows the anchor's edge.
 Each level that tries a split walks its specified face once, lists the
-doubled vertices from that walk and hands it to every split, together
-with chi of the graph it cuts; no level counts chi.  Euler genus
-(2 - chi) never rises along the recursion.  Contracting a non-loop edge
-keeps chi, deleting a loop raises it by 0, 1 or 2, and a split's output
-is plane, which the split checks itself.  So when the input to ``solve``
-has chi 1 or 2, every graph h reached has Euler genus at most 1, and
-chi(h) is 2 when h is balanced (orientable) and 1 when it is not: one
-search, no face walk (Mohar and Thomassen, *Graphs on Surfaces*, 2001).
-The input's chi is counted once, at the first split attempted, since
-most solves never split; on any other input, or one the count refuses,
-each split counts chi itself.
+doubled vertices from that walk and hands it to every split, with chi of
+the graph h it cuts.  Euler genus (2 - chi) never rises along the
+recursion: contracting a non-loop edge keeps chi, deleting a loop raises
+it by 0, 1 or 2, and a split's output is plane.  So when the input to
+``solve`` has chi 1 or 2, every h has Euler genus at most 1.  A split
+refuses a disconnected result before it reads chi, and a connected one
+has chi(h) + F' <= 2 with F' >= 1 faces from h's specified face, so the
+solver hands it chi(h) = 1 (Mohar and Thomassen, *Graphs on Surfaces*,
+2001).  The input's chi is counted once, at the first split attempted,
+since most solves never split; on any other input, or one the count
+refuses, each split counts chi itself.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
-    _balance_potentials,
     contract_subgraph,
     euler_characteristic,
     split_doubled_boundary_vertex,
@@ -175,15 +173,11 @@ def parse_trace(text: str) -> ReductionTrace:
 
 
 def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
-    """The side to contract.  Of the first bond of size <= 5, in
-    enumerate_robust_cuts' (size, side) order, whose sides both hold two or
-    more vertices and one of which avoids the protected and directed
-    vertices, that side; with neither vertex present, the smaller side
-    (then the lexicographically smaller).  A bond is a cut whose two sides
-    are both connected.  cuts.smallest_bond_side grows only connected
-    pieces that avoid those vertices, at about a microsecond a step, and
-    forms no unions; a search over its step budget counts as no usable
-    cut."""
+    """The side to contract, from cuts.smallest_bond_side: of the first
+    bond (a non-empty cut whose sides are both connected) of size <= 5
+    whose sides both hold two or more vertices, the side that avoids the
+    protected and directed vertices.  A search over its step budget
+    counts as no usable cut."""
     try:
         return smallest_bond_side(g, 5, {g.tvertex, g.dvertex} - {None})
     except CutBudgetError:
@@ -192,15 +186,9 @@ def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
 
 @dataclass
 class _Input:
-    """The graph handed to ``solve``, whether it is connected, and its chi,
-    each found on first use."""
+    """The graph handed to ``solve`` and its chi, found on first use."""
 
     graph: EmbeddedGraph
-
-    @cached_property
-    def connected(self) -> bool:
-        # contraction and the split keep the number of components
-        return self.graph.is_connected()
 
     @cached_property
     def chi(self) -> int | None:
@@ -208,15 +196,6 @@ class _Input:
             return euler_characteristic(self.graph)
         except EmbeddingError:
             return None
-
-
-def _carried_chi(h: EmbeddedGraph, top: _Input) -> int | None:
-    """chi(h) for a graph h reached from ``top``, from h's balance when
-    ``top`` has Euler genus at most 1 (see the module docstring), else None
-    so that the split counts it."""
-    if top.chi not in (1, 2):
-        return None
-    return 2 if _balance_potentials(h, set(h.rotation)) is not None else 1
 
 
 def _reduce_by_cut(
@@ -231,7 +210,7 @@ def _reduce_by_cut(
     when the remainder pass is inconclusive."""
     comp = frozenset(g.vertices) - side
     merged = g.next_vertex_id()  # both contractions mint the same id
-    g1 = contract_subgraph(g, side, "at-merged")
+    g1 = contract_subgraph(g, side)
     p1 = {v: p[v] for v in g.vertices if v not in side}
     p1[merged] = _mod3(sum(p[v] for v in side))
     steps = [
@@ -246,7 +225,7 @@ def _reduce_by_cut(
         # any valid orientation of the input would contract to one of g1
         return None, steps
     part1 = transfer_orientation(g, side, o1, merged)
-    g2 = contract_subgraph(g, comp, "at-merged")
+    g2 = contract_subgraph(g, comp)
     arcs = {}
     for e, (u, v) in g2.edges.items():
         if merged in (u, v):
@@ -288,11 +267,9 @@ def _solve_inner(
         except ScheduleError:
             pass
 
-    # 2. robust-cut contraction and transfer; on a disconnected input the
-    # bond search returns a whole component, a cut of size 0, so its side
-    # is dropped (connectivity is checked only once a side is found)
+    # 2. robust-cut contraction and transfer
     side = _pick_cut_side(g)
-    if side is not None and top.connected:
+    if side is not None:
         decided = _reduce_by_cut(g, p, side, top)
         if decided is not None:
             return decided
@@ -301,7 +278,7 @@ def _solve_inner(
     if len(g.specified) == 1:
         walk = specified_walk(g)
         doubled = [v for v, c in sorted(Counter(walk.tails).items()) if c >= 2]
-        chi = _carried_chi(g, top) if doubled else None
+        chi = 1 if doubled and top.chi in (1, 2) else None
         for v in doubled:
             try:
                 flat = split_doubled_boundary_vertex(g, v, walk, chi)

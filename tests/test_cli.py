@@ -366,6 +366,20 @@ def test_odd_files_give_an_exit_code(tmp_path, capsys, name):
         assert codes["solve" + args] == codes["oracle" + args], args
 
 
+@pytest.mark.parametrize(
+    "command", [c for c in _ODD_COMMANDS if len(c) <= 3], ids=" ".join
+)
+def test_repeated_face_line_exit3(tmp_path, capsys, command):
+    # one face named twice is not two specified faces
+    text = serialize_graph(gen_circulant_b(5))
+    face = next(line for line in text.splitlines() if line.startswith("face "))
+    path = tmp_path / "twice.pgr"
+    path.write_text(text + face + "\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("input error: ") and "given twice" in err
+
+
 def _b5_prescription_cases(tmp_path):
     """B5 with an orientation of it, and a prescription file for each
     defect: a vertex missing, an unknown vertex, a residue out of range."""

@@ -14,9 +14,11 @@ import pytest
 from conftest import (
     _count_calls,
     build_graph,
+    disjoint_union,
     random_multigraph,
     square_with_chord,
     triangle,
+    two_triangles,
     wheel,
 )
 from crossflow import _kernels, embedding
@@ -237,9 +239,12 @@ def reference_bond_side(g, found, avoid):
     """The solver's former cut choice, given ``enumerate_robust_cuts(g, 5)``:
     the first listed cut with a side that avoids ``avoid`` and whose two
     sides are both connected, that side preferring the smaller (then
-    lexicographically smaller) one."""
+    lexicographically smaller) one.  A bond is non-empty, so a cut of size
+    0 is skipped."""
     verts = frozenset(g.vertices)
     for cut in found:
+        if not cut.size:
+            continue
         sides = sorted((cut.side, cut.complement), key=lambda s: (len(s), sorted(s)))
         for side in sides:
             if avoid & side:
@@ -279,6 +284,18 @@ def test_bond_side_matches_full_enumeration():
             assert smallest_bond_side(g, 5, avoid) == want, (g.vertices, avoid)
             hits += want is not None
     assert hits >= 1000  # the sample reaches usable sides, not only None
+
+
+def test_disconnected_graph_has_no_bond():
+    # its only cuts with both sides connected split off a whole component
+    # and cut no edge
+    graphs = [two_triangles()]
+    for seed in range(100):
+        a, b = random_multigraph(seed), random_multigraph(seed + 1)
+        graphs += [disjoint_union(a, b), disjoint_union(b, a)]
+    for g in graphs:
+        for avoid in (set(), {g.vertices[0]}, {g.vertices[-1]}):
+            assert smallest_bond_side(g, 5, avoid) is None, (g.vertices, avoid)
 
 
 def test_edgeless_graph_over_budget_is_refused():

@@ -97,6 +97,17 @@ def test_trace_rejects_malformed_rotation():
         g.validate()
 
 
+def test_validate_rejects_a_repeated_anchor():
+    # two specified faces that are one face would be counted twice by the
+    # class check and merged quietly by the first contraction
+    g = random_multigraph(3)
+    g.specified = [g.specified[0]] * 2
+    with pytest.raises(StructureError, match="given twice"):
+        g.validate()
+    g.specified = [(0, 0), (0, 1)]  # two anchors, each of them once
+    g.validate()
+
+
 def reference_validate(g):
     """EmbeddedGraph.validate as it was written first: the expected dart
     list of every vertex, compared with its rotation after sorting both."""
@@ -562,7 +573,7 @@ def test_operations_do_not_mutate_input():
 # every contraction of an edge's two ends, edge deletion, vertex deletion and
 # lift of the first two distinct non-loop edges at a vertex, on
 # random_multigraph seeds 0..299
-OPERATION_OUTCOME_DIGEST = "3350532dd2d43f1b1160835763a122a234522f5a65e081c99f60333e4866a7f8"
+OPERATION_OUTCOME_DIGEST = "1819a1037fd1cdbdc55ec0c09ae1884dc36164712b229fd843832cffcecdc22a"
 
 
 def _operations(g):
@@ -574,7 +585,7 @@ def _operations(g):
         if u != v:
             inside = {x for x, (a, b) in g.edges.items() if {a, b} <= {u, v}}
             swallows = any(w.edge_ids() <= inside for w in walks)
-            yield contract_subgraph, ({u, v}, "at-merged"), swallows
+            yield contract_subgraph, ({u, v},), swallows
     for e in sorted(g.edges):
         yield delete_edge, (e,), False
     for v in g.vertices:
@@ -599,8 +610,29 @@ def test_face_operations_random_multigraphs():
                 continue
             h.update(f"{label} ok\n{serialize_graph(out)}".encode())
             swallowed += swallows
-    assert swallowed >= 40  # the at-merged replacement face is exercised
+    assert swallowed >= 40  # the replacement face at the merged vertex is exercised
     assert h.hexdigest() == OPERATION_OUTCOME_DIGEST
+
+
+# sha256 over (seed, side, output) for every contraction of an edge's two
+# ends that swallows the specified face, on random_multigraph seeds
+# 0..299: 60 contractions, each replacing the face by the face at the
+# merged vertex with the least canonical anchor
+SWALLOWED_FACE_DIGEST = "73caa821f4f9cd0f1f092c14216b7981074fbfc22145016f4a6443ab335ba288"
+
+
+def test_contraction_replaces_a_swallowed_face_at_the_merged_vertex():
+    h = hashlib.sha256()
+    count = 0
+    for seed in range(300):
+        g = random_multigraph(seed)
+        for op, args, swallows in _operations(g):
+            if op is contract_subgraph and swallows:
+                out = contract_subgraph(g, *args)
+                h.update(f"{seed} {sorted(*args)}\n{serialize_graph(out)}".encode())
+                count += 1
+    assert count == 60
+    assert h.hexdigest() == SWALLOWED_FACE_DIGEST
 
 
 def _dead_edges(g, op, args):

@@ -299,8 +299,8 @@ def test_solve_agrees_with_oracle_on_corpus():
 
 
 def test_solve_two_triangles_matches_oracle():
-    # the bond search would name a whole component, a cut of size 0, whose
-    # contraction swallows the specified face; solve asks the oracle instead
+    # a disconnected graph has no bond, as a bond cuts at least one edge,
+    # and no split applies; solve asks the oracle
     g = two_triangles()
     valid = {v: 0 for v in g.rotation}
     none = {**valid, 0: 1, 3: -1}  # total 0, but 1 and -1 per component
@@ -631,9 +631,9 @@ def _same_when_walked_here(fn, carried, fresh):
 
 def test_carried_face_data_matches_a_fresh_count(monkeypatch):
     # Only the split takes face data: its walk equals a fresh walk of the
-    # specified face, it gets chi(g) carried from the input or None to
-    # count it itself, and it gives the same result when it walks and
-    # counts the face data itself.
+    # specified face, it gets chi(g) = 1 when the input has Euler genus at
+    # most 1 or None to count it itself, and it gives the same result when
+    # it walks and counts the face data itself.
     seen = Counter()
     split = solver_module.split_doubled_boundary_vertex
 
@@ -681,6 +681,22 @@ def test_corpus_face_work_is_bounded(monkeypatch):
     for g, p in corpus:
         solve(g, p)
     assert len(steps) <= CORPUS_FACE_STEPS
+
+
+# _balance_potentials calls while solving corpus seeds 0..99: each split
+# re-signs its plane output, and none searches for h's balance, since a
+# split that reads chi is handed chi(h) = 1
+CORPUS_BALANCE_SEARCHES = 328
+
+
+def test_corpus_balance_searches_are_bounded(monkeypatch):
+    corpus = [gen_random_pt(seed, 12) for seed in range(100)]
+    searches = _count_calls(monkeypatch, embedding._balance_potentials)
+    resigns = _count_calls(monkeypatch, embedding._resign_all_positive)
+    for g, p in corpus:
+        solve(g, p)
+    assert len(searches) == len(resigns)  # one search per re-signing
+    assert len(searches) <= CORPUS_BALANCE_SEARCHES
 
 
 def test_solve_counts_chi_at_most_once(monkeypatch):
