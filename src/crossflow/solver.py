@@ -175,9 +175,10 @@ def parse_trace(text: str) -> ReductionTrace:
 def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
     """The side to contract, from cuts.smallest_bond_side: of the first
     bond (a non-empty cut whose sides are both connected) of size <= 5
-    whose sides both hold two or more vertices, the side that avoids the
-    protected and directed vertices.  A search over its step budget
-    counts as no usable cut."""
+    whose sides both hold two or more vertices and one of which avoids
+    the protected and directed vertices, that side, or the smaller one
+    when neither vertex is present.  A search over its step budget counts
+    as no usable cut."""
     try:
         return smallest_bond_side(g, 5, {g.tvertex, g.dvertex} - {None})
     except CutBudgetError:
