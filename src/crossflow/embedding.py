@@ -169,6 +169,11 @@ class EmbeddedGraph:
                 raise StructureError(f"face anchor {a} is not a dart")
             if a in self.specified[:i]:
                 raise StructureError(f"face anchor {a} is given twice")
+        if len(self.specified) == 2:  # b names a's face if (b, +1) is on its orbit pair
+            a, b = self.specified
+            orbit = set(_walk_from(self, (a, 1)))
+            if (b, 1) in orbit or _mirror(self, (b, 1)) in orbit:
+                raise StructureError(f"face anchors {a} and {b} name one face")
         if self.tvertex is not None and self.tvertex not in self.rotation:
             raise StructureError("tvertex is not a vertex")
         if self.dvertex is not None:

@@ -278,19 +278,12 @@ def _check_random_pt_args(seed: int, max_vertices: int) -> None:
         raise FamilyError("corpus generator supports 5..12 vertices")
 
 
-def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Seeded random projective instance passing the one-face class check,
-    with a prescription drawn uniformly among valid ones.
-
-    Strategy: put all vertices on a shuffled boundary cycle, then attach
-    chord stubs (degree 4 mostly, a few 5s, at most one 3) and pair them
-    up biased toward near-antipodal partners, which is what lets every
-    chord thread the same crosscap.  Uniform rotation systems are useless
-    here: their face count concentrates around log E, so demanding a
-    one-crosscap characteristic by filtering alone essentially never hits.
-    """
-    _check_random_pt_args(seed, max_vertices)
-    rng = np.random.default_rng(seed)
+def _random_pt_candidates(rng: np.random.Generator, max_vertices: int) -> Iterator[tuple]:
+    """Up to ``_RANDOM_PT_ATTEMPTS`` candidates ``(cycle, want, chords, antipodal)``:
+    a shuffled boundary cycle, the degrees (4 mostly, a few 5s, at most one 3),
+    chords pairing ``want[v] - 2`` stubs per vertex by a draw biased toward far
+    partners, and whether those chords, as unordered pairs, join stub j to stub
+    j + half along the cycle.  Lazy, so draws between candidates keep their order."""
     for _ in range(_RANDOM_PT_ATTEMPTS):
         n = int(rng.integers(5, max_vertices + 1))
         cycle = [int(v) for v in rng.permutation(n)]
@@ -307,35 +300,41 @@ def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int
         pos = {v: k for k, v in enumerate(cycle)}
         chords: list[tuple[int, int]] = []
         live = [v for v in range(n) if stubs[v] > 0]
-        stuck = False
         while live:
             u = live[int(rng.integers(len(live)))]
             cand = [v for v in live if v != u]
-            if not cand:
-                stuck = True
+            if not cand:  # stranded stubs: the chords cannot be antipodal
                 break
-            weights = np.empty(len(cand))
-            for k, v in enumerate(cand):
-                d = abs(pos[u] - pos[v]) % n
-                weights[k] = (min(d, n - d) / n) ** 6
-            weights /= weights.sum()
-            v = cand[int(rng.choice(len(cand), p=weights))]
+            dist = [abs(pos[u] - pos[v]) for v in cand]
+            weights = np.array([(min(d, n - d) / n) ** 6 for d in dist])
+            v = cand[int(rng.choice(len(cand), p=weights / weights.sum()))]
             chords.append((u, v))
             stubs[u] -= 1
             stubs[v] -= 1
             live = [x for x in live if stubs[x] > 0]
-        if stuck:
+        ends = [v for v in cycle for _ in range(want[v] - 2)]
+        pairs = sorted(map(sorted, zip(ends, ends[len(ends) // 2 :])))
+        yield cycle, want, chords, sorted(map(sorted, chords)) == pairs
+
+
+def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int, int]]:
+    """Seeded random projective instance passing the one-face class check,
+    with a prescription drawn uniformly among valid ones.
+
+    The biased pairing of ``_random_pt_candidates`` is only a proposal: the
+    one pairing kept is the exact antipodal one, which threads every chord
+    through the same crosscap.  It is recognised from the chord list, so only
+    a kept candidate is laid out, and its surface is counted once, by
+    ``check_class``.
+    """
+    _check_random_pt_args(seed, max_vertices)
+    rng = np.random.default_rng(seed)
+    for cycle, want, chords, antipodal in _random_pt_candidates(rng, max_vertices):
+        if not antipodal:
             continue
-        try:
-            g = disk_crosscap_graph(cycle, chords)
-        except FamilyError:
-            continue
-        if euler_characteristic(g) != 1:
-            continue
-        deg3 = [v for v in range(n) if want[v] == 3]
-        if deg3:
-            g.tvertex = deg3[0]
-        p = _draw_prescription(rng, list(range(n)))
+        g = disk_crosscap_graph(cycle, chords)
+        g.tvertex = next((v for v, w in enumerate(want) if w == 3), None)
+        p = _draw_prescription(rng, list(range(len(cycle))))
         if check_class(g, p, "pt").holds:
             return g, p
     raise FamilyError(

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from crossflow import _kernels
+from crossflow import _kernels, families
 from crossflow.embedding import EmbeddedGraph, canonical_anchor, trace_faces
 from crossflow.orient import OracleBoundError, _forced_arcs, _oracle_lists, prescription_ok
 
@@ -219,6 +219,21 @@ def _count_calls(monkeypatch, fn) -> list[int]:
 
     _replace_everywhere(monkeypatch, fn, counted)
     return calls
+
+
+def _record_candidates(monkeypatch) -> list[tuple]:
+    """Record every candidate ``gen_random_pt`` draws, as its candidate
+    iterator yields them."""
+    seen = []
+    real = families._random_pt_candidates
+
+    def recorded(rng, max_vertices):
+        for candidate in real(rng, max_vertices):
+            seen.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(families, "_random_pt_candidates", recorded)
+    return seen
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ import pytest
 
 from conftest import build_graph, cycle_graph, triangle_with_loop, two_triangles
 from crossflow.cli import main
-from crossflow.embedding import EmbeddedGraph
+from crossflow.embedding import EmbeddedGraph, StructureError
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.orient import random_prescription
-from crossflow.pgr import parse_graph, read_graph, serialize_graph, write_graph
+from crossflow.pgr import PgrError, parse_graph, read_graph, serialize_graph, write_graph
 from crossflow.solver import parse_trace, replay, serialize_trace, solve
 
 
@@ -378,6 +378,25 @@ def test_repeated_face_line_exit3(tmp_path, capsys, command):
     code, out, err = run(capsys, command[0], str(path), *command[1:])
     assert code == 3 and out == ""
     assert err.startswith("input error: ") and "given twice" in err
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in _ODD_COMMANDS if len(c) <= 3], ids=" ".join
+)
+def test_two_anchors_of_one_face_exit3(tmp_path, capsys, command):
+    # two distinct darts, both traversed +1 on B5's one specified face
+    g = gen_circulant_b(5)
+    g.specified = [(0, 1), (4, 1)]
+    with pytest.raises(StructureError, match="name one face"):
+        g.validate()
+    text = serialize_graph(g)
+    with pytest.raises(PgrError, match="name one face"):
+        parse_graph(text)
+    path = tmp_path / "one_face.pgr"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("input error: ") and "name one face" in err
 
 
 def _b5_prescription_cases(tmp_path):

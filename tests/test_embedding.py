@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     _count_calls,
+    _record_candidates,
     bowtie_crosscap,
     build_graph,
     random_multigraph,
@@ -38,6 +39,7 @@ from crossflow.embedding import (
     delete_edge,
     delete_vertex,
     euler_characteristic,
+    face_of_anchor,
     is_contractible_chord,
     lift_pair,
     planarize_along_chord,
@@ -46,8 +48,13 @@ from crossflow.embedding import (
     split_doubled_boundary_vertex,
     trace_faces,
 )
-from crossflow import embedding, families
-from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
+from crossflow import embedding
+from crossflow.families import (
+    disk_crosscap_graph,
+    gen_circulant_b,
+    gen_counterexample,
+    gen_random_pt,
+)
 from crossflow.pgr import serialize_graph
 
 
@@ -104,8 +111,35 @@ def test_validate_rejects_a_repeated_anchor():
     g.specified = [g.specified[0]] * 2
     with pytest.raises(StructureError, match="given twice"):
         g.validate()
-    g.specified = [(0, 0), (0, 1)]  # two anchors, each of them once
+    g = random_multigraph(1)  # two anchors of its two faces
+    g.specified = [canonical_anchor(g, f) for f in trace_faces(g)]
+    assert len(g.specified) == 2
     g.validate()
+
+
+def test_validate_rejects_two_anchors_of_one_face():
+    # every second anchor beside the specified one: refused exactly when
+    # the full trace puts both in one face, whether (b, +1) lies on the
+    # first anchor's orbit or only on its mirror
+    kinds = Counter()
+    graphs = [random_multigraph(seed) for seed in range(40)]
+    graphs += [gen_circulant_b(5), gen_counterexample(0)[0], bowtie_crosscap()]
+    for g in graphs:
+        faces = trace_faces(g)
+        a = g.specified[0]
+        orbit = specified_walk(g).states
+        for b in sorted((e, end) for e in g.edges for end in (0, 1)):
+            if b == a:
+                continue
+            g.specified = [a, b]
+            one = face_of_anchor(g, faces, a) == face_of_anchor(g, faces, b)
+            if one:
+                with pytest.raises(StructureError, match="name one face"):
+                    g.validate()
+            else:
+                g.validate()
+            kinds[one, (b, 1) in orbit] += 1
+    assert kinds[True, True] and kinds[True, False] and kinds[False, False], kinds
 
 
 def reference_validate(g):
@@ -233,16 +267,13 @@ def test_euler_characteristic_matches_full_trace(monkeypatch):
     graphs.append(build_graph({0: (0, 1)}))
     graphs.append(EmbeddedGraph(rotation={0: []}))
     graphs.append(EmbeddedGraph())
-    # every layout the random generator builds, projective or not, and the
-    # corpus graphs it accepts
-    seen = []
-    real = families.euler_characteristic
-    monkeypatch.setattr(
-        families, "euler_characteristic", lambda g: seen.append(g.copy()) or real(g)
-    )
+    # the layout of every candidate the random generator draws, projective
+    # or not, and the corpus graphs it accepts
+    candidates = _record_candidates(monkeypatch)
     for seed in range(60):
         graphs.append(gen_random_pt(seed, 12)[0])
     monkeypatch.undo()
+    seen = [disk_crosscap_graph(cycle, chords) for cycle, _, chords, _ in candidates]
     assert any(_chi_by_full_trace(g) != 1 for g in seen)
     graphs.extend(seen)
     outcomes = Counter()

@@ -7,11 +7,13 @@ them against the code.
 """
 
 import hashlib
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from conftest import _count_calls
+from conftest import _count_calls, _record_candidates
 from crossflow.cuts import check_class, edge_connectivity
 from crossflow.embedding import (
     boundary_cycle,
@@ -266,7 +268,74 @@ def test_random_pt_instances_solvable():
         assert o is not None and is_valid_orientation(g, p, o)
 
 
+def test_random_pt_keeps_exactly_the_projective_candidates(monkeypatch):
+    # The generator keeps a candidate when its chords are the antipodal
+    # pairing of its stubs.  The reference is the rule that comparison
+    # replaced: the pairing used every stub, and the layout has Euler
+    # characteristic 1, counted (a layout that fails to build is not 1).
+    # A stranded pairing's partial layout can be projective, so the
+    # reference needs the completeness half.
+    candidates = _record_candidates(monkeypatch)
+    for cap in (5, 9, 12):
+        for seed in range(60):
+            gen_random_pt(seed, cap)
+    kinds = Counter()
+    for cycle, want, chords, antipodal in candidates:
+        try:
+            chi = euler_characteristic(disk_crosscap_graph(cycle, chords))
+        except FamilyError:
+            chi = None
+        complete = 2 * len(chords) == sum(w - 2 for w in want)
+        assert antipodal == (complete and chi == 1), (cycle, want, chords)
+        kinds[antipodal, complete, chi == 1] += 1
+    assert kinds[True, True, True] >= 180
+    assert kinds[False, True, False] and kinds[False, False, True], kinds
+
+
+def test_random_pt_lays_out_and_counts_only_the_instances(monkeypatch):
+    # only a kept candidate is laid out, and the class check alone counts
+    # its surface; on these seeds the first kept candidate always passes
+    builds = _count_calls(monkeypatch, disk_crosscap_graph)
+    counts = _count_calls(monkeypatch, euler_characteristic)
+    for seed in range(100):
+        gen_random_pt(seed, 12)
+    assert (len(builds), len(counts)) == (100, 100)
+
+
 # ----------------------------------------------------- geometric builder
+
+
+def _stub_sequences(n):
+    """Every stub count sequence the random generator can lay along n cycle
+    vertices: 1..3 stubs each, at most one 1, an even total."""
+    for stubs in itertools.product((1, 2, 3), repeat=n):
+        if stubs.count(1) <= 1 and sum(stubs) % 2 == 0:
+            yield stubs
+
+
+def test_antipodal_layouts_build_and_are_projective():
+    # gen_random_pt builds its kept candidates unguarded.  Heading sorts a
+    # vertex's darts, and only parallel chords share a heading, so a chord
+    # list can matter only through the order and orientation within each
+    # group of parallel chords.  Layout i turns round the j-th chord of a
+    # group of size k when bit j of i mod 2^k is set: every group meets every
+    # such sequence.
+    layouts = 0
+    for n in range(5, 10):
+        for stubs in _stub_sequences(n):
+            ends = [v for v in range(n) for _ in range(stubs[v])]
+            pairs = list(zip(ends, ends[len(ends) // 2 :]))
+            size = Counter(pairs)
+            for i in range(2 ** max(size.values())):
+                chords, seen = [], Counter()
+                for a, b in pairs:
+                    turn = (i % 2 ** size[a, b]) >> seen[a, b] & 1
+                    seen[a, b] += 1
+                    chords.append((b, a) if turn else (a, b))
+                g = disk_crosscap_graph(list(range(n)), chords)
+                assert euler_characteristic(g) == 1, (stubs, chords)
+                layouts += 1
+    assert layouts == 13002
 
 
 def test_disk_crosscap_postconditions():
@@ -299,4 +368,8 @@ def test_generated_texts_are_pinned():
     for k in range(4):
         g, p, _ = gen_counterexample(k)
         h.update(serialize_graph(g, p).encode())
-    assert h.hexdigest() == GENERATED_TEXT_DIGEST
+    assert h.hexdigest() == GENERATED_TEXT_DIGEST, (
+        f"generated texts changed under numpy {np.__version__}: the pin follows "
+        "numpy's default_rng stream, which NEP 19 does not promise to keep "
+        "across numpy versions"
+    )
