@@ -7,7 +7,7 @@ line, and may bundle a prescription:
     vertex <id>
     edge <id> <u> <v> <+1|-1>
     rot <v> <dart> <dart> ...     # dart written <edge_id>.<0|1>
-    face <edge_id>.<0|1>          # specified-face anchor, at most two, distinct
+    face <edge_id>.<0|1>          # specified-face anchor, at most two, naming distinct faces
     tvertex <id>
     dvertex <id>
     darc <edge_id> in|out
