@@ -1,6 +1,7 @@
-"""Edge cuts: connectivity, small-cut enumeration, the Type 1/2/3
-taxonomy against the specified face, crossing tests, and one table-driven
-check for the graph classes the solver dispatches on.
+"""Edge cuts: max-flow connectivity (``edge_connectivity``, the tests'
+reference), small-cut enumeration, the Type 1/2/3 taxonomy against the
+specified face, crossing tests, and one table-driven class check, which
+reads edge connectivity below 3 from its own scan for 3-edge-cuts.
 
 Small cuts are enumerated in polynomial time for a fixed cut size, on
 any number of vertices, within a budget of search steps.  Both searches
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .embedding import (
+    DisconnectedError,
     EmbeddedGraph,
     OperationError,
     _balance_potentials,
@@ -359,7 +361,7 @@ def _unit_caps(g: EmbeddedGraph) -> dict[int, dict[int, int]]:
 
 def edge_connectivity(g: EmbeddedGraph) -> int:
     """Global minimum cut size by max-flow from a fixed vertex to every
-    other vertex."""
+    other vertex: public, and the reference for check_class's cut scan."""
     verts = g.vertices
     if len(verts) < 2:
         raise OperationError("edge connectivity needs at least two vertices")
@@ -397,13 +399,11 @@ class ClassReport:
     violations: tuple[tuple[int, str], ...]
 
 
-def _three_cut_sets(g: EmbeddedGraph) -> dict[frozenset[int], frozenset[int]]:
-    """Distinct 3-edge-cuts as (edge set -> the first side that cuts it)."""
+def _small_cut_sets(g: EmbeddedGraph) -> dict[frozenset[int], frozenset[int]]:
+    """Distinct cuts of <= 3 edges as (edge set -> the first side cutting it)."""
     found = {}
     for side in _scan_masks(g, 3, 1):
-        edges = frozenset(cut_edges(g, side))
-        if len(edges) == 3:
-            found.setdefault(edges, side)
+        found.setdefault(frozenset(cut_edges(g, side)), side)
     return found
 
 
@@ -446,14 +446,13 @@ def _only_cuts_around(g, cond: int, three, centres, most: int | None = None):
     return out + [(cond, _fmt_cut(edges)) for edges in three if edges not in allowed]
 
 
-def _pt(g, strong: bool, v: list) -> int | None:
+def _pt(g, strong: bool, v: list, faces: list[set[int]], three) -> int | None:
     if len(g.vertices) <= 2:
         return None
     t = g.tvertex
     if g.dvertex is not None:
         v.append((2, f"directed vertex {g.dvertex} is not allowed"))
-    v += _t_violations(g, 3, boundary_vertices(g), "the boundary")
-    three = _three_cut_sets(g)
+    v += _t_violations(g, 3, set().union(*faces), "the boundary")
     if not strong:
         v += _only_cuts_around(g, 4, three, [t])
         return 5
@@ -468,34 +467,32 @@ def _pt(g, strong: bool, v: list) -> int | None:
     return 5
 
 
-def _ft(g, strong: bool, v: list) -> int:
+def _ft(g, strong: bool, v: list, faces: list[set[int]], three) -> int:
     d, t = g.dvertex, g.tvertex
     if d is not None and t is not None:
         v.append((2, "both d and t are present"))
-    b0 = set(specified_walk(g, 0).tails) if g.specified else set()
-    b1 = set(specified_walk(g, 1).tails) if len(g.specified) > 1 else set()
-    if len(g.specified) > 1 and not b0 & b1:
+    b0, b1 = (faces + [set(), set()])[:2]
+    if len(faces) > 1 and not b0 & b1:
         v.append((3, "the two boundaries share no vertex"))
     v += _d_violations(g, 4, b0 & b1, "both boundaries")
     v += _t_violations(g, 5, b0 | b1, "a boundary")
-    v += _only_cuts_around(g, 6, _three_cut_sets(g), [d, t], most=1)
+    v += _only_cuts_around(g, 6, three, [d, t], most=1)
     return 7
 
 
-def _dts(g, strong: bool, v: list) -> int:
+def _dts(g, strong: bool, v: list, faces: list[set[int]], three) -> int:
     d = g.dvertex
     roles = sorted(x for x in g.vertices if x != d and g.degree(x) == 3)
     if len(roles) > 2:
         v.append((2, f"degree-3 vertices {roles} exceed the two t/s slots"))
         roles = roles[:2]
-    bnd = boundary_vertices(g)
+    bnd = set().union(*faces)
     v += _d_violations(g, 3, bnd, "the boundary")
     for x in roles:
         if x not in bnd:
             v.append((4, f"degree-3 vertex {x} is not on the boundary"))
     if d is not None and g.degree(d) > 5 - len(roles):
         v.append((5, f"deg(d)={g.degree(d)} with {len(roles)} role vertices"))
-    three = _three_cut_sets(g)
     if not strong:
         v += _only_cuts_around(g, 6, three, [d, *roles], most=3)
     elif d is not None and len(roles) == 2:
@@ -507,8 +504,8 @@ def _dts(g, strong: bool, v: list) -> int:
 
 
 # class name -> (report name, chi, specified faces, conditions, strong).  The
-# conditions function appends the class's own violations and returns the
-# index of the off-boundary path condition, or None to skip that condition.
+# conditions function, given the face vertex sets and 3-edge-cuts, appends the
+# class's own violations and returns the path condition's index, or None to skip it.
 _CLASSES = {
     "pt": ("PT", 1, 1, _pt, False),
     "3pt": ("3PT", 1, 1, _pt, True),
@@ -556,23 +553,26 @@ def check_class(g: EmbeddedGraph, p: dict[int, int], class_name: str) -> ClassRe
         raise OperationError(f"unknown class {class_name!r}") from None
     if not g.rotation:
         return ClassReport(name, False, ((0, "empty graph"),))
-    if not g.is_connected():
+    try:
+        chi = euler_characteristic(g)
+    except DisconnectedError:
         return ClassReport(name, False, ((0, "graph is disconnected"),))
     v = []
-    chi = euler_characteristic(g)
     if chi != chi_want:
         v.append((0, f"euler characteristic {chi}, expected {chi_want}"))
     if len(g.specified) != n_faces:
         v.append((0, f"{len(g.specified)} specified faces, expected {n_faces}"))
     if not prescription_ok(g, p):
         v.append((0, "prescription invalid"))
-    if len(g.vertices) >= 2:
-        lam = edge_connectivity(g)
-        if lam < 3:
-            v.append((1, f"edge connectivity {lam}"))
-    paths = conditions(g, strong, v)
-    if paths is not None and g.specified:
-        for x in sorted(set(g.rotation) - boundary_vertices(g)):
+    faces = [set(specified_walk(g, i).tails) for i in range(len(g.specified))]
+    cuts = _small_cut_sets(g)
+    lam = min(map(len, cuts), default=3)
+    if lam < 3:
+        v.append((1, f"edge connectivity {lam}"))
+    three = {edges: side for edges, side in cuts.items() if len(edges) == 3}
+    paths = conditions(g, strong, v, faces, three)
+    if paths is not None and faces:
+        for x in sorted(set(g.rotation).difference(*faces)):
             k = boundary_connectivity(g, x)
             if k < 5:
                 v.append((paths, f"vertex {x} has only {k} edge-disjoint paths"))

@@ -667,7 +667,7 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
         out.darcs = {}
     if out.rotation and not out.is_connected():
         raise DisconnectedError(f"deleting vertex {v} disconnects the graph")
-    _reanchor(out, [w for w in witnesses if w is not None] or [None])
+    _reanchor(out, witnesses)
     return out
 
 
@@ -750,7 +750,7 @@ def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
     if out.dvertex in verts:
         out.dvertex = None
         out.darcs = {}
-    _reanchor(out, [w for w in witnesses if w is not None] or [None])
+    _reanchor(out, witnesses)
     if swallowed:
         anchor = _face_at_vertex_anchor(out, fresh)
         for i in swallowed:

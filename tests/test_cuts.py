@@ -36,6 +36,7 @@ from crossflow.cuts import (
     make_cut,
     smallest_bond_side,
     _scan_masks,
+    _small_cut_sets,
 )
 from crossflow.embedding import (
     EmbeddedGraph,
@@ -113,6 +114,34 @@ def test_counterexample_connectivity_and_unique_3cut():
     expected = {frozenset({t}), frozenset(set(g.vertices) - {t})}
     assert {s for s in sides if len(cut_edges(g, s)) == 3} <= expected
     assert any(s in expected for s in sides)
+
+
+def _connectivity_graphs():
+    rng = np.random.default_rng(2)
+    for seed in range(600):
+        g = random_multigraph(seed, max_vertices=10, max_extra=8)
+        yield g
+        yield without_edges(g, rng)
+    for seed in range(50):
+        yield gen_random_pt(seed, 12)[0]
+    for i in range(5, 12, 2):
+        yield gen_circulant_b(i)
+        yield gen_a(i)
+    for k in range(3):
+        yield gen_counterexample(k)[0]
+
+
+def test_small_cut_scan_reads_edge_connectivity():
+    # check_class takes lambda below 3 from its 3-cut scan; max-flow is
+    # the reference on every connected graph, and lambda 1 and 2 occur
+    seen = set()
+    for g in _connectivity_graphs():
+        if len(g.vertices) < 2 or not g.is_connected():
+            continue
+        lam = min(map(len, _small_cut_sets(g)), default=3)
+        assert lam == min(edge_connectivity(g), 3), g.edges
+        seen.add(lam)
+    assert seen == {1, 2, 3}
 
 
 def test_edge_connectivity_needs_two_vertices():

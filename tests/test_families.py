@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import _count_calls, _record_candidates
+from crossflow import cuts, embedding
 from crossflow.cuts import check_class, edge_connectivity
 from crossflow.embedding import (
     boundary_cycle,
@@ -300,6 +301,21 @@ def test_random_pt_lays_out_and_counts_only_the_instances(monkeypatch):
     for seed in range(100):
         gen_random_pt(seed, 12)
     assert (len(builds), len(counts)) == (100, 100)
+
+
+def test_random_pt_vets_with_one_cut_scan_and_one_connectivity_search(monkeypatch):
+    # check_class reads edge connectivity from its own 3-cut scan, learns
+    # connectivity from the chi count and walks the one face once, so
+    # vetting an instance runs no max-flow, one connectivity search and
+    # one face walk (536, 300 and 200 over these seeds before)
+    flows = _count_calls(monkeypatch, cuts._max_flow)
+    scans = _count_calls(monkeypatch, cuts._scan_masks)
+    searches = _count_calls(monkeypatch, embedding._induced_connected)
+    walks = _count_calls(monkeypatch, embedding.specified_walk)
+    for seed in range(100):
+        gen_random_pt(seed, 12)
+    counts = len(flows), len(scans), len(searches), len(walks)
+    assert counts == (0, 100, 100, 100)
 
 
 # ----------------------------------------------------- geometric builder
