@@ -380,6 +380,12 @@ def boundary_connectivity(g: EmbeddedGraph, v: int) -> int:
         raise OperationError(f"vertex {v} lies on the boundary")
     if not bnd:
         raise OperationError("graph has no specified face")
+    return _paths_to(g, v, bnd)
+
+
+def _paths_to(g: EmbeddedGraph, v: int, bnd: set[int]) -> int:
+    """Max number of edge-disjoint paths from v to the vertex set ``bnd``,
+    which must not hold v: one max-flow into a sink joined to all of it."""
     sink = -1
     caps = _unit_caps(g)
     big = 2 * len(g.edges) + 1
@@ -572,8 +578,9 @@ def check_class(g: EmbeddedGraph, p: dict[int, int], class_name: str) -> ClassRe
     three = {edges: side for edges, side in cuts.items() if len(edges) == 3}
     paths = conditions(g, strong, v, faces, three)
     if paths is not None and faces:
-        for x in sorted(set(g.rotation).difference(*faces)):
-            k = boundary_connectivity(g, x)
+        bnd = set().union(*faces)
+        for x in sorted(set(g.rotation) - bnd):
+            k = _paths_to(g, x, bnd)
             if k < 5:
                 v.append((paths, f"vertex {x} has only {k} edge-disjoint paths"))
     return ClassReport(name, not v, tuple(v))

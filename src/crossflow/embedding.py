@@ -255,9 +255,11 @@ def _as_facewalk(g: EmbeddedGraph, orbit: list[State]) -> FaceWalk:
     )
 
 
-def _canonical_walk(g: EmbeddedGraph, orbit: list[State], mirror: list[State]) -> FaceWalk:
-    """A face's canonical walk: of its two orbits, the one holding the
-    smallest state, started at that state."""
+def _canonical_walk(g: EmbeddedGraph, orbit: list[State]) -> FaceWalk:
+    """A face's canonical walk from one of its orbits: of that orbit and its
+    mirror orbit (the orbit reversed, each state mirrored), the one holding
+    the smallest state, started at that state."""
+    mirror = [_mirror(g, st) for st in reversed(orbit)]
     rep = min((orbit, mirror), key=lambda o: min(map(_state_key, o)))
     k = rep.index(min(rep, key=_state_key))
     return _as_facewalk(g, rep[k:] + rep[:k])
@@ -305,7 +307,7 @@ def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
     a sphere of its own, adds one empty walk after these.
     """
     orbits, pairs = _orbit_pairs(g)
-    faces = [_canonical_walk(g, orbits[i], orbits[j]) for i, j in pairs]
+    faces = [_canonical_walk(g, orbits[i]) for i, _ in pairs]
     faces.sort(key=lambda f: _state_key(f.states[0]))
     isolated = sum(1 for rot in g.rotation.values() if not rot)
     return faces + [FaceWalk(states=(), tails=())] * isolated
@@ -317,18 +319,11 @@ def _is_dart(g: EmbeddedGraph, d: Dart) -> bool:
 
 def _face_through(g: EmbeddedGraph, state: State) -> FaceWalk:
     """The walk ``trace_faces`` lists for the face whose orbit pair
-    contains ``state``, found by walking that face alone."""
+    contains ``state``, found by walking that one orbit."""
     orbit = _walk_from(g, state)
-    mirror = _walk_from(g, _mirror(g, state))
-    if mirror[0] in orbit:
+    if _mirror(g, state) in set(orbit):
         raise StructureError("facial walk is its own mirror")
-    return _canonical_walk(g, orbit, mirror)
-
-
-def _faces_at(g: EmbeddedGraph, v: int) -> list[FaceWalk]:
-    """The faces at ``v``, in ``trace_faces`` order."""
-    faces = {_face_through(g, (d, s)) for d in g.rotation[v] for s in (1, -1)}
-    return sorted(faces, key=lambda f: _state_key(f.states[0]))
+    return _canonical_walk(g, orbit)
 
 
 def face_of_anchor(g: EmbeddedGraph, faces: list[FaceWalk], anchor: Dart) -> int:
@@ -542,28 +537,28 @@ def is_contractible_chord(g: EmbeddedGraph, e: int) -> bool:
 # ------------------------------------------------------------- switching
 
 
-def _switch_inplace(g: EmbeddedGraph, v: int) -> None:
-    """Reverse the local orientation at ``v``: flip the sign of every
-    non-loop edge at ``v`` and reverse its rotation.  The embedding is
-    unchanged; only its description moves."""
-    for e, _ in g.rotation[v]:
-        g.sign[e] = -g.sign[e]  # a loop is listed twice and flips back
-    g.rotation[v] = list(reversed(g.rotation[v]))
+def _switch(g: EmbeddedGraph, verts: set[int], track: list[State | None]) -> None:
+    """Reverse the local orientation at each of ``verts`` in place: flip
+    the sign of every edge end there and reverse the rotation.  The
+    embedding is unchanged; only its description moves, so each ``track``
+    state whose tail is switched flips its orientation bit (None entries
+    stay)."""
+    for i, st in enumerate(track):
+        if st is not None and g.edges[st[0][0]][st[0][1]] in verts:
+            track[i] = (st[0], -st[1])
+    for v in verts:
+        for e, _ in g.rotation[v]:
+            g.sign[e] = -g.sign[e]  # an edge with both ends switched flips back
+        g.rotation[v] = g.rotation[v][::-1]
 
 
 def _resign_all_positive(g: EmbeddedGraph, track: list[State]) -> None:
-    """Switch vertices in place until every sign is +1.  ``track`` states
-    are relabelled alongside (switching at a state's tail flips its
-    orientation bit).  Raises if the graph is not balanced."""
+    """Switch vertices in place until every sign is +1, relabelling
+    ``track`` alongside.  Raises if the graph is not balanced."""
     pot = _balance_potentials(g, set(g.rotation))
     if pot is None:
         raise StructureError("graph is not balanced; cannot re-sign to +1")
-    flipped = {v for v, s in pot.items() if s == -1}
-    for i, ((d, s)) in enumerate(track):
-        if g.edges[d[0]][d[1]] in flipped:
-            track[i] = (d, -s)
-    for v in sorted(flipped):
-        _switch_inplace(g, v)
+    _switch(g, {v for v, s in pot.items() if s == -1}, track)
     if any(s != 1 for s in g.sign.values()):
         raise StructureError("re-signing failed")
 
@@ -654,7 +649,8 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     if None in witnesses:
         # boundary entirely at v: fall back to the first surviving side of a
         # face incident to v, which joins the merged face
-        repl = _first_survivor((st for f in _faces_at(g, v) for st in f.states), dead)
+        at_v = (st for f in trace_faces(g) if v in f.tails for st in f.states)
+        repl = _first_survivor(at_v, dead)
         witnesses = [repl if w is None else w for w in witnesses]
     out = g.copy()
     for e in dead:
@@ -671,16 +667,13 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     return out
 
 
-def _contract_edge_inplace(g: EmbeddedGraph, e: int, track: list[State]) -> int:
+def _contract_edge_inplace(g: EmbeddedGraph, e: int, track: list[State | None]) -> int:
     """Contract non-loop edge ``e``, merging the larger endpoint id into the
-    smaller.  Returns the surviving vertex."""
+    smaller, and relabel ``track`` alongside.  Returns the surviving vertex."""
     u, v = g.edges[e]
     keep, gone = (u, v) if u < v else (v, u)
     if g.sign[e] == -1:
-        for i, (d, s) in enumerate(track):
-            if g.edges[d[0]][d[1]] == gone:
-                track[i] = (d, -s)
-        _switch_inplace(g, gone)
+        _switch(g, {gone}, track)
     dk = (e, 0) if g.edges[e][0] == keep else (e, 1)
     dg = reversed_dart(dk)
     rk = g.rotation[keep]
@@ -729,19 +722,15 @@ def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
     )
     witnesses = _witnesses(g, set(internal))
     swallowed = [i for i, w in enumerate(witnesses) if w is None]
-    track: list[State] = [w for w in witnesses if w is not None]
     merged = None
     for e in internal:
         a, b = out.edges[e]
         if a == b:
             _drop_edge(out, e)
         else:
-            merged = _contract_edge_inplace(out, e, track)
+            merged = _contract_edge_inplace(out, e, witnesses)
     if merged is None:
         raise OperationError("side has at least two vertices but no internal edge")
-    # put tracked witnesses back in order
-    it = iter(track)
-    witnesses = [next(it) if w is not None else None for w in witnesses]
     fresh = g.next_vertex_id()
     out.rotation[fresh] = out.rotation.pop(merged)
     _move_darts(out, out.rotation[fresh], fresh)
@@ -814,14 +803,16 @@ def planarize_along_chord(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     return out
 
 
-def _corner_gap(rot: list[Dart], arrive: Dart, depart: Dart, s: int) -> int:
-    """Index of the corner a face walk passes when it arrives by ``arrive``
-    and leaves by ``depart`` with local orientation ``s``: the cut position
-    k such that the corner lies between rot[k-1] and rot[k].  The
-    orientation says which side of ``arrive`` the walk turns to, which the
-    darts alone leave open at a vertex of degree two."""
+def _corner_gap(rot: list[Dart], walk: FaceWalk, p: int) -> int:
+    """Index of the corner that ``walk`` passes at its position ``p``,
+    arriving by the previous step's dart and leaving by state p's dart with
+    its local orientation s: the cut position k such that the corner lies
+    between rot[k-1] and rot[k] in the rotation ``rot`` at p's tail.  The
+    orientation says which side of the arriving dart the walk turns to,
+    which the darts alone leave open at a vertex of degree two."""
+    depart, s = walk.states[p]
     n = len(rot)
-    i, j = rot.index(arrive), rot.index(depart)
+    i, j = rot.index(reversed_dart(walk.states[p - 1][0])), rot.index(depart)
     if s == 1 and (i + 1) % n == j:
         return j
     if s == -1 and (j + 1) % n == i:
@@ -844,7 +835,8 @@ def split_doubled_boundary_vertex(
       at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
       faces, F' one or two: Euler characteristic chi(g) + F'.  It must be 2
       on a connected result, else OperationError.  Cost: one search for
-      connectivity, one walk of F in the result, and chi(g).
+      connectivity, one walk of F in the result, and chi(g).  That walk,
+      re-signed with the result, is also the shared face below.
     * Re-identifying the copies at a corner of each must split their
       shared face in two, or the result is not plane: the walk from ``v``'s
       corner holds the fresh copy's corner before the merge and not after
@@ -865,15 +857,9 @@ def split_doubled_boundary_vertex(
     if len(occ) < 2:
         raise OperationError(f"vertex {v} does not repeat on the boundary")
     p1, p2 = occ[0], occ[1]
-    n = walk.length
     out = g.copy()
     rot = out.rotation[v]
-    gaps = []
-    for p in (p1, p2):
-        depart, s = walk.states[p]
-        arrive = reversed_dart(walk.darts[(p - 1) % n])
-        gaps.append(_corner_gap(rot, arrive, depart, s))
-    c1, c2 = gaps
+    c1, c2 = _corner_gap(rot, walk, p1), _corner_gap(rot, walk, p2)
     if c1 == c2:
         raise OperationError("boundary visits share a corner; cannot split")
     if c1 > c2:
@@ -884,31 +870,23 @@ def split_doubled_boundary_vertex(
     out.rotation[v] = arc_a
     out.rotation[fresh] = arc_b
     _move_darts(out, arc_b, fresh)
-    # witness into the cut-open face: the first boundary departure survives
-    st0 = walk.states[p1] if walk.darts[p1] in arc_a else walk.states[p2]
+    # walk the cut-open face from the first boundary departure that survives
+    cut = _walk_from(out, walk.states[p1 if walk.states[p1][0] in arc_a else p2])
     # F's orbit pair (2n states) now holds two orbits of length n, or four
-    faces_of_f = 1 if len(_walk_from(out, st0)) == n else 2
+    faces_of_f = 1 if len(cut) == walk.length else 2
     if not out.is_connected() or (
         euler_characteristic(g) if chi is None else chi
     ) + faces_of_f != 2:
         raise OperationError("boundary visits do not cut the crosscap")
-    track: list[State] = [st0]
-    _resign_all_positive(out, track)
-    shared = _face_through(out, track[0])
-    pos = {t: i for i, t in enumerate(shared.tails)}
-    if v not in pos or fresh not in pos:
+    _resign_all_positive(out, cut)  # relabels the walk with the graph
+    shared = _canonical_walk(out, cut)
+    if v not in shared.tails or fresh not in shared.tails:
         raise StructureError("cut-open face does not meet both vertex copies")
-
-    def gap_of(walkf: FaceWalk, x: int) -> tuple[int, Dart]:
-        i = walkf.tails.index(x)
-        depart, s = walkf.states[i]
-        arrive = reversed_dart(walkf.darts[(i - 1) % walkf.length])
-        return _corner_gap(out.rotation[x], arrive, depart, s), depart
-
-    gv, dep_v = gap_of(shared, v)
-    gw, dep_w = gap_of(shared, fresh)
+    iv, iw = shared.tails.index(v), shared.tails.index(fresh)
     rv = out.rotation[v]
     rw = out.rotation[fresh]
+    gv, gw = _corner_gap(rv, shared, iv), _corner_gap(rw, shared, iw)
+    dep_v, dep_w = shared.states[iv][0], shared.states[iw][0]
     # every sign is +1 now, so one orbit of a face keeps orientation +1
     start, other = (rv[gv], 1), (rw[gw], 1)
     joined = other in _walk_from(out, start)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cuts import check_class
 from .embedding import (
@@ -28,6 +27,9 @@ from .embedding import (
     specified_walk,
 )
 from .orient import DirectedVertexSpec, _draw_prescription
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FamilyError(Exception):
@@ -233,9 +235,7 @@ def gen_counterexample(
     t, w = 0, n + 1
 
     def vid(j: int) -> int:
-        # path-position convention: index 0 is t, index n+1 is w
-        if j == 0:
-            return t
+        # path-position convention: index n+1 is w; the cycle names t itself
         if j == n + 1:
             return w
         return n + 1 + j
@@ -284,6 +284,8 @@ def _random_pt_candidates(rng: np.random.Generator, max_vertices: int) -> Iterat
     chords pairing ``want[v] - 2`` stubs per vertex by a draw biased toward far
     partners, and whether those chords, as unordered pairs, join stub j to stub
     j + half along the cycle.  Lazy, so draws between candidates keep their order."""
+    import numpy as np  # loaded only where a seeded draw needs it
+
     for _ in range(_RANDOM_PT_ATTEMPTS):
         n = int(rng.integers(5, max_vertices + 1))
         cycle = [int(v) for v in rng.permutation(n)]
@@ -295,8 +297,6 @@ def _random_pt_candidates(rng: np.random.Generator, max_vertices: int) -> Iterat
             j = int(rng.integers(n))
             stubs[j] += 1 if want[j] < 5 else -1
             want[j] = stubs[j] + 2
-        if sum(1 for w in want if w == 3) > 1:
-            continue
         pos = {v: k for k, v in enumerate(cycle)}
         chords: list[tuple[int, int]] = []
         live = [v for v in range(n) if stubs[v] > 0]
@@ -328,6 +328,8 @@ def gen_random_pt(seed: int, max_vertices: int) -> tuple[EmbeddedGraph, dict[int
     ``check_class``.
     """
     _check_random_pt_args(seed, max_vertices)
+    import numpy as np  # loaded only where a seeded draw needs it
+
     rng = np.random.default_rng(seed)
     for cycle, want, chords, antipodal in _random_pt_candidates(rng, max_vertices):
         if not antipodal:

@@ -18,10 +18,12 @@ import hashlib
 import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .embedding import EmbeddedGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OrientationError(Exception):
@@ -107,6 +109,8 @@ def prescription_ok(g: EmbeddedGraph, p: dict[int, int]) -> bool:
 def random_prescription(g: EmbeddedGraph, seed: int) -> dict[int, int]:
     """Uniform over valid prescriptions: free residues on all vertices but
     the last, which is forced to close the total."""
+    import numpy as np  # loaded only where a seeded draw needs it
+
     return _draw_prescription(np.random.default_rng(seed), g.vertices)
 
 

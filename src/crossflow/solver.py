@@ -313,12 +313,11 @@ def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, Redu
     ``g.darcs``).  Returns the orientation (or None) and the replayable
     trace."""
     g.validate()
-    work = g.copy()
     prescription = dict(p)
-    if not prescription_ok(work, prescription):
+    if not prescription_ok(g, prescription):
         return None, ReductionTrace([], "none", prescription)
-    o, steps = _solve_inner(work, prescription, _Input(work))
-    if o is not None and not is_valid_orientation(work, prescription, o):
+    o, steps = _solve_inner(g, prescription, _Input(g))
+    if o is not None and not is_valid_orientation(g, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"
     return o, ReductionTrace(steps, outcome, prescription)

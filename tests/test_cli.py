@@ -4,10 +4,15 @@ Exit code contract: 0 solved/valid, 1 proven none/invalid/class fails,
 2 engine refusal, 3 bad input.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import crossflow
 from conftest import build_graph, cycle_graph, triangle_with_loop, two_triangles
 from crossflow.cli import main
 from crossflow.embedding import EmbeddedGraph, StructureError
@@ -558,6 +563,12 @@ def test_check_without_prescription_uses_zeros(b7_file, capsys):
 # ------------------------------------------------------------------ corpus
 
 
+def test_corpus_single_seed(capsys):
+    code, out, _ = run(capsys, "corpus", "--seeds", "7")
+    assert code == 0
+    assert [l.split()[:2] for l in out.splitlines()] == [["seed", "7"]]
+
+
 def test_corpus_batch(capsys):
     code, out, _ = run(capsys, "corpus", "--seeds", "0..4")
     assert code == 0
@@ -644,6 +655,45 @@ def test_cuts_negative_arguments_exit3(b7_file, capsys, option, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "a", "6"], "input error: family index must be odd and >= 5, got 6"),
+        (["corpus", "--seeds", "5..3"], "argument --seeds: empty seed range"),
+        (["corpus", "--seeds", "x"], "argument --seeds: expected N or A..B, got 'x'"),
+        (["faces", "{empty}"], "input error: empty graph has no embedding"),
+        (["gen", "b", "5", "-o", "{missing}"], "i/o error: [Errno 2] No such file or directory"),
+    ],
+    ids=["gen-a", "seeds-empty", "seeds-text", "faces-empty", "output-dir"],
+)
+def test_bad_arguments_exit3(tmp_path, capsys, argv, message):
+    empty = tmp_path / "empty.pgr"
+    empty.write_text("pgr 1\n")
+    missing = tmp_path / "no-such-dir" / "g.pgr"
+    argv = [a.format(empty=empty, missing=missing) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\n", "p.txt:1: expected '<vertex> <residue>'"),
+        ("p 0 0\n1 one\n", "p.txt:2: not integers: '1 one'"),
+        ("0 0\np 0 1\n", "p.txt:2: duplicate vertex 0"),
+        ("# none here\n", "p.txt: no prescription entries"),
+    ],
+    ids=["shape", "integers", "duplicate", "empty"],
+)
+def test_prescription_file_syntax_exit3(b7_file, tmp_path, capsys, text, message):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text(text)
+    code, out, err = run(capsys, "solve", b7_file, "--p", str(pfile))
+    assert code == 3 and out == ""
+    assert err.startswith("input error: ") and err.rstrip().endswith(message)
+
+
 def test_unknown_subcommand_exit3(capsys):
     code = main(["frobnicate"])
     assert code == 3
@@ -652,3 +702,14 @@ def test_unknown_subcommand_exit3(capsys):
 def test_help_exits_zero(capsys):
     code = main(["--help"])
     assert code == 0
+
+
+def test_cli_starts_without_numpy():
+    # only the seeded generators (gen rpt, corpus, --p random) load numpy
+    src = str(Path(crossflow.__file__).parents[1])
+    probe = "import sys, crossflow.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"

@@ -554,6 +554,19 @@ def test_plane_instance_fails_pt_on_surface():
     assert any(idx == 0 for idx, _ in rep.violations)
 
 
+def test_path_condition_walks_the_faces_once(monkeypatch):
+    # the off-boundary path condition pools the face vertex sets the check
+    # already holds; it walks no face per interior vertex
+    g = random_multigraph(18, 10, 12)
+    zeros = {v: 0 for v in g.rotation}
+    interior = set(g.rotation) - set(specified_walk(g).tails)
+    walks = _count_calls(monkeypatch, embedding.specified_walk)
+    rep = check_class(g, zeros, "pt")
+    assert len(interior) == 8
+    assert sum(idx == 5 for idx, _ in rep.violations) == 8  # each one ran its flow
+    assert len(walks) == 1
+
+
 # ------------------------------------------------------------ pinned outputs
 
 CLASS_NAMES = ("pt", "3pt", "ft", "dts", "3dts")

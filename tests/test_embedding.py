@@ -31,7 +31,8 @@ from crossflow.embedding import (
     StructureError,
     _face_through,
     _mirror,
-    _switch_inplace,
+    _switch,
+    _walk_from,
     boundary_cycle,
     canonical_anchor,
     contract_subgraph,
@@ -579,9 +580,25 @@ def test_switching_keeps_the_faces():
         lengths = sorted(f.length for f in trace_faces(g))
         for w in g.vertices:
             h = g.copy()
-            _switch_inplace(h, w)
+            _switch(h, {w}, [])
             assert h.sign[e] == g.sign[e], f"seed {seed}"
             assert sorted(f.length for f in trace_faces(h)) == lengths, f"seed {seed}"
+
+
+def test_switching_relabels_tracked_states():
+    # a tracked state keeps naming the same face side: its face, walked in
+    # the switched graph, is the old walk with each switched tail's
+    # orientation bit flipped; None entries stay as they are
+    for seed in range(100):
+        g = random_multigraph(seed)
+        verts = set(g.vertices[seed % 3 :: 2])
+        for f in trace_faces(g):
+            h = g.copy()
+            track = [f.states[0], None]
+            _switch(h, verts, track)
+            moved = [(d, -s if t in verts else s) for (d, s), t in zip(f.states, f.tails)]
+            assert track[1] is None
+            assert _walk_from(h, track[0]) == moved, f"seed {seed}"
 
 
 def test_copy_equality_and_independence():
@@ -717,3 +734,18 @@ def test_random_graphs_trace_consistently(seed):
         for s in f.states:
             assert _face_through(g, s) == f
             assert _face_through(g, _mirror(g, s)) == f
+
+
+def test_mirror_orbit_is_the_orbit_reversed():
+    # the face step maps the mirror of a state's successor to the mirror of
+    # the state, so the mirror orbit is the orbit reversed with each state
+    # mirrored; _canonical_walk reads it from one walk
+    orbits = 0
+    for seed in range(1500):
+        g = random_multigraph(seed)
+        orbits_of_g, _ = embedding._orbit_pairs(g)
+        for orbit in orbits_of_g:
+            derived = [_mirror(g, st) for st in reversed(orbit)]
+            assert _walk_from(g, derived[0]) == derived, f"seed {seed}"
+            orbits += 1
+    assert orbits > 5000

@@ -11,6 +11,7 @@ from conftest import (
     _replace_everywhere,
     disjoint_union,
     random_multigraph,
+    triangle,
     triangle_with_loop,
     two_triangles,
 )
@@ -311,6 +312,25 @@ def test_solve_two_triangles_matches_oracle():
         assert [s.kind for s in trace.steps] == ["OracleCall"]
 
 
+def test_solve_disconnected_with_a_doubled_face_vertex(monkeypatch):
+    # the specified face visits every vertex of the one-sided 8-cycle twice,
+    # but the graph has no chi, so each split counts it, fails and falls
+    # through; the oracle answers, as it would alone
+    loose = triangle()
+    loose.specified = []
+    g = disjoint_union(random_multigraph(3), loose)
+    assert max(Counter(embedding.specified_walk(g).tails).values()) == 2
+    splits = _count_calls(monkeypatch, embedding.split_doubled_boundary_vertex)
+    for seed in range(6):
+        p = random_prescription(g, seed)
+        got, trace = solve(g, p)
+        want = oracle_solve(g, p)
+        assert [s.kind for s in trace.steps] == ["OracleCall"]
+        assert (got is None) == (want is None)
+        assert got is None or got.tails() == want.tails()
+    assert splits
+
+
 def test_solve_agrees_with_oracle_on_two_components():
     outcomes = Counter()
     for seed in range(30):
@@ -327,10 +347,16 @@ def test_solve_agrees_with_oracle_on_two_components():
 
 
 def test_solve_leaves_input_untouched():
-    g = gen_circulant_b(7)
-    key = g._key()
-    solve(g, random_prescription(g, 0))
-    assert g._key() == key
+    # solve works on the caller's graph itself, so every operation on its
+    # path must return a new graph
+    cases = list(_golden_instances())
+    for seed in range(300):
+        g = random_multigraph(seed)
+        cases.append((f"rm{seed}", g, random_prescription(g, seed)))
+    for label, g, p in cases:
+        key = g._key()
+        solve(g, p)
+        assert g._key() == key, label
 
 
 # ------------------------------------------------------------------ traces
@@ -385,6 +411,44 @@ def test_parse_rejects_out_of_order_steps():
 def test_parse_rejects_missing_outcome():
     with pytest.raises(TraceError):
         parse_trace("trace 1\nthreshold 28\np 0 0\n")
+
+
+_STEP = "step 0 OracleCall args=3 digest=abc123"
+
+# malformed trace text -> the message parse_trace raises, with its line
+_TRACE_ERRORS = {
+    "non-integer": ("trace 1\np 0 x\noutcome valid\n", "line 2: expected an integer, got 'x'"),
+    "header": ("trace 2\noutcome valid\n", "line 1: expected header 'trace 1'"),
+    "duplicate p": (
+        "trace 1\np 0 1\np 0 -1\noutcome valid\n",
+        "line 3: duplicate prescription for vertex 0",
+    ),
+    "step line": (
+        "trace 1\n" + _STEP.replace("args=", "argv=") + "\noutcome valid\n",
+        "line 2: malformed step line",
+    ),
+    "duplicate outcome": (
+        "trace 1\noutcome valid\noutcome none\n",
+        "line 3: duplicate outcome line",
+    ),
+    "unrecognised": ("trace 1\noutcome maybe\n", "line 2: unrecognized line: outcome maybe"),
+    "empty": ("# only a comment\n\n", "empty trace"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRACE_ERRORS))
+def test_parse_trace_errors(case):
+    text, message = _TRACE_ERRORS[case]
+    with pytest.raises(TraceError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == message
+
+
+def test_parse_trace_skips_comments():
+    text = f"# a trace\ntrace 1  # header\n\np 0 0 # r\n{_STEP}\n# done\noutcome none\n"
+    trace = parse_trace(text)
+    assert trace.prescription == {0: 0} and trace.outcome == "none"
+    assert trace.steps == [ReductionStep("OracleCall", (3,), "abc123")]
 
 
 def test_step_kinds_always_in_vocabulary():
@@ -672,7 +736,7 @@ def test_solver_reaches_the_public_face_operations(monkeypatch):
 
 # _face_step calls while solving corpus seeds 0..99: a count, unlike wall
 # time, shows a face walked again
-CORPUS_FACE_STEPS = 17_813
+CORPUS_FACE_STEPS = 14_823
 
 
 def test_corpus_face_work_is_bounded(monkeypatch):
