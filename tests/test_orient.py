@@ -5,6 +5,7 @@ measured against: a direct product over every edge direction with no
 pruning and no shared code with the package's search kernel.
 """
 
+import hashlib
 import time
 from collections import Counter
 from itertools import product
@@ -49,6 +50,7 @@ from crossflow.orient import (
     random_prescription,
     residue,
 )
+from crossflow.pgr import serialize_graph
 
 
 def enumerate_all_orientations(g, p, forced=None):
@@ -118,6 +120,24 @@ def test_random_prescription_always_valid():
     g = gen_circulant_b(9)
     for seed in range(50):
         assert prescription_ok(g, random_prescription(g, seed))
+
+
+# sha256 over the .pgr text of B_i and of A_i, for i in {5, 51, 401}, each
+# with random_prescription(g, s) for s in 0..19
+RANDOM_PRESCRIPTION_DIGEST = "b8eb2c007e4b4bf8233bbbfd0141b1f67cb33b8f459fb4215b47bae9c07890a5"
+
+
+def test_random_prescriptions_are_pinned():
+    h = hashlib.sha256()
+    for i in (5, 51, 401):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            for seed in range(20):
+                h.update(serialize_graph(g, random_prescription(g, seed)).encode())
+    assert h.hexdigest() == RANDOM_PRESCRIPTION_DIGEST, (
+        f"prescriptions changed under numpy {np.__version__}: the pin follows "
+        "numpy's default_rng stream, which NEP 19 does not promise to keep "
+        "across numpy versions"
+    )
 
 
 def test_edge_reversal_shifts_residues_oppositely():
