@@ -14,8 +14,10 @@ mirrors its endpoints, and the darts at a vertex are sorted by heading.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .cuts import check_class
@@ -278,14 +280,48 @@ def _check_random_pt_args(seed: int, max_vertices: int) -> None:
         raise FamilyError("corpus generator supports 5..12 vertices")
 
 
+def _float64_sum(w: list[float]) -> float:
+    """``float(np.add.reduce(w))``, added in numpy's pairwise order: one
+    running sum below 8 terms, 8 interleaved accumulators up to 128, and
+    above that the halves split at ``n // 2`` rounded down to a multiple of 8."""
+    n = len(w)
+    if n < 8:
+        total = 0.0
+        for x in w:
+            total += x
+        return total
+    if n <= 128:
+        r = w[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += w[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in w[tail:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _float64_sum(w[:half]) + _float64_sum(w[half:])
+
+
+def _choice(rng: np.random.Generator, weights: list[float]) -> int:
+    """``rng.choice(len(weights), p=w / w.sum())`` for ``w`` the weights as
+    a float64 array, with numpy's rounding: the cdf is the running sum of
+    ``w_i / total`` divided by its last entry, searched on the right for
+    one ``random()`` double, the only draw numpy's ``choice`` makes."""
+    total = _float64_sum(weights)
+    cdf = list(accumulate([w / total for w in weights]))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], rng.random())
+
+
 def _random_pt_candidates(rng: np.random.Generator, max_vertices: int) -> Iterator[tuple]:
     """Up to ``_RANDOM_PT_ATTEMPTS`` candidates ``(cycle, want, chords, antipodal)``:
     a shuffled boundary cycle, the degrees (4 mostly, a few 5s, at most one 3),
     chords pairing ``want[v] - 2`` stubs per vertex by a draw biased toward far
-    partners, and whether those chords, as unordered pairs, join stub j to stub
-    j + half along the cycle.  Lazy, so draws between candidates keep their order."""
-    import numpy as np  # loaded only where a seeded draw needs it
-
+    partners (weight ``(min(d, n - d) / n) ** 6`` at cycle distance d), and
+    whether those chords, as unordered pairs, join stub j to stub j + half
+    along the cycle.  Lazy, so draws between candidates keep their order."""
     for _ in range(_RANDOM_PT_ATTEMPTS):
         n = int(rng.integers(5, max_vertices + 1))
         cycle = [int(v) for v in rng.permutation(n)]
@@ -298,6 +334,7 @@ def _random_pt_candidates(rng: np.random.Generator, max_vertices: int) -> Iterat
             stubs[j] += 1 if want[j] < 5 else -1
             want[j] = stubs[j] + 2
         pos = {v: k for k, v in enumerate(cycle)}
+        far = [(min(d, n - d) / n) ** 6 for d in range(n)]
         chords: list[tuple[int, int]] = []
         live = [v for v in range(n) if stubs[v] > 0]
         while live:
@@ -305,9 +342,7 @@ def _random_pt_candidates(rng: np.random.Generator, max_vertices: int) -> Iterat
             cand = [v for v in live if v != u]
             if not cand:  # stranded stubs: the chords cannot be antipodal
                 break
-            dist = [abs(pos[u] - pos[v]) for v in cand]
-            weights = np.array([(min(d, n - d) / n) ** 6 for d in dist])
-            v = cand[int(rng.choice(len(cand), p=weights / weights.sum()))]
+            v = cand[_choice(rng, [far[abs(pos[u] - pos[x])] for x in cand])]
             chords.append((u, v))
             stubs[u] -= 1
             stubs[v] -= 1

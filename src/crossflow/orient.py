@@ -115,13 +115,12 @@ def random_prescription(g: EmbeddedGraph, seed: int) -> dict[int, int]:
 
 
 def _draw_prescription(rng: np.random.Generator, verts: list[int]) -> dict[int, int]:
-    """One residue in {-1, 0, 1} from ``rng`` for each of ``verts`` but the
-    last, in order; the last closes the total to 0 mod 3."""
+    """One residue in {-1, 0, 1} for each of ``verts`` but the last, in
+    order, from one ``integers`` call (the stream of one scalar draw per
+    vertex); the last closes the total to 0 mod 3."""
     if not verts:
         return {}
-    p: dict[int, int] = {}
-    for v in verts[:-1]:
-        p[v] = int(rng.integers(-1, 2))
+    p = dict(zip(verts, rng.integers(-1, 2, size=len(verts) - 1).tolist()))
     p[verts[-1]] = _mod3(-sum(p.values()))
     return p
 

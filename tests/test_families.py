@@ -24,6 +24,8 @@ from crossflow.embedding import (
 )
 from crossflow.families import (
     FamilyError,
+    _choice,
+    _float64_sum,
     circulant_schedule,
     disk_crosscap_graph,
     gen_a,
@@ -32,6 +34,7 @@ from crossflow.families import (
     gen_random_pt,
 )
 from crossflow.orient import (
+    _draw_prescription,
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
@@ -316,6 +319,73 @@ def test_random_pt_vets_with_one_cut_scan_and_one_connectivity_search(monkeypatc
         gen_random_pt(seed, 12)
     counts = len(flows), len(scans), len(searches), len(walks)
     assert counts == (0, 100, 100, 100)
+
+
+class _CountingRng:
+    """A numpy Generator that counts its ``choice`` calls, and its
+    ``integers(-1, 2, ...)`` calls by whether they pass ``size``."""
+
+    def __init__(self, rng, calls):
+        self._rng = rng
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        self._calls["choice"] += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        if args[:2] == (-1, 2):
+            self._calls["sized" if "size" in kwargs else "scalar"] += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+def test_random_pt_draws_without_choice_and_one_call_per_prescription(monkeypatch):
+    # the chord draw reads one random() double per chord, and a prescription
+    # is one sized integers call (6761 choice calls and 536 scalar
+    # integers(-1, 2) calls over these seeds before)
+    calls = Counter()
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountingRng(real(seed), calls))
+    prescriptions = _count_calls(monkeypatch, _draw_prescription)
+    for seed in range(100):
+        gen_random_pt(seed, 12)
+    assert len(prescriptions) >= 100
+    assert calls == Counter(sized=len(prescriptions))
+
+
+def _far_weights(n):
+    return [(min(d, n - d) / n) ** 6 for d in range(1, n)]
+
+
+def test_choice_matches_numpy_draw_for_draw():
+    # lengths cross the pairwise sum's 8-, 16-, 128- and 129-term boundaries;
+    # both generators must pick alike and leave the same state
+    src = np.random.default_rng(2024)
+    for length in range(1, 301):
+        for weights in (_far_weights(length + 1), src.random(length).tolist()):
+            a = np.random.default_rng(length)
+            b = np.random.default_rng(length)
+            w = np.array(weights)
+            for _ in range(3):
+                assert _choice(a, weights) == b.choice(length, p=w / w.sum())
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_float64_sum_is_numpys_sum():
+    # terms of mixed magnitude, so the order of the additions shows
+    src = np.random.default_rng(7)
+    misses = 0
+    for n in range(2001):
+        w = src.random(n) * 10.0 ** src.integers(-8, 9, n)
+        assert _float64_sum(w.tolist()) == float(np.add.reduce(w)), n
+        running = 0.0
+        for x in w.tolist():
+            running += x
+        misses += running != float(np.add.reduce(w))
+    assert misses > 100  # a running sum is not numpy's order
 
 
 # ----------------------------------------------------- geometric builder

@@ -122,6 +122,18 @@ def test_random_prescription_always_valid():
         assert prescription_ok(g, random_prescription(g, seed))
 
 
+def test_sized_residue_draw_is_the_scalar_stream():
+    # _draw_prescription makes one sized integers call where it made one
+    # scalar call per vertex
+    for seed in range(5):
+        for k in (0, 1, 2, 7, 400):
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            drawn = a.integers(-1, 2, size=k).tolist()
+            assert drawn == [int(b.integers(-1, 2)) for _ in range(k)]
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 # sha256 over the .pgr text of B_i and of A_i, for i in {5, 51, 401}, each
 # with random_prescription(g, s) for s in 0..19
 RANDOM_PRESCRIPTION_DIGEST = "b8eb2c007e4b4bf8233bbbfd0141b1f67cb33b8f459fb4215b47bae9c07890a5"
