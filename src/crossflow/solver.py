@@ -27,9 +27,11 @@ it by 0, 1 or 2, and a split's output is plane.  So when the input to
 refuses a disconnected result before it reads chi, and a connected one
 has chi(h) + F' <= 2 with F' >= 1 faces from h's specified face, so the
 solver hands it chi(h) = 1 (Mohar and Thomassen, *Graphs on Surfaces*,
-2001).  The input's chi is counted once, at the first split attempted,
-since most solves never split; on any other input, or one the count
-refuses, each split counts chi itself.
+2001).  The input's chi is counted once, at the first level with a
+doubled vertex, since most solves never split; on any other input each
+split counts chi itself.  The count refuses only a disconnected input,
+and there no split is tried: a disconnected graph has no bond, so every
+level is the input itself, and each split of it fails its cut check.
 """
 
 from __future__ import annotations
@@ -279,6 +281,8 @@ def _solve_inner(
     if len(g.specified) == 1:
         walk = specified_walk(g)
         doubled = [v for v, c in sorted(Counter(walk.tails).items()) if c >= 2]
+        if doubled and top.chi is None:
+            doubled = []  # a disconnected input: no split passes its cut check
         chi = 1 if doubled and top.chi in (1, 2) else None
         for v in doubled:
             try:
