@@ -17,7 +17,7 @@ from .cuts import CutBudgetError, check_class, classify_cut, enumerate_robust_cu
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
-    OperationError,
+    euler_characteristic,
     face_of_anchor,
     trace_faces,
 )
@@ -32,6 +32,7 @@ from .families import (
 from .orient import (
     OracleBoundError,
     OrientationError,
+    _check_prescription,
     is_valid_orientation,
     oracle_solve,
     orientation_from_tails,
@@ -58,10 +59,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _load_graph(path: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
-    return parse_graph(_read_text(path))
 
 
 def _read_text(path: str) -> str:
@@ -113,15 +110,7 @@ def _resolve_prescription(
         return random_prescription(g, args.seed)
     else:
         p = _parse_prescription_file(_read_text(args.prescription), args.prescription)
-    missing = set(g.rotation) - set(p)
-    if missing:
-        raise CliInputError(f"prescription misses vertex {min(missing)}")
-    extra = set(p) - set(g.rotation)
-    if extra:
-        raise CliInputError(f"prescription names unknown vertex {min(extra)}")
-    for v, r in sorted(p.items()):
-        if r not in (-1, 0, 1):
-            raise CliInputError(f"residue must be -1, 0 or 1, got {r} at vertex {v}")
+    _check_prescription(g, p)
     return p
 
 
@@ -145,7 +134,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g, embedded = _load_graph(args.input)
+    g, embedded = parse_graph(_read_text(args.input))
     p = _resolve_prescription(g, embedded, args)
     orientation, trace = solve(g, p)
     if args.trace_path is not None:
@@ -159,7 +148,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g, embedded = _load_graph(args.input)
+    g, embedded = parse_graph(_read_text(args.input))
     p = _resolve_prescription(g, embedded, args)
     tails = parse_orientation(_read_text(args.orientation))
     try:
@@ -183,7 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g, embedded = _load_graph(args.input)
+    g, embedded = parse_graph(_read_text(args.input))
     p = _resolve_prescription(g, embedded, args)
     orientation = oracle_solve(g, p)
     if orientation is None:
@@ -194,7 +183,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_cuts(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.input)
+    g, _ = parse_graph(_read_text(args.input))
     lines = []
     for cut in enumerate_robust_cuts(g, args.max_size, args.min_side):
         try:
@@ -209,14 +198,12 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
 
 
 def _cmd_faces(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.input)
-    if not g.rotation:
-        raise OperationError("empty graph has no embedding")
+    g, _ = parse_graph(_read_text(args.input))
     faces = trace_faces(g)
     marked = {face_of_anchor(g, faces, a) for a in g.specified}
     lines = []
     if g.is_connected():  # chi is defined only for a connected graph
-        lines.append(f"chi {len(g.rotation) - len(g.edges) + len(faces)}")
+        lines.append(f"chi {euler_characteristic(g)}")
     for i, f in enumerate(faces):
         tag = " specified" if i in marked else ""
         walk = ",".join(str(t) for t in f.tails)
@@ -226,7 +213,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g, embedded = _load_graph(args.input)
+    g, embedded = parse_graph(_read_text(args.input))
     if embedded is None:  # a file without p lines is checked against all zeros
         embedded = dict.fromkeys(g.rotation, 0)
     report = check_class(g, _resolve_prescription(g, embedded, args), args.klass)
@@ -251,7 +238,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             orientation, trace = solve(g, p)
             outcome = "valid" if orientation is not None else "none"
             extra = f" steps={len(trace.steps)}"
-        except (SolverRefusal, OracleBoundError):
+        except SolverRefusal:
             outcome, extra = "refused", ""
         lines.append(
             f"seed {seed} vertices={len(g.vertices)} edges={len(g.edges)} "
@@ -308,18 +295,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for --p random (default 0)")
 
     p = sub.add_parser("gen", help="generate a family instance as .pgr")
+    p.set_defaults(handler=_cmd_gen)
     p.add_argument("family", choices=["b", "a", "ce", "rpt"])
     p.add_argument("parameter", type=int, help="family index, scale, or seed")
     p.add_argument("--max-vertices", type=int, default=9, help="rpt size cap (default 9)")
     add_output(p)
 
     p = sub.add_parser("solve", help="find a valid orientation or prove none")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("input")
     add_prescription(p)
     p.add_argument("--trace", dest="trace_path", default=None, help="write the reduction trace here")
     add_output(p)
 
     p = sub.add_parser("verify", help="check an orientation file against a graph")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("input")
     p.add_argument("orientation")
     add_prescription(p)
@@ -327,11 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decide with the frontier DP and read its witness, "
                        "no reductions")
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("input")
     add_prescription(p)
     add_output(p)
 
     p = sub.add_parser("cuts", help="enumerate and classify robust small cuts")
+    p.set_defaults(handler=_cmd_cuts)
     p.add_argument("input")
     p.add_argument("--max", dest="max_size", default=5, type=partial(_non_negative, "cut size"),
                    help="largest cut size (default 5)")
@@ -341,34 +333,25 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("faces", help="facial walks and Euler characteristic")
+    p.set_defaults(handler=_cmd_faces)
     p.add_argument("input")
     add_output(p)
 
     p = sub.add_parser("check", help="validate a graph-class membership")
+    # prescription None: the file's own, as _resolve_prescription reads it
+    p.set_defaults(handler=_cmd_check, prescription=None)
     p.add_argument("input")
     p.add_argument("--class", dest="klass", required=True,
                    choices=["pt", "3pt", "ft", "dts", "3dts"])
-    p.set_defaults(prescription=None)  # the file's own, as _resolve_prescription reads it
     add_output(p)
 
     p = sub.add_parser("corpus", help="generate and solve a seeded batch")
+    p.set_defaults(handler=_cmd_corpus)
     p.add_argument("--seeds", type=_seed_range, required=True, metavar="A..B")
     p.add_argument("--max-vertices", type=int, default=9)
     add_output(p)
 
     return top
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-    "cuts": _cmd_cuts,
-    "faces": _cmd_faces,
-    "check": _cmd_check,
-    "corpus": _cmd_corpus,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,14 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 3
     try:
-        return _HANDLERS[args.command](args)
-    except (CliInputError, PgrError, FamilyError) as exc:
-        _say(f"input error: {exc}")
-        return 3
+        return args.handler(args)
     except (SolverRefusal, OracleBoundError, CutBudgetError) as exc:
         _say(f"refused: {exc}")
         return 2
-    except (EmbeddingError, OrientationError) as exc:
+    except (CliInputError, PgrError, FamilyError, EmbeddingError, OrientationError) as exc:
         _say(f"input error: {exc}")
         return 3
     except OSError as exc:

@@ -90,7 +90,7 @@ def _normal_side(g: EmbeddedGraph, side: frozenset[int]) -> bool:
     if len(side) != 2:
         return False
     a, b = side
-    return not any({u, v} == {a, b} for u, v in g.edges.values())
+    return not g.edges_between(a, b)
 
 
 def _neighbour_masks(g: EmbeddedGraph) -> list[list[int]]:

@@ -23,6 +23,7 @@ above every id in its input, and never renumbers anything else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 Dart = tuple[int, int]
@@ -317,13 +318,18 @@ def _is_dart(g: EmbeddedGraph, d: Dart) -> bool:
     return d[0] in g.edges and d[1] in (0, 1)
 
 
-def _face_through(g: EmbeddedGraph, state: State) -> FaceWalk:
-    """The walk ``trace_faces`` lists for the face whose orbit pair
-    contains ``state``, found by walking that one orbit."""
+def _face_orbit(g: EmbeddedGraph, state: State) -> list[State]:
+    """The face orbit through ``state``, refused if it is its own mirror."""
     orbit = _walk_from(g, state)
     if _mirror(g, state) in set(orbit):
         raise StructureError("facial walk is its own mirror")
-    return _canonical_walk(g, orbit)
+    return orbit
+
+
+def _face_through(g: EmbeddedGraph, state: State) -> FaceWalk:
+    """The walk ``trace_faces`` lists for the face whose orbit pair
+    contains ``state``, found by walking that one orbit."""
+    return _canonical_walk(g, _face_orbit(g, state))
 
 
 def face_of_anchor(g: EmbeddedGraph, faces: list[FaceWalk], anchor: Dart) -> int:
@@ -355,10 +361,7 @@ def canonical_anchor(g: EmbeddedGraph, face: FaceWalk) -> Dart:
 def _anchor_through(g: EmbeddedGraph, state: State) -> Dart:
     """``canonical_anchor`` of the face whose orbit pair contains
     ``state``, from a walk of one orbit."""
-    orbit = _walk_from(g, state)
-    if _mirror(g, state) in set(orbit):
-        raise StructureError("facial walk is its own mirror")
-    return _orbit_anchor(g, orbit)
+    return _orbit_anchor(g, _face_orbit(g, state))
 
 
 def specified_walk(g: EmbeddedGraph, which: int = 0) -> FaceWalk:
@@ -412,41 +415,32 @@ def cycle_sign(g: EmbeddedGraph, cycle_edges) -> int:
     """Product of signs along a cycle; +1 means contractible.
 
     The edges must induce a single closed cycle (every touched vertex of
-    degree exactly 2, connected); their order does not matter.
+    degree exactly 2, connected); their order does not matter.  Edges that
+    meet every touched vertex twice form disjoint cycles, so one search
+    from any vertex tells whether they form only one.
     """
     edges = list(cycle_edges)
     if not edges or len(set(edges)) != len(edges):
         raise OperationError("cycle must be a non-empty set of distinct edges")
-    deg: dict[int, int] = {}
+    adj: dict[int, list[int]] = {}
     for e in edges:
         if e not in g.edges:
             raise OperationError(f"unknown edge {e}")
         u, v = g.edges[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(c != 2 for c in deg.values()):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nbrs) != 2 for nbrs in adj.values()):
         raise OperationError("edges do not form a cycle")
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in deg}
-    for e in edges:
-        u, v = g.edges[e]
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    start = min(deg)
-    seen_e = set()
-    cur = start
-    prev_e = -1
-    while True:
-        nxt = [(y, e) for y, e in adj[cur] if e != prev_e and e not in seen_e]
-        if not nxt:
-            break
-        cur, prev_e = nxt[0]
-        seen_e.add(prev_e)
-    if len(seen_e) != len(edges):
+    stack = [next(iter(adj))]
+    seen = set(stack)
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(adj):
         raise OperationError("edges form more than one cycle")
-    out = 1
-    for e in edges:
-        out *= g.sign[e]
-    return out
+    return math.prod(g.sign[e] for e in edges)
 
 
 def _balance_potentials(g: EmbeddedGraph, verts: set[int]) -> dict[int, int] | None:
@@ -517,8 +511,8 @@ def is_contractible_chord(g: EmbeddedGraph, e: int) -> bool:
     if e not in g.edges:
         raise OperationError(f"unknown edge {e}")
     walk = specified_walk(g)
-    pos = {t: k for k, t in enumerate(walk.tails)}  # a vertex's place on the cycle
-    if len(pos) != walk.length or len(pos) < 2:
+    pos = {t: k for k, t in enumerate(_cycle_of(walk) or ())}  # places on the cycle
+    if not pos:
         raise OperationError("specified face boundary is not a cycle")
     if e in walk.edge_ids():
         raise OperationError(f"edge {e} lies on the specified face boundary")
@@ -689,13 +683,6 @@ def _contract_edge_inplace(g: EmbeddedGraph, e: int, track: list[State | None]) 
     return keep
 
 
-def _face_at_vertex_anchor(g: EmbeddedGraph, v: int) -> Dart:
-    """The least canonical anchor of a face at ``v``."""
-    if not g.rotation[v]:
-        raise StructureError("no face is incident to the merged vertex")
-    return min(_anchor_through(g, (d, s)) for d in g.rotation[v] for s in (1, -1))
-
-
 def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
     """Contract the connected subgraph induced by ``side`` to one vertex.
 
@@ -740,8 +727,10 @@ def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
         out.dvertex = None
         out.darcs = {}
     _reanchor(out, witnesses)
-    if swallowed:
-        anchor = _face_at_vertex_anchor(out, fresh)
+    if swallowed:  # the least canonical anchor of a face at the new vertex
+        if not out.rotation[fresh]:
+            raise StructureError("no face is incident to the merged vertex")
+        anchor = min(_anchor_through(out, (d, s)) for d in out.rotation[fresh] for s in (1, -1))
         for i in swallowed:
             if anchor not in out.specified:
                 out.specified.insert(i, anchor)
@@ -762,10 +751,7 @@ def lift_pair(g: EmbeddedGraph, e1: int, e2: int, v: int) -> EmbeddedGraph:
         raise OperationError("lift needs two distinct edges")
     if v not in g.edges[e1] or v not in g.edges[e2]:
         raise OperationError(f"edges {e1} and {e2} do not meet at vertex {v}")
-    a, b = g.edges[e1]
-    u = b if a == v else a
-    a, b = g.edges[e2]
-    w = b if a == v else a
+    u, w = (a if b == v else b for a, b in (g.edges[e1], g.edges[e2]))  # the ends away from v
     if u == w:
         raise OperationError("lift would create a loop")
     witnesses = _witnesses(g, {e1, e2})

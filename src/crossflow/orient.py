@@ -79,13 +79,9 @@ def orientation_from_tails(g: EmbeddedGraph, tails: dict[int, int]) -> Orientati
     for e, t in tails.items():
         if e not in g.edges:
             raise OrientationError(f"unknown edge {e}")
-        u, v = g.edges[e]
-        if t == u:
-            direction[e] = (u, v)
-        elif t == v:
-            direction[e] = (v, u)
-        else:
+        if t not in g.edges[e]:
             raise OrientationError(f"vertex {t} is not an endpoint of edge {e}")
+        direction[e] = _toward(g.edges[e], t)
     return Orientation(direction=direction)
 
 
@@ -97,11 +93,24 @@ def _mod3(r: int) -> int:
     return (r + 1) % 3 - 1
 
 
+def _check_prescription(g: EmbeddedGraph, p: dict[int, int]) -> None:
+    """Raise OrientationError unless ``p`` gives every vertex of ``g``, and
+    no other, a residue in {-1, 0, 1}; its total may still miss 0 mod 3."""
+    if p.keys() != g.rotation.keys():
+        missing = g.rotation.keys() - p.keys()
+        if missing:
+            raise OrientationError(f"prescription misses vertex {min(missing)}")
+        raise OrientationError(f"prescription names unknown vertex {min(p.keys() - g.rotation)}")
+    if not set(p.values()) <= {-1, 0, 1}:
+        v = min(v for v, r in p.items() if r not in (-1, 0, 1))
+        raise OrientationError(f"residue must be -1, 0 or 1, got {p[v]} at vertex {v}")
+
+
 def prescription_ok(g: EmbeddedGraph, p: dict[int, int]) -> bool:
     """Covers every vertex with a residue in {-1,0,1}, total 0 mod 3."""
-    if set(p) != set(g.rotation):
-        return False
-    if any(r not in (-1, 0, 1) for r in p.values()):
+    try:
+        _check_prescription(g, p)
+    except OrientationError:
         return False
     return sum(p.values()) % 3 == 0
 
@@ -340,8 +349,10 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     loop is directed at its vertex, ``(u, u)``.  A loop forced ``in`` at
     the directed vertex has its tail there whichever way it runs, so no
     orientation extends it, and the answer is None.  The result's
-    ``fixed`` names the forced arcs.
+    ``fixed`` names the forced arcs.  A malformed prescription raises
+    OrientationError (``_check_prescription``).
     """
+    _check_prescription(g, p)
     if not prescription_ok(g, p):
         return None
     if any(way == "in" and g.is_loop(e) for e, way in g.darcs.items()):

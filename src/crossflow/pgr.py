@@ -34,7 +34,8 @@ from .embedding import EmbeddedGraph, StructureError
 
 
 class PgrError(Exception):
-    """Malformed .pgr or orientation text.  ``line`` is 1-based."""
+    """Malformed .pgr, orientation or trace text, with the 1-based
+    ``line`` it was found on when there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

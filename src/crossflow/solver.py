@@ -56,6 +56,7 @@ from .orient import (
     OrientationError,
     ReductionStep,
     ScheduleError,
+    _check_prescription,
     _deferred_digest,
     _mod3,
     greedy_direct_and_delete,
@@ -64,6 +65,7 @@ from .orient import (
     prescription_ok,
     transfer_orientation,
 )
+from .pgr import PgrError
 
 STEP_KINDS = frozenset(
     {
@@ -83,14 +85,8 @@ class SolverRefusal(Exception):
     """The instance is outside every strategy's regime."""
 
 
-class TraceError(Exception):
+class TraceError(PgrError):
     """Malformed trace text."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass
@@ -144,7 +140,9 @@ def parse_trace(text: str) -> ReductionTrace:
             v = _int(parts[1], ln)
             if v in prescription:
                 raise TraceError(f"duplicate prescription for vertex {v}", ln)
-            prescription[v] = _int(parts[2], ln)
+            r = prescription[v] = _int(parts[2], ln)
+            if r not in (-1, 0, 1):
+                raise TraceError(f"residue must be -1, 0 or 1, got {r}", ln)
         elif parts[0] == "step" and len(parts) == 5:
             if _int(parts[1], ln) != len(steps):
                 raise TraceError("step index out of order", ln)
@@ -315,8 +313,10 @@ def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, Redu
     """Find a valid orientation or prove there is none, within the engine's
     regime.  The forced arcs are the graph's own (``g.dvertex``,
     ``g.darcs``).  Returns the orientation (or None) and the replayable
-    trace."""
+    trace.  A malformed prescription raises OrientationError
+    (``_check_prescription``); a total off 0 mod 3 answers "none"."""
     g.validate()
+    _check_prescription(g, p)
     prescription = dict(p)
     if not prescription_ok(g, prescription):
         return None, ReductionTrace([], "none", prescription)

@@ -479,6 +479,19 @@ def test_cuts_report_format(ce_file, capsys):
         assert " type=" in line and " side=" in line
 
 
+def test_cuts_without_a_face_line_print_type_dash(tmp_path, capsys):
+    # with no specified face there is no boundary to classify a cut against
+    g = cycle_graph(6)
+    g.specified = []
+    path = tmp_path / "c6.pgr"
+    write_graph(path, g)
+    code, out, _ = run(capsys, "cuts", str(path), "--max", "2")
+    lines = out.splitlines()
+    assert code == 0 and lines
+    assert all(" type=- " in line for line in lines)
+    assert "cut size=2 type=- side=0,1" in lines
+
+
 def test_cuts_over_search_budget_exit2(tmp_path, capsys):
     path = tmp_path / "c30.pgr"
     write_graph(path, cycle_graph(30))

@@ -21,6 +21,8 @@ from conftest import (
     random_multigraph,
     square_with_chord,
     triangle,
+    triangle_with_loop,
+    two_triangles,
     wheel,
 )
 from crossflow.embedding import (
@@ -311,6 +313,31 @@ def test_cycle_sign_requires_cycle():
     b12 = g.edges_between(cyc[0], cyc[1])[0]
     with pytest.raises(OperationError):
         cycle_sign(g, [b12])
+
+
+_CYCLE_SIGN_ERRORS = {  # edges of two_triangles() -> the error, checked in this order
+    "empty": ([], "cycle must be a non-empty set of distinct edges"),
+    "repeated": ([0, 1, 2, 0], "cycle must be a non-empty set of distinct edges"),
+    "unknown": ([0, 9], "unknown edge 9"),
+    "path": ([0, 1], "edges do not form a cycle"),
+    "two cycles": ([0, 1, 2, 3, 4, 5], "edges form more than one cycle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CYCLE_SIGN_ERRORS))
+def test_cycle_sign_errors(case):
+    edges, message = _CYCLE_SIGN_ERRORS[case]
+    with pytest.raises(OperationError, match=f"^{message}$"):
+        cycle_sign(two_triangles(), edges)
+
+
+def test_cycle_sign_of_a_loop_and_a_digon():
+    # a loop is a cycle of one edge, two parallel edges one of two
+    g = triangle_with_loop()
+    g.sign[3] = -1
+    assert cycle_sign(g, [3]) == -1
+    digon = build_graph({0: (0, 1), 1: (1, 0)}, signs={1: -1})
+    assert cycle_sign(digon, [1, 0]) == -1
 
 
 def test_cycle_sign_switching_invariant():

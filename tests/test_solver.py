@@ -30,11 +30,12 @@ from crossflow.families import (
 )
 from crossflow.orient import (
     OracleBoundError,
+    OrientationError,
     is_valid_orientation,
     oracle_solve,
     random_prescription,
 )
-from crossflow.pgr import serialize_orientation
+from crossflow.pgr import PgrError, serialize_orientation
 from crossflow.solver import (
     STEP_KINDS,
     ReductionStep,
@@ -225,6 +226,24 @@ def test_solve_invalid_prescription_is_none_without_steps():
     p[1] = 1  # total 1, not a prescription
     o, trace = solve(g, p)
     assert o is None and trace.outcome == "none" and trace.steps == []
+
+
+_MALFORMED = {  # B5's vertices are 1..5
+    "missing": ({1: 0, 2: 0, 3: 0, 4: 0}, "prescription misses vertex 5"),
+    "unknown": ({v: 0 for v in range(1, 7)}, "prescription names unknown vertex 6"),
+    "residue": ({1: 2, 2: 0, 3: 0, 4: 0, 5: 1}, "residue must be -1, 0 or 1, got 2 at vertex 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_solve_and_oracle_reject_a_malformed_prescription(case):
+    # each total is 0 mod 3, so answering "none" here would be unsound
+    p, message = _MALFORMED[case]
+    g = gen_circulant_b(5)
+    with pytest.raises(OrientationError, match=f"^{message}$"):
+        solve(g, p)
+    with pytest.raises(OrientationError, match=f"^{message}$"):
+        oracle_solve(g, p)
 
 
 def _spy_oracle(monkeypatch):
@@ -434,6 +453,7 @@ _TRACE_ERRORS = {
     ),
     "unrecognised": ("trace 1\noutcome maybe\n", "line 2: unrecognized line: outcome maybe"),
     "empty": ("# only a comment\n\n", "empty trace"),
+    "residue": ("trace 1\np 0 7\noutcome valid\n", "line 2: residue must be -1, 0 or 1, got 7"),
 }
 
 
@@ -443,6 +463,13 @@ def test_parse_trace_errors(case):
     with pytest.raises(TraceError) as exc:
         parse_trace(text)
     assert str(exc.value) == message
+
+
+def test_trace_error_is_a_pgr_error():
+    # one line-numbered error class for every text format
+    with pytest.raises(PgrError) as exc:
+        parse_trace("trace 1\np 0 -2\noutcome none\n")
+    assert isinstance(exc.value, TraceError) and exc.value.line == 2
 
 
 def test_parse_trace_skips_comments():
@@ -482,6 +509,22 @@ def test_replay_flags_wrong_graph():
     rep = replay(other, trace)
     assert not rep.matches
     assert rep.reason
+
+
+def test_replay_reports_a_failed_re_solve():
+    # the trace's prescription misses vertices 2..5 of B5
+    rep = replay(gen_circulant_b(5), ReductionTrace([], "none", {1: 0}))
+    assert not rep.matches and rep.mismatch_index == 0
+    assert rep.reason == "re-solve failed: prescription misses vertex 2"
+
+
+def test_replay_reports_a_changed_outcome():
+    g = gen_circulant_b(5)
+    _, trace = solve(g, {v: 0 for v in g.vertices})
+    assert trace.outcome == "valid"
+    rep = replay(g, ReductionTrace(trace.steps, "none", trace.prescription))
+    assert not rep.matches and rep.mismatch_index is None
+    assert rep.reason == "outcome changed: recorded none, got valid"
 
 
 def test_replay_flags_tampered_digest():
