@@ -15,6 +15,7 @@ from functools import partial
 
 from .cuts import CutBudgetError, check_class, classify_cut, enumerate_robust_cuts
 from .embedding import (
+    DisconnectedError,
     EmbeddedGraph,
     EmbeddingError,
     euler_characteristic,
@@ -36,7 +37,6 @@ from .orient import (
     is_valid_orientation,
     oracle_solve,
     orientation_from_tails,
-    prescription_ok,
     random_prescription,
 )
 from .pgr import PgrError, parse_graph, parse_orientation, serialize_graph, serialize_orientation
@@ -152,23 +152,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     p = _resolve_prescription(g, embedded, args)
     tails = parse_orientation(_read_text(args.orientation))
     try:
-        orientation = orientation_from_tails(g, tails)
-        undirected = min(set(g.edges) - set(tails), default=None)
-        if undirected is not None:
-            raise OrientationError(f"edge {undirected} is undirected")
-    except OrientationError as exc:
+        valid = is_valid_orientation(g, p, orientation_from_tails(g, tails))
+    except OrientationError as exc:  # p is well-formed, so the fault is the orientation's
         _say(f"orientation does not fit the graph: {exc}")
-        _emit("invalid", args.output)
-        return 1
-    if not prescription_ok(g, p):
-        _say("the prescription's total is not 0 mod 3, so no orientation meets it")
-        _emit("invalid", args.output)
-        return 1
-    if is_valid_orientation(g, p, orientation):
-        _emit("valid", args.output)
-        return 0
-    _emit("invalid", args.output)
-    return 1
+        valid = False
+    _emit("valid" if valid else "invalid", args.output)
+    return 0 if valid else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -201,9 +190,10 @@ def _cmd_faces(args: argparse.Namespace) -> int:
     g, _ = parse_graph(_read_text(args.input))
     faces = trace_faces(g)
     marked = {face_of_anchor(g, faces, a) for a in g.specified}
-    lines = []
-    if g.is_connected():  # chi is defined only for a connected graph
-        lines.append(f"chi {euler_characteristic(g)}")
+    try:
+        lines = [f"chi {euler_characteristic(g)}"]
+    except DisconnectedError:  # chi is defined only for a connected graph
+        lines = []
     for i, f in enumerate(faces):
         tag = " specified" if i in marked else ""
         walk = ",".join(str(t) for t in f.tails)

@@ -93,9 +93,10 @@ def _mod3(r: int) -> int:
     return (r + 1) % 3 - 1
 
 
-def _check_prescription(g: EmbeddedGraph, p: dict[int, int]) -> None:
-    """Raise OrientationError unless ``p`` gives every vertex of ``g``, and
-    no other, a residue in {-1, 0, 1}; its total may still miss 0 mod 3."""
+def _check_prescription(g: EmbeddedGraph, p: dict[int, int]) -> bool:
+    """Raise OrientationError, naming the fault, unless ``p`` gives every
+    vertex of ``g``, and no other, a residue in {-1, 0, 1}; then answer
+    whether its total is 0 mod 3, which no orientation can meet otherwise."""
     if p.keys() != g.rotation.keys():
         missing = g.rotation.keys() - p.keys()
         if missing:
@@ -104,15 +105,15 @@ def _check_prescription(g: EmbeddedGraph, p: dict[int, int]) -> None:
     if not set(p.values()) <= {-1, 0, 1}:
         v = min(v for v, r in p.items() if r not in (-1, 0, 1))
         raise OrientationError(f"residue must be -1, 0 or 1, got {p[v]} at vertex {v}")
+    return sum(p.values()) % 3 == 0
 
 
 def prescription_ok(g: EmbeddedGraph, p: dict[int, int]) -> bool:
     """Covers every vertex with a residue in {-1,0,1}, total 0 mod 3."""
     try:
-        _check_prescription(g, p)
+        return _check_prescription(g, p)
     except OrientationError:
         return False
-    return sum(p.values()) % 3 == 0
 
 
 def random_prescription(g: EmbeddedGraph, seed: int) -> dict[int, int]:
@@ -152,11 +153,15 @@ def residue(g: EmbeddedGraph, o: Orientation, v: int) -> int:
 
 def is_valid_orientation(g: EmbeddedGraph, p: dict[int, int], o: Orientation) -> bool:
     """Total orientation meeting p everywhere and extending the graph's
-    forced arcs."""
+    forced arcs.  An orientation that is not total, and a malformed
+    prescription, raise OrientationError naming the fault; a total off 0
+    mod 3 answers False, as some vertex then misses its residue."""
     if not o.is_total_for(g):
-        raise OrientationError("orientation is not total")
-    if not prescription_ok(g, p):
-        raise OrientationError("prescription is malformed")
+        undirected = g.edges.keys() - o.direction.keys()
+        if undirected:
+            raise OrientationError(f"edge {min(undirected)} is undirected")
+        raise OrientationError(f"unknown edge {min(o.direction.keys() - g.edges.keys())}")
+    _check_prescription(g, p)
     balance = {v: -r for v, r in p.items()}  # in minus out, less p
     for e, (t, h) in o.direction.items():
         if g.edges[e] != (t, h) and g.edges[e] != (h, t):
@@ -352,8 +357,7 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     ``fixed`` names the forced arcs.  A malformed prescription raises
     OrientationError (``_check_prescription``).
     """
-    _check_prescription(g, p)
-    if not prescription_ok(g, p):
+    if not _check_prescription(g, p):
         return None
     if any(way == "in" and g.is_loop(e) for e, way in g.darcs.items()):
         return None
@@ -503,7 +507,9 @@ def greedy_direct_and_delete(
     and drops out.  Edges forced along the way (a vertex keeping a single
     undirected edge gets it by its neighbour's turn) are inherited.  The
     result is pulled back through the lifts and fully validated; any
-    residue the sweep cannot meet raises ScheduleError naming the vertex.
+    residue the sweep cannot meet raises ScheduleError naming the vertex,
+    and so does a total off 0 mod 3.  A malformed prescription raises
+    OrientationError naming the fault.
 
     The steps are ReductionSteps, one per lift ("LiftPair", (edge1,
     edge2, vertex)) and one per swept vertex ("OrientDeleteVertex",
@@ -524,8 +530,7 @@ def _greedy_sweep(g, p, lifts, order):
     call hashes every step's.  Its containers are freed before the steps
     are built: building them in this frame moved where the garbage
     collector fired, and circulant p95 read 11-24% worse."""
-    if not prescription_ok(g, p):
-        raise OrientationError("prescription is malformed")
+    _check_prescription(g, p)  # a total off 0 mod 3 fails as a schedule
     if g.darcs:
         raise ScheduleError("greedy schedules do not handle forced arcs")
     log = _SweepDigests(g.edges)

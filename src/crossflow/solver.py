@@ -62,7 +62,6 @@ from .orient import (
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
-    prescription_ok,
     transfer_orientation,
 )
 from .pgr import PgrError
@@ -316,9 +315,8 @@ def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, Redu
     trace.  A malformed prescription raises OrientationError
     (``_check_prescription``); a total off 0 mod 3 answers "none"."""
     g.validate()
-    _check_prescription(g, p)
     prescription = dict(p)
-    if not prescription_ok(g, prescription):
+    if not _check_prescription(g, prescription):
         return None, ReductionTrace([], "none", prescription)
     o, steps = _solve_inner(g, prescription, _Input(g))
     if o is not None and not is_valid_orientation(g, prescription, o):

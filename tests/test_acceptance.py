@@ -399,7 +399,14 @@ def test_reductions_preserve_interior_path_bound():
 def test_residue_sum_obstruction_blocks_all_graphs():
     """100 seeded graphs with a prescription whose total is not 0 mod 3:
     the oracle reports no valid orientation for each, and an unpruned
-    enumeration confirms it on the small loop-free instances."""
+    enumeration confirms it on the small loop-free instances.  A total
+    orientation is checked as invalid, not refused: B5's oracle
+    orientation for all zeros, against all zeros but p[1] = 1."""
+    g = gen_circulant_b(5)
+    p = dict.fromkeys(g.vertices, 0)
+    o = oracle_solve(g, p)
+    p[1] = 1
+    assert o.is_total_for(g) and is_valid_orientation(g, p, o) is False
     done = 0
     seed = 0
     while done < 100:

@@ -4,6 +4,7 @@ Exit code contract: 0 solved/valid, 1 proven none/invalid/class fails,
 2 engine refusal, 3 bad input.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import crossflow
-from conftest import build_graph, cycle_graph, triangle_with_loop, two_triangles
+from conftest import _count_calls, build_graph, cycle_graph, triangle_with_loop, two_triangles
 from crossflow.cli import main
 from crossflow.embedding import EmbeddedGraph, StructureError
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
-from crossflow.orient import random_prescription
+from crossflow.orient import prescription_ok, random_prescription
 from crossflow.pgr import PgrError, parse_graph, read_graph, serialize_graph, write_graph
 from crossflow.solver import parse_trace, replay, serialize_trace, solve
 
@@ -454,16 +455,18 @@ def test_embedded_prescription_missing_a_vertex_exit3(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
-def test_prescription_total_off_is_a_definite_negative(tmp_path, capsys, command):
-    # well formed, but its total is 1 mod 3: no orientation can meet it
+def test_prescription_total_off_is_a_definite_negative(tmp_path, capsys, monkeypatch, command):
+    # well formed, but its total is 1 mod 3: no orientation can meet it;
+    # verify reads that from is_valid_orientation, with no check of its own
     g, graph, orientation, _ = _b5_prescription_cases(tmp_path)
     pfile = tmp_path / "p.txt"
     pfile.write_text("".join(f"{v} {int(v == min(g.vertices))}\n" for v in g.vertices))
     argv = [command, graph] + ([orientation] if command == "verify" else [])
+    oks = _count_calls(monkeypatch, prescription_ok)
     code, out, err = run(capsys, *argv, "--p", str(pfile))
-    assert code == 1
+    assert code == 1 and not oks
     if command == "verify":
-        assert out.strip() == "invalid"
+        assert out.strip() == "invalid" and err == ""
     else:
         assert out == "" and "no valid orientation" in err
 
@@ -541,6 +544,23 @@ def test_faces_on_one_vertex_prints_chi_2(tmp_path, capsys):
     assert out.splitlines() == ["chi 2", "face 0 length=0 walk="]
 
 
+def test_faces_searches_connectivity_once(b7_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    real = EmbeddedGraph.is_connected
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(EmbeddedGraph, "is_connected", counted)
+    two = tmp_path / "two.pgr"
+    write_graph(two, two_triangles())
+    for path in (b7_file, str(two)):
+        calls.clear()
+        assert run(capsys, "faces", path)[0] == 0
+        assert len(calls) == 1, path
+
+
 def test_check_class_pass(b7_file, tmp_path, capsys):
     g = gen_circulant_b(7)
     gfile = tmp_path / "g.pgr"
@@ -580,6 +600,17 @@ def test_corpus_single_seed(capsys):
     code, out, _ = run(capsys, "corpus", "--seeds", "7")
     assert code == 0
     assert [l.split()[:2] for l in out.splitlines()] == [["seed", "7"]]
+
+
+# sha256 of `crossflow corpus --seeds 0..399 --max-vertices 12`: the
+# generator's stream and every solve's outcome and step count
+CORPUS_BYTES_SHA256 = "c95280886d7a429aa79b34218671dc6bedb1c21e301a0d3e6ccd480d28bb9f93"
+
+
+def test_corpus_bytes_are_pinned(tmp_path):
+    out = tmp_path / "corpus.txt"
+    assert main(["corpus", "--seeds", "0..399", "--max-vertices", "12", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CORPUS_BYTES_SHA256
 
 
 def test_corpus_batch(capsys):

@@ -6,6 +6,7 @@ pruning and no shared code with the package's search kernel.
 """
 
 import hashlib
+import re
 import time
 from collections import Counter
 from itertools import product
@@ -40,6 +41,7 @@ from crossflow.orient import (
     OrientationError,
     ScheduleError,
     _abstract_digest,
+    _check_prescription,
     _forced_arcs,
     _oracle_lists,
     greedy_direct_and_delete,
@@ -164,11 +166,12 @@ def test_edge_reversal_shifts_residues_oppositely():
 
 def reference_is_valid(g, p, o):
     """is_valid_orientation as it was written first: residue() at every
-    vertex, which walks the vertex's darts."""
+    vertex, which walks the vertex's darts.  The least undirected edge and
+    a malformed prescription are named; a total off 0 mod 3 needs no test
+    of its own, since some vertex then misses its residue."""
     if not o.is_total_for(g):
-        raise OrientationError("orientation is not total")
-    if not prescription_ok(g, p):
-        raise OrientationError("prescription is malformed")
+        raise OrientationError(f"edge {min(set(g.edges) - set(o.direction))} is undirected")
+    _check_prescription(g, p)
     for e, (t, h) in o.direction.items():
         if {t, h} != set(g.edges[e]):
             raise OrientationError(f"edge {e} directed between non-endpoints")
@@ -194,10 +197,12 @@ def _answer(fn, *args):
 def test_is_valid_orientation_matches_residue_reference():
     # random multigraphs, a third with a loop, half with forced arcs;
     # orientations total or not, sometimes with an edge directed to a
-    # non-endpoint; prescriptions met by the orientation, random, or
-    # malformed: the same bool or the same error as the reference
+    # non-endpoint; prescriptions met by the orientation, random, with a
+    # total off 0 mod 3, or malformed: the same bool or the same error as
+    # the reference
     rng = np.random.default_rng(5)
     answers = Counter()
+    off_total = 0
     for seed in range(1500):
         g = random_multigraph(seed)
         verts = g.vertices
@@ -222,16 +227,30 @@ def test_is_valid_orientation_matches_residue_reference():
             direction[e] = (direction[e][0], max(verts) + 1)
         o = Orientation(direction=direction)
         pick = rng.random()
+        p = random_prescription(g, seed)
         if pick < 0.5:
             p = {v: (r + 1) % 3 - 1 for v, r in net.items()}
-        elif pick < 0.9:
-            p = random_prescription(g, seed)
-        else:
-            p = {**random_prescription(g, seed), verts[0]: 2}
+        elif pick >= 0.95:
+            del p[verts[-1]]
+        elif pick >= 0.9:
+            p[verts[0]] = 2
+        elif pick >= 0.8:
+            p[verts[0]] = (p[verts[0]] + 2) % 3 - 1  # the total is off 0 mod 3
         want = _answer(reference_is_valid, g, p, o)
         assert _answer(is_valid_orientation, g, p, o) == want, f"seed {seed}"
-        answers[want if isinstance(want, bool) else want[1].split()[0]] += 1
-    assert {True, False, "orientation", "prescription", "edge"} <= set(answers), answers
+        if 0.8 <= pick < 0.9 and isinstance(want, bool):
+            assert want is False, f"seed {seed}"  # no orientation meets that total
+            off_total += 1
+        answers[want if isinstance(want, bool) else re.sub(r"-?\d+", "N", want[1])] += 1
+    assert {
+        True,
+        False,
+        "edge N is undirected",
+        "edge N directed between non-endpoints",
+        "residue must be N, N or N, got N at vertex N",
+        "prescription misses vertex N",
+    } <= set(answers), answers
+    assert off_total >= 100, off_total
 
 
 # ------------------------------------------------------------------- oracle

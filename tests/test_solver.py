@@ -31,6 +31,8 @@ from crossflow.families import (
 from crossflow.orient import (
     OracleBoundError,
     OrientationError,
+    ScheduleError,
+    greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
     random_prescription,
@@ -237,13 +239,29 @@ _MALFORMED = {  # B5's vertices are 1..5
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_solve_and_oracle_reject_a_malformed_prescription(case):
-    # each total is 0 mod 3, so answering "none" here would be unsound
+    # each total is 0 mod 3, so answering "none" here would be unsound;
+    # the validity check and the greedy engine read the same rule
     p, message = _MALFORMED[case]
     g = gen_circulant_b(5)
-    with pytest.raises(OrientationError, match=f"^{message}$"):
-        solve(g, p)
-    with pytest.raises(OrientationError, match=f"^{message}$"):
-        oracle_solve(g, p)
+    o = oracle_solve(g, dict.fromkeys(g.vertices, 0))
+    lifts, order = circulant_schedule(g, 5, with_subdivision=False)
+    for call in (
+        lambda: solve(g, p),
+        lambda: oracle_solve(g, p),
+        lambda: is_valid_orientation(g, p, o),
+        lambda: greedy_direct_and_delete(g, p, lifts, order),
+    ):
+        with pytest.raises(OrientationError, match=f"^{message}$"):
+            call()
+
+
+def test_greedy_fails_a_total_off_zero_as_a_schedule():
+    g = gen_circulant_b(5)
+    lifts, order = circulant_schedule(g, 5, with_subdivision=False)
+    p = dict.fromkeys(g.vertices, 0)
+    p[1] = 1
+    with pytest.raises(ScheduleError):
+        greedy_direct_and_delete(g, p, lifts, order)
 
 
 def _spy_oracle(monkeypatch):
@@ -805,6 +823,24 @@ def test_corpus_balance_searches_are_bounded(monkeypatch):
         solve(g, p)
     assert len(searches) == len(resigns)  # one search per re-signing
     assert len(searches) <= CORPUS_BALANCE_SEARCHES
+
+
+def test_each_public_call_checks_its_prescription_once(monkeypatch):
+    # solve, oracle_solve, is_valid_orientation and greedy_direct_and_delete
+    # each read _check_prescription once, and every engine answer is
+    # validated once by its engine and once more by solve
+    corpus = [gen_random_pt(seed, 12) for seed in range(100)]
+    checks = _count_calls(monkeypatch, orient_module._check_prescription)
+    oks = _count_calls(monkeypatch, orient_module.prescription_ok)
+    oracles = _count_calls(monkeypatch, oracle_solve)
+    greedy = _count_calls(monkeypatch, greedy_direct_and_delete)
+    validations = _count_calls(monkeypatch, is_valid_orientation)
+    for g, p in corpus:
+        assert solve(g, p)[0] is not None
+    solves = len(corpus)
+    assert oracles and greedy and not oks
+    assert len(validations) == solves + len(oracles) + len(greedy)
+    assert len(checks) == solves + len(oracles) + len(greedy) + len(validations)
 
 
 def test_solve_counts_chi_at_most_once(monkeypatch):
