@@ -895,3 +895,33 @@ def test_golden_traces_replay_byte_for_byte():
         if o is not None:
             h.update(serialize_orientation(o.tails()).encode())
     assert h.hexdigest() == GOLDEN_TRACE_DIGEST
+
+
+# Corpus seeds 0..99 under lowered budgets (16 frontier DP states, 1000 cut
+# search steps): 41 solve, 59 are refused, and many more oracle refusals
+# are caught by a pending level, which then falls through
+REFUSAL_TRACE_DIGEST = "7467617b410c46809fe632535be11d19e768f967fd69e2a69239ec9921bf9cda"
+
+
+def test_refusal_paths_replay_byte_for_byte(monkeypatch):
+    # Any change in where a refusal is caught shows here: in the steps of
+    # a solve that survives one, or in the message of one that does not.
+    monkeypatch.setattr(orient_module, "_FRONTIER_STATE_BUDGET", 16)
+    monkeypatch.setattr(cuts, "_CUT_STEP_BUDGET", 1000)
+    seen = _spy_oracle(monkeypatch)
+    h = hashlib.sha256()
+    refused = 0
+    for seed in range(100):
+        g, p = gen_random_pt(seed, 12)
+        try:
+            o, trace = solve(g, p)
+        except solver_module.SolverRefusal as exc:
+            refused += 1
+            h.update(f"rpt{seed}\nrefused {exc}\n".encode())
+            continue
+        h.update(f"rpt{seed}\n{serialize_trace(trace)}".encode())
+        if o is not None:
+            h.update(serialize_orientation(o.tails()).encode())
+    bounded = sum(isinstance(x, OracleBoundError) for x in seen)
+    assert refused == 59 and bounded > refused
+    assert h.hexdigest() == REFUSAL_TRACE_DIGEST
