@@ -71,7 +71,7 @@ class Orientation:
         return {e: th[0] for e, th in self.direction.items()}
 
     def is_total_for(self, g: EmbeddedGraph) -> bool:
-        return set(self.direction) == set(g.edges)
+        return self.direction.keys() == g.edges.keys()
 
 
 def orientation_from_tails(g: EmbeddedGraph, tails: dict[int, int]) -> Orientation:
