@@ -319,7 +319,7 @@ def test_cut_search_over_budget_is_no_usable_cut(monkeypatch):
     monkeypatch.setattr(cuts, "_CUT_STEP_BUDGET", 10)
     with pytest.raises(cuts.CutBudgetError):
         cuts.smallest_bond_side(g, 5, {g.tvertex})
-    o, trace = solve(g, p)
+    _, trace = solve(g, p)
     assert trace.outcome == "valid"
     assert [st.kind for st in trace.steps] == ["OracleCall"]
 
@@ -341,15 +341,15 @@ def test_chain_runs_at_one_stack_depth(monkeypatch):
 
     for fn in (oracle_solve, embedding.contract_subgraph):
         _replace_everywhere(monkeypatch, fn, at_depth(fn))
-    calls = levels = 0
+    calls = contractions = 0
     for seed in range(100):
         g, p = gen_random_pt(seed, 12)
         depths.clear()
         _, trace = solve(g, p)
         assert len(set(depths)) <= 1, f"seed {seed}: depths {sorted(set(depths))}"
         calls += len(depths)
-        levels = max(levels, sum(st.kind == "ContractSide" for st in trace.steps))
-    assert calls > 800 and levels >= 5
+        contractions = max(contractions, sum(st.kind == "ContractSide" for st in trace.steps))
+    assert calls > 800 and contractions >= 5
 
 
 def test_counterexample_family_decided_none():
