@@ -39,7 +39,14 @@ from .orient import (
     orientation_from_tails,
     random_prescription,
 )
-from .pgr import PgrError, parse_graph, parse_orientation, serialize_graph, serialize_orientation
+from .pgr import (
+    PgrError,
+    parse_graph,
+    parse_orientation,
+    parse_prescription,
+    serialize_graph,
+    serialize_orientation,
+)
 from .solver import SolverRefusal, serialize_trace, solve
 
 
@@ -61,38 +68,18 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse):
+    """``parse`` applied to the text of the file ``path`` (a byte-order mark
+    is skipped); an error reading or parsing it names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh.read())
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise CliInputError(f"cannot read {path}: not UTF-8 text") from exc
-
-
-def _parse_prescription_file(text: str, path: str) -> dict[int, int]:
-    # accepts the .pgr "p <v> <r>" shape, with the leading p optional
-    out: dict[int, int] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p" and len(parts) == 3:
-            parts = parts[1:]
-        if len(parts) != 2:
-            raise CliInputError(f"{path}:{ln}: expected '<vertex> <residue>'")
-        try:
-            v, r = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CliInputError(f"{path}:{ln}: not integers: {line!r}") from None
-        if v in out:
-            raise CliInputError(f"{path}:{ln}: duplicate vertex {v}")
-        out[v] = r
-    if not out:
-        raise CliInputError(f"{path}: no prescription entries")
-    return out
+    except PgrError as exc:
+        raise CliInputError(f"{path}: {exc}") from exc
 
 
 def _resolve_prescription(
@@ -109,7 +96,7 @@ def _resolve_prescription(
     elif args.prescription == "random":
         return random_prescription(g, args.seed)
     else:
-        p = _parse_prescription_file(_read_text(args.prescription), args.prescription)
+        p = _read(args.prescription, parse_prescription)
     _check_prescription(g, p)
     return p
 
@@ -134,7 +121,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g, embedded = parse_graph(_read_text(args.input))
+    g, embedded = _read(args.input, parse_graph)
     p = _resolve_prescription(g, embedded, args)
     orientation, trace = solve(g, p)
     if args.trace_path is not None:
@@ -148,9 +135,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g, embedded = parse_graph(_read_text(args.input))
+    g, embedded = _read(args.input, parse_graph)
     p = _resolve_prescription(g, embedded, args)
-    tails = parse_orientation(_read_text(args.orientation))
+    tails = _read(args.orientation, parse_orientation)
     try:
         valid = is_valid_orientation(g, p, orientation_from_tails(g, tails))
     except OrientationError as exc:  # p is well-formed, so the fault is the orientation's
@@ -161,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g, embedded = parse_graph(_read_text(args.input))
+    g, embedded = _read(args.input, parse_graph)
     p = _resolve_prescription(g, embedded, args)
     orientation = oracle_solve(g, p)
     if orientation is None:
@@ -172,7 +159,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_cuts(args: argparse.Namespace) -> int:
-    g, _ = parse_graph(_read_text(args.input))
+    g, _ = _read(args.input, parse_graph)
     lines = []
     for cut in enumerate_robust_cuts(g, args.max_size, args.min_side):
         try:
@@ -187,7 +174,7 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
 
 
 def _cmd_faces(args: argparse.Namespace) -> int:
-    g, _ = parse_graph(_read_text(args.input))
+    g, _ = _read(args.input, parse_graph)
     faces = trace_faces(g)
     marked = {face_of_anchor(g, faces, a) for a in g.specified}
     try:
@@ -203,7 +190,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g, embedded = parse_graph(_read_text(args.input))
+    g, embedded = _read(args.input, parse_graph)
     if embedded is None:  # a file without p lines is checked against all zeros
         embedded = dict.fromkeys(g.rotation, 0)
     report = check_class(g, _resolve_prescription(g, embedded, args), args.klass)
@@ -354,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverRefusal, OracleBoundError, CutBudgetError) as exc:
         _say(f"refused: {exc}")
         return 2
-    except (CliInputError, PgrError, FamilyError, EmbeddingError, OrientationError) as exc:
+    except (CliInputError, FamilyError, EmbeddingError, OrientationError) as exc:
         _say(f"input error: {exc}")
         return 3
     except OSError as exc:

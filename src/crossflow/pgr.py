@@ -23,7 +23,9 @@ integers, signs, residues and duplicates, then that rot lines, edge ends
 and p lines name declared vertices, then EmbeddedGraph.validate().
 
 Orientation files hold one `<edge_id> <tail_vertex>` line per edge,
-read and written here as plain edge-keyed dicts.
+read and written here as plain edge-keyed dicts, and prescription files
+one `[p] <vertex> <residue>` line per vertex.  Trace text reads its
+comments and p lines by the same rules (_lines, _read_residue).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .embedding import EmbeddedGraph, StructureError
 
 
 class PgrError(Exception):
-    """Malformed .pgr, orientation or trace text, with the 1-based
-    ``line`` it was found on when there is one."""
+    """Malformed .pgr, orientation, prescription or trace text, with the
+    1-based ``line`` it was found on when there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -77,19 +79,30 @@ def serialize_graph(g: EmbeddedGraph, prescription: dict[int, int] | None = None
     return "\n".join(lines) + "\n"
 
 
-# a line's integer fields before any darts, in reading order; by default a vertex id
+def _lines(text: str):
+    """(line number, tokens) of each line, with '#' comments and blank lines cut."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            yield ln, tok
+
+
+# a line's integer fields in reading order, by default one vertex id; the
+# fields after them, darts or a trace step's arguments, are named by _MORE_INTS
 _INT_FIELDS = {
     "edge": ("edge id", "endpoint", "endpoint"), "p": ("vertex id", "residue"),
     "darc": ("edge id",), "face": (), "orientation": ("edge id", "tail vertex"),
+    "threshold": ("threshold",), "step": ("step index",),
 }
+_MORE_INTS = {"rot": "dart edge id", "face": "dart edge id", "step": "step argument"}
 
 
 def _int_error(kind: str, args: list[str], ln: int) -> PgrError:
     """The error for a line whose int() call raised: fields are converted
     in order, so it names the first one that int() rejects."""
     fields = list(zip(args, _INT_FIELDS.get(kind, ("vertex id",))))
-    if kind in ("rot", "face"):
-        fields += [(t.partition(".")[0], "dart edge id") for t in args[len(fields) :]]
+    if kind in _MORE_INTS:
+        fields += [(t.partition(".")[0], _MORE_INTS[kind]) for t in args[len(fields) :]]
     for token, what in fields:
         try:
             int(token)
@@ -98,14 +111,30 @@ def _int_error(kind: str, args: list[str], ln: int) -> PgrError:
     return PgrError(f"{what} must be an integer, got {token!r}", ln)
 
 
+def _read_residue(args: list[str], ln: int, into: dict[int, int]) -> None:
+    """Read the arguments of a `p <vertex> <residue>` line into ``into``."""
+    if len(args) != 2:
+        raise PgrError("p takes a vertex and a residue", ln)
+    try:
+        v, r = int(args[0]), int(args[1])
+    except ValueError:
+        raise _int_error("p", args, ln) from None
+    if r not in (-1, 0, 1):
+        raise PgrError(f"residue must be -1, 0 or 1, got {r}", ln)
+    if v in into:
+        raise PgrError(f"duplicate prescription for vertex {v}", ln)
+    into[v] = r
+
+
 def parse_graph(text: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
     """Parse .pgr text into a graph and its bundled prescription (or None
     when the file has no p lines).  Raises PgrError with a line number."""
     g = EmbeddedGraph()
     edges, sign, rotation = g.edges, g.sign, g.rotation
     rot_lines: dict[int, tuple[int, list[tuple[int, int]]]] = {}
-    prescription: dict[int, int] | None = None
+    prescription: dict[int, int] = {}
     header = False
+    # the comment rule of _lines, inline: a generator per line costs about 5% here
     for ln, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split("#", 1)[0].split()
         if not tok:
@@ -169,16 +198,7 @@ def parse_graph(text: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
                     raise PgrError(f"duplicate darc for edge {e}", ln)
                 g.darcs[e] = args[1]
             elif kind == "p":
-                if len(args) != 2:
-                    raise PgrError("p takes a vertex and a residue", ln)
-                v, r = int(args[0]), int(args[1])
-                if r not in (-1, 0, 1):
-                    raise PgrError(f"residue must be -1, 0 or 1, got {r}", ln)
-                if prescription is None:
-                    prescription = {}
-                if v in prescription:
-                    raise PgrError(f"duplicate prescription for vertex {v}", ln)
-                prescription[v] = r
+                _read_residue(args, ln, prescription)
             else:
                 raise PgrError(f"unknown declaration {kind!r}", ln)
         except ValueError:
@@ -197,19 +217,18 @@ def parse_graph(text: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
     for v, rot in rotation.items():
         if not rot and any(v in uv for uv in edges.values()):
             raise PgrError(f"vertex {v} has incident edges but no rot line")
-    if prescription is not None:
-        for v in prescription:
-            if v not in rotation:
-                raise PgrError(f"prescription names undeclared vertex {v}")
+    for v in prescription:
+        if v not in rotation:
+            raise PgrError(f"prescription names undeclared vertex {v}")
     try:
         g.validate()
     except StructureError as exc:
         raise PgrError(str(exc)) from None
-    return g, prescription
+    return g, prescription or None
 
 
 def read_graph(path) -> tuple[EmbeddedGraph, dict[int, int] | None]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 
@@ -223,7 +242,7 @@ def digest_graph(g: EmbeddedGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-# ----------------------------------------------------------- orientations
+# ------------------------------------------- orientations and prescriptions
 
 
 def serialize_orientation(tails: dict[int, int]) -> str:
@@ -233,10 +252,7 @@ def serialize_orientation(tails: dict[int, int]) -> str:
 
 def parse_orientation(text: str) -> dict[int, int]:
     tails: dict[int, int] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        tok = raw.split("#", 1)[0].split()
-        if not tok:
-            continue
+    for ln, tok in _lines(text):
         if len(tok) != 2:
             raise PgrError("orientation line is `<edge_id> <tail_vertex>`", ln)
         try:
@@ -247,3 +263,13 @@ def parse_orientation(text: str) -> dict[int, int]:
         except ValueError:
             raise _int_error("orientation", tok, ln) from None
     return tails
+
+
+def parse_prescription(text: str) -> dict[int, int]:
+    """Prescription text: a `[p] <vertex> <residue>` line per vertex."""
+    p: dict[int, int] = {}
+    for ln, tok in _lines(text):
+        _read_residue(tok[1:] if tok[0] == "p" else tok, ln, p)
+    if not p:
+        raise PgrError("no prescription entries")
+    return p

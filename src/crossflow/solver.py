@@ -64,7 +64,7 @@ from .orient import (
     oracle_solve,
     transfer_orientation,
 )
-from .pgr import PgrError
+from .pgr import PgrError, _int_error, _lines, _read_residue
 
 STEP_KINDS = frozenset(
     {
@@ -84,8 +84,7 @@ class SolverRefusal(Exception):
     """The instance is outside every strategy's regime."""
 
 
-class TraceError(PgrError):
-    """Malformed trace text."""
+TraceError = PgrError  # malformed trace text: one error class for every text format
 
 
 @dataclass
@@ -112,55 +111,42 @@ def serialize_trace(trace: ReductionTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int(token: str, ln: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise TraceError(f"expected an integer, got {token!r}", ln) from None
-
-
 def parse_trace(text: str) -> ReductionTrace:
+    """Trace text; pgr's line rules read its comments and p lines."""
     steps: list[ReductionStep] = []
     outcome = None
     prescription: dict[int, int] = {}
     saw_header = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not saw_header:
-            if parts != ["trace", "1"]:
-                raise TraceError("expected header 'trace 1'", ln)
-            saw_header = True
-        elif parts[0] == "threshold" and len(parts) == 2:
-            _int(parts[1], ln)
-        elif parts[0] == "p" and len(parts) == 3:
-            v = _int(parts[1], ln)
-            if v in prescription:
-                raise TraceError(f"duplicate prescription for vertex {v}", ln)
-            r = prescription[v] = _int(parts[2], ln)
-            if r not in (-1, 0, 1):
-                raise TraceError(f"residue must be -1, 0 or 1, got {r}", ln)
-        elif parts[0] == "step" and len(parts) == 5:
-            if _int(parts[1], ln) != len(steps):
-                raise TraceError("step index out of order", ln)
-            kind = parts[2]
-            if kind not in STEP_KINDS:
-                raise TraceError(f"unknown step kind {kind}", ln)
-            if not parts[3].startswith("args=") or not parts[4].startswith("digest="):
-                raise TraceError("malformed step line", ln)
-            argtext = parts[3][len("args=") :]
-            arguments = (
-                tuple(_int(x, ln) for x in argtext.split(",")) if argtext else ()
-            )
-            steps.append(ReductionStep(kind, arguments, parts[4][len("digest=") :]))
-        elif parts[0] == "outcome" and len(parts) == 2 and parts[1] in ("valid", "none"):
-            if outcome is not None:
-                raise TraceError("duplicate outcome line", ln)
-            outcome = parts[1]
-        else:
-            raise TraceError(f"unrecognized line: {line}", ln)
+    for ln, parts in _lines(text):
+        kind, ints = parts[0], parts[1:]
+        try:
+            if not saw_header:
+                if parts != ["trace", "1"]:
+                    raise TraceError("expected header 'trace 1'", ln)
+                saw_header = True
+            elif kind == "p":
+                _read_residue(ints, ln, prescription)
+            elif kind == "threshold" and len(parts) == 2:
+                int(parts[1])
+            elif kind == "step" and len(parts) == 5:
+                if int(parts[1]) != len(steps):
+                    raise TraceError("step index out of order", ln)
+                if parts[2] not in STEP_KINDS:
+                    raise TraceError(f"unknown step kind {parts[2]}", ln)
+                if not parts[3].startswith("args=") or not parts[4].startswith("digest="):
+                    raise TraceError("malformed step line", ln)
+                argtext = parts[3][len("args=") :]
+                ints = [parts[1], *(argtext.split(",") if argtext else ())]
+                arguments = tuple(int(x) for x in ints[1:])
+                steps.append(ReductionStep(parts[2], arguments, parts[4][len("digest=") :]))
+            elif kind == "outcome" and len(parts) == 2 and parts[1] in ("valid", "none"):
+                if outcome is not None:
+                    raise TraceError("duplicate outcome line", ln)
+                outcome = parts[1]
+            else:
+                raise TraceError(f"unrecognized line: {' '.join(parts)}", ln)
+        except ValueError:
+            raise _int_error(kind, ints, ln) from None
     if not saw_header:
         raise TraceError("empty trace")
     if outcome is None:

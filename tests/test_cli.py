@@ -429,7 +429,7 @@ def _b5_prescription_cases(tmp_path):
 _DEFECT_MESSAGES = {
     "missing": "prescription misses vertex",
     "extra": "prescription names unknown vertex",
-    "range": "residue must be -1, 0 or 1, got 5",
+    "range": "{range}: line 1: residue must be -1, 0 or 1, got 5",
 }
 
 
@@ -440,7 +440,7 @@ def test_malformed_prescription_file_exit3(tmp_path, capsys, command, defect):
     argv = [command, graph] + ([orientation] if command == "verify" else [])
     code, out, err = run(capsys, *argv, "--p", files[defect])
     assert code == 3 and out == ""
-    assert err.startswith(f"input error: {_DEFECT_MESSAGES[defect]}")
+    assert err.startswith(f"input error: {_DEFECT_MESSAGES[defect].format(**files)}")
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
@@ -723,9 +723,9 @@ def test_bad_arguments_exit3(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("0\n", "p.txt:1: expected '<vertex> <residue>'"),
-        ("p 0 0\n1 one\n", "p.txt:2: not integers: '1 one'"),
-        ("0 0\np 0 1\n", "p.txt:2: duplicate vertex 0"),
+        ("0\n", "p.txt: line 1: p takes a vertex and a residue"),
+        ("p 0 0\n1 one\n", "p.txt: line 2: residue must be an integer, got 'one'"),
+        ("0 0\np 0 1\n", "p.txt: line 2: duplicate prescription for vertex 0"),
         ("# none here\n", "p.txt: no prescription entries"),
     ],
     ids=["shape", "integers", "duplicate", "empty"],
@@ -736,6 +736,33 @@ def test_prescription_file_syntax_exit3(b7_file, tmp_path, capsys, text, message
     code, out, err = run(capsys, "solve", b7_file, "--p", str(pfile))
     assert code == 3 and out == ""
     assert err.startswith("input error: ") and err.rstrip().endswith(message)
+
+
+def test_malformed_orientation_file_is_named(b7_file, tmp_path, capsys):
+    ofile = tmp_path / "o.txt"
+    ofile.write_text("0 1\n0 2\n")
+    code, out, err = run(capsys, "verify", b7_file, str(ofile), "--p", "random")
+    assert code == 3 and out == ""
+    assert err == f"input error: {ofile}: line 2: duplicate direction for edge 0\n"
+
+
+def test_prescription_residue_refused_at_parse(b7_file, tmp_path, capsys):
+    # p 0 5 names one vertex of seven: it is refused for its residue, by
+    # file and line, before any vertex is found missing
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("# residues\np 0 5\n")
+    code, out, err = run(capsys, "solve", b7_file, "--p", str(pfile))
+    assert code == 3 and out == ""
+    assert err == f"input error: {pfile}: line 2: residue must be -1, 0 or 1, got 5\n"
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "b7.pgr"
+    assert run(capsys, "gen", "b", "7", "-o", str(path))[0] == 0
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    code, out, err = run(capsys, "solve", str(path), "--p", "random")
+    assert code == 0 and out and err == ""
+    assert read_graph(path) == (gen_circulant_b(7), None)
 
 
 def test_unknown_subcommand_exit3(capsys):

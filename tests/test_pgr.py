@@ -12,9 +12,11 @@ from crossflow.pgr import (
     digest_graph,
     parse_graph,
     parse_orientation,
+    parse_prescription,
     serialize_graph,
     serialize_orientation,
 )
+from crossflow.solver import TraceError, parse_trace
 
 
 def test_roundtrip_triangle():
@@ -90,6 +92,33 @@ def test_digest_sees_signs():
 def test_orientation_file_roundtrip():
     tails = {0: 1, 1: 2, 2: 0}
     assert parse_orientation(serialize_orientation(tails)) == tails
+
+
+# one text of each format that pgr's line rules read
+_FORMATS = {
+    "pgr": (parse_graph, serialize_graph(*gen_counterexample(0)[:2])),
+    "orientation": (parse_orientation, serialize_orientation({0: 1, 1: 2, 2: 0})),
+    "prescription": (parse_prescription, "p 0 1\n1 -1\np 2 0\n"),
+    "trace": (
+        parse_trace,
+        "trace 1\nthreshold 28\np 0 0\nstep 0 OracleCall args=3 digest=abc\noutcome none\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+def test_every_format_skips_comments_blanks_and_crlf(fmt):
+    parse, text = _FORMATS[fmt]
+    lines = [f"{line}  # trailing" for line in text.splitlines()]
+    noisy = "\r\n".join(["# a full-line comment", "", *lines[:1], "  ", *lines[1:]])
+    assert parse(noisy + "\r\n") == parse(text)
+
+
+def test_one_error_class_for_every_format():
+    assert TraceError is PgrError
+    with pytest.raises(PgrError) as exc:
+        parse_prescription("# residues\np 0 5\n")
+    assert str(exc.value) == "line 2: residue must be -1, 0 or 1, got 5"
 
 
 # ------------------------------------------------------------------- errors

@@ -455,7 +455,10 @@ _STEP = "step 0 OracleCall args=3 digest=abc123"
 
 # malformed trace text -> the message parse_trace raises, with its line
 _TRACE_ERRORS = {
-    "non-integer": ("trace 1\np 0 x\noutcome valid\n", "line 2: expected an integer, got 'x'"),
+    "non-integer": (
+        "trace 1\np 0 x\noutcome valid\n",
+        "line 2: residue must be an integer, got 'x'",
+    ),
     "header": ("trace 2\noutcome valid\n", "line 1: expected header 'trace 1'"),
     "duplicate p": (
         "trace 1\np 0 1\np 0 -1\noutcome valid\n",
