@@ -36,6 +36,7 @@ level is the input itself, and each split of it fails its cut check.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -304,7 +305,12 @@ def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, Redu
     prescription = dict(p)
     if not _check_prescription(g, prescription):
         return None, ReductionTrace([], "none", prescription)
-    o, steps = _solve_inner(g, prescription, _Input(g))
+    try:
+        o, steps = _solve_inner(g, prescription, _Input(g))
+    except RecursionError:  # one or two Python frames per reduction level
+        raise SolverRefusal(
+            f"the reduction chain is deeper than the recursion limit ({sys.getrecursionlimit()})"
+        ) from None
     if o is not None and not is_valid_orientation(g, prescription, o):
         raise OrientationError("solver produced an invalid orientation")
     outcome = "valid" if o is not None else "none"

@@ -15,6 +15,7 @@ import pytest
 
 import crossflow
 from conftest import _count_calls, build_graph, cycle_graph, triangle_with_loop, two_triangles
+from crossflow import solver as solver_module
 from crossflow.cli import main
 from crossflow.embedding import EmbeddedGraph, StructureError
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
@@ -763,6 +764,18 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path), "--p", "random")
     assert code == 0 and out and err == ""
     assert read_graph(path) == (gen_circulant_b(7), None)
+
+
+def test_chain_too_deep_is_refused(b7_file, capsys, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(solver_module, "_solve_inner", too_deep)
+    code, out, err = run(capsys, "solve", b7_file, "--p", "random")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: the reduction chain is deeper than the recursion limit")
+    code, out, _ = run(capsys, "corpus", "--seeds", "0..1")
+    assert code == 0 and out.count("outcome=refused") == 2
 
 
 def test_unknown_subcommand_exit3(capsys):

@@ -1,6 +1,7 @@
 """The hybrid solver: strategy selection, reduction traces, replay."""
 
 import hashlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -491,6 +492,34 @@ def test_trace_error_is_a_pgr_error():
     with pytest.raises(PgrError) as exc:
         parse_trace("trace 1\np 0 -2\noutcome none\n")
     assert isinstance(exc.value, TraceError) and exc.value.line == 2
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_chain_deeper_than_the_stack_is_refused():
+    # under a recursion limit a few frames above this one, the corpus's
+    # reduction chains outgrow the stack: solve refuses them, naming the
+    # limit, and lets no RecursionError out
+    cases = [gen_random_pt(seed, 12) for seed in range(20)]
+    depth, limit = _stack_depth(), sys.getrecursionlimit()
+    refusals = Counter()
+    for extra in range(10, 31):
+        for g, p in cases:
+            sys.setrecursionlimit(depth + extra)
+            try:
+                solve(g, p)
+            except solver_module.SolverRefusal as exc:
+                refusals[extra, str(exc).partition(" (")[0]] += 1
+            finally:
+                sys.setrecursionlimit(limit)
+    deep = "the reduction chain is deeper than the recursion limit"
+    assert {why for _, why in refusals} == {deep}
+    assert refusals[10, deep] > refusals[30, deep]
 
 
 def test_parse_trace_skips_comments():
