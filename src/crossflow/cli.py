@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success or orientation found, 1 a definite negative (proven
-none / invalid / class fails), 2 engine refusal (the frontier DP's state
-budget or the cut search budget), 3 input error.  Results go to stdout or
-``-o``; diagnostics go to stderr.  Each handler takes the parsed
-arguments, so every default lives in the parser.
+none / invalid / class fails), 2 engine refusal (DP state budget, cut
+search budget, recursion limit), 3 input error, naming its file.  Results
+go to stdout or ``-o``; diagnostics to stderr.  Each handler takes the
+parsed arguments, so every default lives in the parser.
 """
 
 from __future__ import annotations

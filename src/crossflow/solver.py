@@ -11,9 +11,9 @@ directed vertex (cuts.smallest_bond_side), then the
 doubled-boundary-vertex split, then the oracle.  There a frontier DP
 decides, within a fixed state budget, whether any valid orientation
 exists, and reads the lexicographically first witness by self-reduction;
-past the state budget or the cut search budget the instance is refused,
-and the refusal names the bound.  Every orientation leaving this module
-is validated against the untouched input.
+past the state budget, the cut search budget or the recursion limit the
+instance is refused, and the refusal names the bound.  Every orientation
+leaving this module is validated against the untouched input.
 
 Only the doubled-boundary-vertex split takes face data from the solver.
 Family detection and contraction find their own faces from the anchors,
