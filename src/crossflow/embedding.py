@@ -145,24 +145,10 @@ class EmbeddedGraph:
 
     def validate(self) -> None:
         """Raise StructureError if the stored data is malformed."""
-        edges = self.edges
-        degree = dict.fromkeys(self.rotation, 0)
-        for e, (u, v) in edges.items():
-            if u not in degree or v not in degree:
-                raise StructureError(f"edge {e} has a missing endpoint")
-            if self.sign.get(e) not in (1, -1):
-                raise StructureError(f"edge {e} has no sign")
-            degree[u] += 1
-            degree[v] += 1
-        if set(self.sign) != set(edges):
-            raise StructureError("sign table does not match the edge set")
-        # the vertex's darts: as many, none repeated, each leaving the vertex
-        for v, rot in self.rotation.items():
-            if len(rot) != degree[v] or len(set(rot)) != len(rot):
-                raise StructureError(f"rotation at vertex {v} is malformed")
-            for e, end in rot:
-                if e not in edges or end not in (0, 1) or edges[e][end] != v:
-                    raise StructureError(f"rotation at vertex {v} is malformed")
+        for kind, ids in (("vertex", self.rotation), ("edge", self.edges)):
+            if min(ids, default=0) < 0:
+                raise StructureError(f"{kind} id {min(ids)} is negative")
+        _check_rotation_system(self)
         if len(self.specified) > 2:
             raise StructureError("at most two specified faces are allowed")
         for i, a in enumerate(self.specified):
@@ -187,6 +173,29 @@ class EmbeddedGraph:
                     raise StructureError(f"darc edge {e} is not incident to dvertex")
         elif self.darcs:
             raise StructureError("darcs given without a dvertex")
+
+
+def _check_rotation_system(g: EmbeddedGraph) -> None:
+    """Raise StructureError unless each edge has a sign of +-1 and two ends
+    among the vertices, and each rotation lists the darts leaving its vertex."""
+    edges = g.edges
+    degree = dict.fromkeys(g.rotation, 0)
+    for e, (u, v) in edges.items():
+        if u not in degree or v not in degree:
+            raise StructureError(f"edge {e} has a missing endpoint")
+        if g.sign.get(e) not in (1, -1):
+            raise StructureError(f"edge {e} has no sign")
+        degree[u] += 1
+        degree[v] += 1
+    if set(g.sign) != set(edges):
+        raise StructureError("sign table does not match the edge set")
+    # the vertex's darts: as many, none repeated, each leaving the vertex
+    for v, rot in g.rotation.items():
+        if len(rot) != degree[v] or len(set(rot)) != len(rot):
+            raise StructureError(f"rotation at vertex {v} is malformed")
+        for e, end in rot:
+            if e not in edges or end not in (0, 1) or edges[e][end] != v:
+                raise StructureError(f"rotation at vertex {v} is malformed")
 
 
 # ---------------------------------------------------------------- tracing
@@ -266,37 +275,23 @@ def _canonical_walk(g: EmbeddedGraph, orbit: list[State]) -> FaceWalk:
     return _as_facewalk(g, rep[k:] + rep[:k])
 
 
-def _orbit_pairs(g: EmbeddedGraph) -> tuple[list[list[State]], list[tuple[int, int]]]:
-    """Every face orbit of an embedding with edges, in discovery order, and
-    each face as the indices of its two mirror orbits.  Raises
-    StructureError when the face step is not a permutation or an orbit is
-    its own mirror."""
-    orbit_of: dict[State, int] = {}
+def _face_orbits(g: EmbeddedGraph) -> list[list[State]]:
+    """One orbit of each face, in discovery order, in 2|E| face steps: each
+    walked from the first unseen state in (edge id, end, +1 before -1)
+    order, then seen with its mirror orbit.  Checked by ``validate``'s rule,
+    the rotation system needs no pairing check.  Its face step is a
+    permutation: each dart sits once in the rotation of the vertex it leaves.
+    No orbit is its own mirror: that would make some state's mirror (of
+    orientation -s*sign) its successor (of orientation s*sign)."""
+    _check_rotation_system(g)
+    seen: set[State] = set()
     orbits: list[list[State]] = []
     for e in sorted(g.edges):
-        for end in (0, 1):
-            for s in (1, -1):
-                st = ((e, end), s)
-                if st in orbit_of:
-                    continue
-                orbit = _walk_from(g, st)
-                for x in orbit:
-                    if x in orbit_of:
-                        raise StructureError("rotation system is not a permutation")
-                    orbit_of[x] = len(orbits)
-                orbits.append(orbit)
-    pairs = []
-    taken: set[int] = set()
-    for idx, orbit in enumerate(orbits):
-        if idx in taken:
-            continue
-        midx = orbit_of[_mirror(g, orbit[0])]
-        if midx == idx:
-            raise StructureError("facial walk is its own mirror")
-        taken.add(idx)
-        taken.add(midx)
-        pairs.append((idx, midx))
-    return orbits, pairs
+        for st in (((e, 0), 1), ((e, 0), -1), ((e, 1), 1), ((e, 1), -1)):
+            if st not in seen:
+                orbits.append(_walk_from(g, st))
+                seen.update(y for x in orbits[-1] for y in (x, _mirror(g, x)))
+    return orbits
 
 
 def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
@@ -304,11 +299,11 @@ def trace_faces(g: EmbeddedGraph) -> list[FaceWalk]:
 
     Deterministic: each walk starts at its smallest state and faces are
     listed by that key.  Every dart side belongs to exactly one walk, so the
-    walk lengths sum to twice the number of edges.  Each isolated vertex,
-    a sphere of its own, adds one empty walk after these.
+    walk lengths and the face steps taken (``_face_orbits``) sum to 2|E|.
+    Each isolated vertex, a sphere of its own, adds one empty walk after
+    these.  Raises ``validate``'s StructureError on a malformed system.
     """
-    orbits, pairs = _orbit_pairs(g)
-    faces = [_canonical_walk(g, orbits[i]) for i, _ in pairs]
+    faces = [_canonical_walk(g, orbit) for orbit in _face_orbits(g)]
     faces.sort(key=lambda f: _state_key(f.states[0]))
     isolated = sum(1 for rot in g.rotation.values() if not rot)
     return faces + [FaceWalk(states=(), tails=())] * isolated
@@ -396,15 +391,14 @@ def boundary_cycle(g: EmbeddedGraph, which: int = 0) -> list[int] | None:
 def euler_characteristic(g: EmbeddedGraph) -> int:
     """V - E + F for the traced embedding.  Errors on disconnected input.
 
-    Tests connectivity by one search, then counts faces as mirror pairs of
-    face orbits without building their walks: one step per state, 4|E|
-    steps, each O(degree) to find the arriving dart.  Raises the same
-    StructureError as ``trace_faces`` on a broken rotation system."""
+    Tests connectivity by one search, then counts faces by one orbit walk
+    each (``_face_orbits``), no walks built: 2|E| face steps, each O(degree)
+    to find the arriving dart.  Raises ``trace_faces``'s StructureError."""
     if not g.rotation:
         raise OperationError("empty graph has no embedding")
     if not g.is_connected():
         raise DisconnectedError("euler characteristic needs a connected graph")
-    faces = len(_orbit_pairs(g)[1]) if g.edges else 1
+    faces = len(_face_orbits(g)) if g.edges else 1
     return len(g.rotation) - len(g.edges) + faces
 
 

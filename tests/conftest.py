@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from crossflow import _kernels, families
-from crossflow.embedding import EmbeddedGraph, canonical_anchor, trace_faces
+from crossflow.embedding import (
+    EmbeddedGraph,
+    StructureError,
+    _mirror,
+    _walk_from,
+    canonical_anchor,
+    trace_faces,
+)
 from crossflow.orient import OracleBoundError, _forced_arcs, _oracle_lists, prescription_ok
 
 
@@ -165,6 +172,43 @@ def random_multigraph(seed, max_vertices=9, max_extra=6):
     g.specified = [canonical_anchor(g, pick)]
     g.validate()
     return g
+
+
+def orbit_pairs(g):
+    """Every face orbit of an embedding with edges, in discovery order, and
+    each face as the indices of its two mirror orbits: every orbit walked,
+    with no rotation check first.  The reference the one-orbit face count
+    is tested against.  Raises StructureError when the face step is not a
+    permutation or an orbit is its own mirror."""
+    orbit_of = {}
+    orbits = []
+    for e in sorted(g.edges):
+        for end in (0, 1):
+            for s in (1, -1):
+                st = ((e, end), s)
+                if st in orbit_of:
+                    continue
+                try:
+                    orbit = _walk_from(g, st)
+                except ValueError:  # a dart arrives where its vertex does not list it
+                    raise StructureError("rotation system is not a permutation") from None
+                for x in orbit:
+                    if x in orbit_of:
+                        raise StructureError("rotation system is not a permutation")
+                    orbit_of[x] = len(orbits)
+                orbits.append(orbit)
+    pairs = []
+    taken = set()
+    for idx, orbit in enumerate(orbits):
+        if idx in taken:
+            continue
+        midx = orbit_of[_mirror(g, orbit[0])]
+        if midx == idx:
+            raise StructureError("facial walk is its own mirror")
+        taken.add(idx)
+        taken.add(midx)
+        pairs.append((idx, midx))
+    return orbits, pairs
 
 
 # count_valid's backtracking search is exponential; it refuses graphs with

@@ -406,6 +406,41 @@ def test_two_anchors_of_one_face_exit3(tmp_path, capsys, command):
     assert err.startswith("input error: ") and "name one face" in err
 
 
+_K4_CENTRE_MINUS_ONE = """pgr 1
+vertex -1
+vertex 0
+vertex 1
+vertex 2
+edge 0 0 1 +1
+edge 1 1 2 +1
+edge 2 2 0 +1
+edge 3 0 -1 +1
+edge 4 1 -1 +1
+edge 5 2 -1 +1
+rot -1 3.1 4.1 5.1
+rot 0 0.0 3.0 2.1
+rot 1 1.0 4.0 0.1
+rot 2 2.0 5.0 1.1
+face 0.0
+"""
+
+
+@pytest.mark.parametrize(
+    "command", _ODD_COMMANDS + [["verify", "{o}", "--p", "random"]], ids=" ".join
+)
+def test_negative_id_exit3(tmp_path, capsys, command):
+    # a plane K4 whose centre is vertex -1; ids are non-negative, and the
+    # max-flow of check's path condition takes -1 for its sink
+    path = tmp_path / "k4.pgr"
+    path.write_text(_K4_CENTRE_MINUS_ONE)
+    orientation = tmp_path / "o.txt"
+    orientation.write_text("")
+    args = [a.format(o=orientation) for a in command[1:]]
+    code, out, err = run(capsys, command[0], str(path), *args)
+    assert code == 3 and out == ""
+    assert err == f"input error: {path}: vertex id -1 is negative\n"
+
+
 def _b5_prescription_cases(tmp_path):
     """B5 with an orientation of it, and a prescription file for each
     defect: a vertex missing, an unknown vertex, a residue out of range."""

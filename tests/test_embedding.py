@@ -18,6 +18,7 @@ from conftest import (
     _record_candidates,
     bowtie_crosscap,
     build_graph,
+    orbit_pairs,
     random_multigraph,
     square_with_chord,
     triangle,
@@ -101,10 +102,22 @@ def test_anchor_roundtrip():
 
 
 def test_trace_rejects_malformed_rotation():
+    # the face counters check the rotation system by validate's own rule
     g = triangle()
     g.rotation[0] = g.rotation[0][:1]
-    with pytest.raises(StructureError):
-        g.validate()
+    for check in (EmbeddedGraph.validate, trace_faces, euler_characteristic):
+        with pytest.raises(StructureError, match="rotation at vertex 0 is malformed"):
+            check(g)
+
+
+def test_validate_refuses_negative_ids():
+    # ids are non-negative; the cut layer's max-flow takes -1 for its sink
+    for edges, message in (
+        ({0: (0, -1), 1: (-1, 1), 2: (1, 0)}, "vertex id -1 is negative"),
+        ({-2: (0, 1), 1: (1, 2), 2: (2, 0)}, "edge id -2 is negative"),
+    ):
+        with pytest.raises(StructureError, match=message):
+            build_graph(edges)  # which validates
 
 
 def test_validate_rejects_a_repeated_anchor():
@@ -239,7 +252,8 @@ def _chi_by_full_trace(g):
         raise OperationError("empty graph")
     if not g.is_connected():
         raise DisconnectedError("disconnected")
-    return len(g.rotation) - len(g.edges) + len(trace_faces(g))
+    faces = len(orbit_pairs(g)[1]) if g.edges else 1
+    return len(g.rotation) - len(g.edges) + faces
 
 
 def _without_edges(g, dead):
@@ -253,20 +267,27 @@ def _without_edges(g, dead):
 
 
 def test_euler_characteristic_matches_full_trace(monkeypatch):
-    # euler_characteristic counts orbit pairs; the reference builds every
-    # face walk.  Values and exception classes must agree.
+    # euler_characteristic walks one orbit per face of a checked rotation
+    # system; the reference walks every orbit and pairs them, unchecked.
+    # Values and exception classes must agree.
     graphs = []
+    malformed = []
     for seed in range(300):
         g = random_multigraph(seed)
         graphs.append(g)
         graphs.append(_without_edges(g, sorted(g.edges)[1::3]))  # may disconnect
         bad = g.copy()  # a sign outside +-1: no facial walk closes
         bad.sign[0] = 0
-        graphs.append(bad)
+        malformed.append(bad)
         bad = g.copy()  # a dart listed twice at its vertex, another lost
         rot = bad.rotation[bad.vertices[0]]
         rot[1] = rot[0]
-        graphs.append(bad)
+        malformed.append(bad)
+    for g in malformed:
+        assert _outcome(_chi_by_full_trace, g) is StructureError
+        assert _outcome(euler_characteristic, g) is StructureError
+        assert _outcome(trace_faces, g) is StructureError
+    graphs.extend(malformed)
     graphs.append(build_graph({0: (0, 1)}))
     graphs.append(EmbeddedGraph(rotation={0: []}))
     graphs.append(EmbeddedGraph())
@@ -763,6 +784,19 @@ def test_random_graphs_trace_consistently(seed):
             assert _face_through(g, _mirror(g, s)) == f
 
 
+def test_face_counts_walk_one_orbit_per_face(monkeypatch):
+    # each face is a mirror pair of orbits, and counting it walks one: 2|E|
+    # face steps, where walking both orbits took 4|E|
+    graphs = [random_multigraph(seed) for seed in range(300)]
+    graphs += [gen_random_pt(seed, 12)[0] for seed in range(50)]  # all connected
+    steps = _count_calls(monkeypatch, embedding._face_step)
+    for g in graphs:
+        for count in (euler_characteristic, trace_faces):
+            steps.clear()
+            count(g)
+            assert len(steps) == 2 * len(g.edges), (count.__name__, g)
+
+
 def test_mirror_orbit_is_the_orbit_reversed():
     # the face step maps the mirror of a state's successor to the mirror of
     # the state, so the mirror orbit is the orbit reversed with each state
@@ -770,7 +804,7 @@ def test_mirror_orbit_is_the_orbit_reversed():
     orbits = 0
     for seed in range(1500):
         g = random_multigraph(seed)
-        orbits_of_g, _ = embedding._orbit_pairs(g)
+        orbits_of_g, _ = orbit_pairs(g)
         for orbit in orbits_of_g:
             derived = [_mirror(g, st) for st in reversed(orbit)]
             assert _walk_from(g, derived[0]) == derived, f"seed {seed}"

@@ -321,6 +321,19 @@ def test_random_pt_vets_with_one_cut_scan_and_one_connectivity_search(monkeypatc
     assert counts == (0, 100, 100, 100)
 
 
+# _face_step calls while generating corpus seeds 0..99 at cap 12, 2640 of
+# them in the class check's chi count (6,897 while a face count walked
+# both orbits of each face)
+GENERATED_FACE_STEPS = 4_257
+
+
+def test_random_pt_face_work_is_bounded(monkeypatch):
+    steps = _count_calls(monkeypatch, embedding._face_step)
+    for seed in range(100):
+        gen_random_pt(seed, 12)
+    assert len(steps) <= GENERATED_FACE_STEPS
+
+
 class _CountingRng:
     """A numpy Generator that counts its ``choice`` calls, and its
     ``integers(-1, 2, ...)`` calls by whether they pass ``size``."""
