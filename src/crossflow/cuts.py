@@ -385,8 +385,9 @@ def boundary_connectivity(g: EmbeddedGraph, v: int) -> int:
 
 def _paths_to(g: EmbeddedGraph, v: int, bnd: set[int]) -> int:
     """Max number of edge-disjoint paths from v to the vertex set ``bnd``,
-    which must not hold v: one max-flow into a sink joined to all of it."""
-    sink = -1
+    which must not hold v: one max-flow into a sink joined to all of it,
+    a vertex id the graph does not use."""
+    sink = g.next_vertex_id()
     caps = _unit_caps(g)
     big = 2 * len(g.edges) + 1
     for b in bnd:

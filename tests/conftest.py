@@ -7,6 +7,7 @@ take an explicit numpy seed.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crossflow import _kernels, families
 from crossflow.embedding import (
     EmbeddedGraph,
     StructureError,
+    _face_through,
     _mirror,
     _walk_from,
     canonical_anchor,
@@ -209,6 +211,19 @@ def orbit_pairs(g):
         taken.add(midx)
         pairs.append((idx, midx))
     return orbits, pairs
+
+
+def names_the_halves(walk, out):
+    """Whether the specified faces of ``out`` are the two halves of the face
+    whose walk is ``walk``: two faces whose walks together have its length
+    and use each edge as often as it does."""
+    halves = [_face_through(out, (a, 1)) for a in out.specified]
+    return (
+        len(halves) == 2
+        and sum(h.length for h in halves) == walk.length
+        and Counter(e for h in halves for e, _ in h.darts)
+        == Counter(e for e, _ in walk.darts)
+    )
 
 
 # count_valid's backtracking search is exponential; it refuses graphs with

@@ -567,6 +567,25 @@ def test_path_condition_walks_the_faces_once(monkeypatch):
     assert len(walks) == 1
 
 
+def test_path_condition_sink_is_not_a_vertex():
+    # check_class takes its graph as given, unvalidated: a plane K4 whose
+    # centre is vertex -1, which validate refuses, gets K4's report (its
+    # cuts in another order), where a max-flow sink of -1 met the source
+    k4 = wheel(3)
+    g = EmbeddedGraph(
+        edges={e: tuple(-1 if x == 3 else x for x in uv) for e, uv in k4.edges.items()},
+        sign=dict(k4.sign),
+        rotation={-1 if v == 3 else v: list(r) for v, r in k4.rotation.items()},
+        specified=list(k4.specified),
+    )
+    rep = check_class(g, {v: 0 for v in g.rotation}, "pt")
+    ref = check_class(k4, {v: 0 for v in k4.rotation}, "pt")
+    assert rep.violations[-1] == (5, "vertex -1 has only 3 edge-disjoint paths")
+    assert sorted(rep.violations[:-1]) == sorted(ref.violations[:-1])
+    assert ref.violations[-1] == (5, "vertex 3 has only 3 edge-disjoint paths")
+    assert boundary_connectivity(g, -1) == 3
+
+
 # ------------------------------------------------------------ pinned outputs
 
 CLASS_NAMES = ("pt", "3pt", "ft", "dts", "3dts")

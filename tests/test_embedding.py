@@ -18,6 +18,7 @@ from conftest import (
     _record_candidates,
     bowtie_crosscap,
     build_graph,
+    names_the_halves,
     orbit_pairs,
     random_multigraph,
     square_with_chord,
@@ -553,16 +554,19 @@ def test_split_bowtie():
 
 
 # sha256 over (seed, v, outcome class, output) for every doubled vertex of
-# random_multigraph seeds 0..3999
-SPLIT_OUTCOME_DIGEST = "afb32f4e1fb09e6c365ce425efb52575ac0e7e82bca62280baa2663c07726bc4"
+# random_multigraph seeds 0..3999 (the output's anchors are the darts that
+# leave the two re-identified corners)
+SPLIT_OUTCOME_DIGEST = "a78ee9e2b50e0564730a95a387e2aa1e825bed312c2bb6f387c16e0d504bbdf2"
 
 
 def test_split_random_multigraphs():
     h = hashlib.sha256()
-    accepted = 0
+    accepted = projective = 0
     for seed in range(4000):
         g = random_multigraph(seed)
-        doubled = Counter(specified_walk(g).tails)
+        walk = specified_walk(g)
+        doubled = Counter(walk.tails)
+        chi = euler_characteristic(g)
         for v in sorted(x for x, c in doubled.items() if c >= 2):
             try:
                 out = split_doubled_boundary_vertex(g, v)
@@ -577,7 +581,10 @@ def test_split_random_multigraphs():
             assert len(faces) == 2 and faces[0] != faces[1]
             for i in range(2):
                 assert v in specified_walk(out, i).tails
-    assert accepted > 500
+            if chi == 1:  # the split's domain: its faces are F's two halves
+                assert names_the_halves(walk, out), (seed, v)
+                projective += 1
+    assert accepted > 500 and projective > 2000
     assert h.hexdigest() == SPLIT_OUTCOME_DIGEST
 
 

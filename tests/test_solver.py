@@ -11,6 +11,7 @@ from conftest import (
     _count_calls,
     _replace_everywhere,
     disjoint_union,
+    names_the_halves,
     random_multigraph,
     triangle,
     triangle_with_loop,
@@ -813,6 +814,25 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
     assert seen["carried"] > 1000 and seen["fallback"] > 100
 
 
+def test_solver_splits_name_the_two_halves(monkeypatch):
+    # Every split the solver accepts on the corpus cuts a projective input,
+    # and its two specified faces are the halves of the input's one face.
+    split = solver_module.split_doubled_boundary_vertex
+    accepted = []
+
+    def checked_split(g, v, walk, chi):
+        out = split(g, v, walk, chi)
+        assert embedding.euler_characteristic(g) == 1
+        assert names_the_halves(embedding.specified_walk(g), out), v
+        accepted.append(v)
+        return out
+
+    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", checked_split)
+    for seed in range(100):
+        solve(*gen_random_pt(seed, 12))
+    assert len(accepted) > 300
+
+
 def test_solver_reaches_the_public_face_operations(monkeypatch):
     # The solver calls each face operation by its one public name, so a
     # wrapper around that name (a solvebench span) sees every call.
@@ -830,8 +850,9 @@ def test_solver_reaches_the_public_face_operations(monkeypatch):
 
 # _face_step calls while solving corpus seeds 0..99: a count, unlike wall
 # time, shows a face walked again (14,823 while a face count walked both
-# orbits of each face)
-CORPUS_FACE_STEPS = 12_839
+# orbits of each face, 12,839 while the split walked its shared face twice
+# to confirm the re-identification split it)
+CORPUS_FACE_STEPS = 10_513
 
 
 def test_corpus_face_work_is_bounded(monkeypatch):
