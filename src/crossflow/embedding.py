@@ -816,13 +816,15 @@ def split_doubled_boundary_vertex(
       re-signed with the result, is the shared face below.
     * Re-identifying the copies at a corner of each always splits their
       shared face in two, so it needs no check.  Every sign is +1 after
-      re-signing, so the +1 face permutation is phi(d) = sigma(rev d), sigma
-      the next dart in the rotation.  With
-      a = rv[gv-1] and b = rw[gw-1], the merged rotation sets sigma(a) =
-      rw[gw] and sigma(b) = rv[gv], so phi becomes phi o (rev a, rev b).
-      Both corners lie on the shared face, so rev a and rev b lie on its +1
-      cycle, and a cycle composed with a transposition of two of its
-      elements splits in two: one through rv[gv], one through rw[gw].
+      re-signing, so the +1 face permutation is phi(d) = sigma(rev d), with
+      sigma(d) the dart after d in its rotation.  Let rv and rw be the
+      rotations of the two copies, gv and gw the shared face's corners in
+      them (``_corner_gap``), a = rv[gv-1] and b = rw[gw-1].  The merged
+      rotation sets sigma(a) = rw[gw] and sigma(b) = rv[gv], so phi becomes
+      phi o (rev a, rev b).  Both corners lie on the shared face, so rev a
+      and rev b lie on its +1 cycle, and a cycle composed with a
+      transposition of two of its elements splits in two: one piece
+      through rv[gv], the other through rw[gw].
 
     The output's two specified faces are anchored at the new corners, at
     the darts rv[gv] and rw[gw] that leave them; with F' = 1 they are the
