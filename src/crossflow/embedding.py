@@ -810,10 +810,12 @@ def split_doubled_boundary_vertex(
 
     * The cut moves the rotation at the two corners of the specified face F
       at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
-      faces, F' one or two: Euler characteristic chi(g) + F'.  It must be 2
-      on a connected result, else OperationError.  Cost: one search for
-      connectivity, one walk of F in the result, and chi(g).  That walk,
-      re-signed with the result, is the shared face below.
+      faces, F' one or two: Euler characteristic chi(g) + F'.  Its domain
+      is F' = 1, a connected result and chi(g) = 1, else OperationError.
+      Cost: one walk of F in the result, one connectivity search and
+      chi(g).  That walk, re-signed with the result, is the shared face
+      below; it holds every state of F, the two leaving v's corners too,
+      and one corner stays on v, the other moves, so it meets both copies.
     * Re-identifying the copies at a corner of each always splits their
       shared face in two, so it needs no check.  Every sign is +1 after
       re-signing, so the +1 face permutation is phi(d) = sigma(rev d), with
@@ -859,15 +861,12 @@ def split_doubled_boundary_vertex(
     # walk the cut-open face from the first boundary departure that survives
     cut = _walk_from(out, walk.states[p1 if walk.states[p1][0] in arc_a else p2])
     # F's orbit pair (2n states) now holds two orbits of length n, or four
-    faces_of_f = 1 if len(cut) == walk.length else 2
-    if not out.is_connected() or (
+    if len(cut) != walk.length or not out.is_connected() or (
         euler_characteristic(g) if chi is None else chi
-    ) + faces_of_f != 2:
+    ) != 1:
         raise OperationError("boundary visits do not cut the crosscap")
     _resign_all_positive(out, cut)  # relabels the walk with the graph
     shared = _canonical_walk(out, cut)
-    if v not in shared.tails or fresh not in shared.tails:
-        raise StructureError("cut-open face does not meet both vertex copies")
     iv, iw = shared.tails.index(v), shared.tails.index(fresh)
     rv = out.rotation[v]
     rw = out.rotation[fresh]

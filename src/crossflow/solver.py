@@ -18,20 +18,18 @@ leaving this module is validated against the untouched input.
 Only the doubled-boundary-vertex split takes face data from the solver.
 Family detection and contraction find their own faces from the anchors,
 and contraction walks a face only when it swallows the anchor's edge.
-Each level that tries a split walks its specified face once, lists the
-doubled vertices from that walk and hands it to every split, with chi of
-the graph h it cuts.  Euler genus (2 - chi) never rises along the
-recursion: contracting a non-loop edge keeps chi, deleting a loop raises
-it by 0, 1 or 2, and a split's output is plane.  So when the input to
-``solve`` has chi 1 or 2, every h has Euler genus at most 1.  A split
-refuses a disconnected result before it reads chi, and a connected one
-has chi(h) + F' <= 2 with F' >= 1 faces from h's specified face, so the
-solver hands it chi(h) = 1 (Mohar and Thomassen, *Graphs on Surfaces*,
-2001).  The input's chi is counted once, at the first level with a
-doubled vertex, since most solves never split; on any other input each
-split counts chi itself.  The count refuses only a disconnected input,
-and there no split is tried: a disconnected graph has no bond, so every
-level is the input itself, and each split of it fails its cut check.
+Splits are tried only when the input to ``solve`` is projective (chi 1),
+their domain.  Each level that tries one walks its specified face once,
+lists the doubled vertices from that walk and hands it to every split,
+with chi of the graph h it cuts.  Euler genus (2 - chi) never rises
+along the recursion: contracting a non-loop edge keeps chi, deleting a
+loop raises it by 0, 1 or 2, and a split's output is plane.  So every h
+has Euler genus at most 1.  A split refuses F' = 2 faces from h's
+specified face or a disconnected result before it reads chi, and a
+connected one has chi(h) + 1 <= 2, so the solver hands it chi(h) = 1
+(Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The input's chi is
+counted once, at the first level with a doubled vertex, since most
+solves never split.
 """
 
 from __future__ import annotations
@@ -265,12 +263,9 @@ def _solve_inner(
     if len(g.specified) == 1:
         walk = specified_walk(g)
         doubled = [v for v, c in sorted(Counter(walk.tails).items()) if c >= 2]
-        if doubled and top.chi is None:
-            doubled = []  # a disconnected input: no split passes its cut check
-        chi = 1 if doubled and top.chi in (1, 2) else None
-        for v in doubled:
+        for v in doubled if doubled and top.chi == 1 else ():
             try:
-                flat = split_doubled_boundary_vertex(g, v, walk, chi)
+                flat = split_doubled_boundary_vertex(g, v, walk, 1)
             except EmbeddingError:
                 continue
             steps = [

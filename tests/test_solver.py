@@ -790,9 +790,9 @@ def _same_when_walked_here(fn, carried, fresh):
 
 def test_carried_face_data_matches_a_fresh_count(monkeypatch):
     # Only the split takes face data: its walk equals a fresh walk of the
-    # specified face, it gets chi(g) = 1 when the input has Euler genus at
-    # most 1 or None to count it itself, and it gives the same result when
-    # it walks and counts the face data itself.
+    # specified face, it gets chi(g) = 1, never None (splits are tried only
+    # on a chi = 1 input), and it gives the same result when it walks and
+    # counts the face data itself.
     seen = Counter()
     split = solver_module.split_doubled_boundary_vertex
 
@@ -811,7 +811,28 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
             solve(g, p)
         except (solver_module.SolverRefusal, embedding.EmbeddingError):
             pass
-    assert seen["carried"] > 1000 and seen["fallback"] > 100
+    assert seen["carried"] > 1000 and seen["fallback"] == 0
+
+
+def test_solver_splits_only_projective_inputs(monkeypatch):
+    # Stage 3 cuts the crosscap only when the input to solve has chi 1, the
+    # split's domain: on random multigraphs of any genus every split call
+    # cuts a chi = 1 graph from a chi = 1 input, and the answers stand.
+    split = solver_module.split_doubled_boundary_vertex
+    top_chi = []
+
+    def checked_split(g, v, walk, chi):
+        assert embedding.euler_characteristic(g) == 1 and top_chi == [1], v
+        return split(g, v, walk, chi)
+
+    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", checked_split)
+    outcomes = Counter()
+    for seed in range(600):
+        g = random_multigraph(seed)
+        top_chi[:] = [embedding.euler_characteristic(g)]
+        o, _ = solve(g, random_prescription(g, seed))
+        outcomes["none" if o is None else "valid"] += 1
+    assert outcomes == {"valid": 376, "none": 224}
 
 
 def test_solver_splits_name_the_two_halves(monkeypatch):
