@@ -829,8 +829,8 @@ def split_doubled_boundary_vertex(
       through rv[gv], the other through rw[gw].
 
     The output's two specified faces are anchored at the new corners, at
-    the darts rv[gv] and rw[gw] that leave them; with F' = 1 they are the
-    two halves of F.  Cost: one walk of one orbit each.
+    the darts rv[gv] and rw[gw] that leave them, and they are the two
+    halves of F.  Cost: one walk of one orbit each.
 
     ``walk`` (F's ``specified_walk``) and ``chi`` (chi(g)) come from a
     caller that holds them already, as the solver does (see ``solver``);
