@@ -542,10 +542,10 @@ def _switch(g: EmbeddedGraph, verts: set[int], track: list[State | None]) -> Non
 
 def _resign_all_positive(g: EmbeddedGraph, track: list[State]) -> None:
     """Switch vertices in place until every sign is +1, relabelling
-    ``track`` alongside.  Raises if the graph is not balanced."""
+    ``track`` alongside.  Raises OperationError if it is not balanced."""
     pot = _balance_potentials(g, set(g.rotation))
     if pot is None:
-        raise StructureError("graph is not balanced; cannot re-sign to +1")
+        raise OperationError("graph is not balanced; cannot re-sign to +1")
     _switch(g, {v for v, s in pot.items() if s == -1}, track)
     if any(s != 1 for s in g.sign.values()):
         raise StructureError("re-signing failed")
@@ -767,9 +767,9 @@ def lift_pair(g: EmbeddedGraph, e1: int, e2: int, v: int) -> EmbeddedGraph:
 
 def planarize_along_chord(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     """Given a non-contractible chord ``uv`` of the specified face, return
-    the graph minus ``u`` and ``v``, re-signed all-positive; the result is a
-    plane embedding whose specified face is the one that absorbed the old
-    specified face."""
+    the graph minus ``u`` and ``v``, re-signed all-positive: a plane
+    embedding whose specified face absorbed the old one.  OperationError
+    when that remainder is not balanced, as on some inputs of chi <= 0."""
     if is_contractible_chord(g, e):
         raise OperationError(f"chord {e} is contractible")
     u, v = g.edges[e]

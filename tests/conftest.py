@@ -226,6 +226,39 @@ def names_the_halves(walk, out):
     )
 
 
+def reference_grow_pieces(nbr, max_size, banned):
+    """The piece growth of ``cuts._grow_pieces`` as it first was: branch on
+    the lowest undecided neighbour, prune only a cut past max_size, no step
+    budget.  Returns (pieces, steps) like it; the reference the fail-first
+    search is tested against."""
+    steps = 0
+    pieces = []
+    for s in range(len(nbr)):
+        if banned >> s & 1:
+            continue
+        outside = (1 << s) - 1 | banned
+        cut = sum((m & outside).bit_count() for m in nbr[s])
+        stack = [(1 << s, outside, nbr[s][0], cut)] if cut <= max_size else []
+        while stack:
+            steps += 1
+            inside, outside, reach, cut = stack.pop()
+            undecided = reach & ~(inside | outside)
+            if not undecided:
+                pieces.append((cut, inside, inside | reach))
+                continue
+            w = (undecided & -undecided).bit_length() - 1
+            row = nbr[w]
+            out_cut = in_cut = cut
+            for m in row:
+                out_cut += (m & inside).bit_count()
+                in_cut += (m & outside).bit_count()
+            if out_cut <= max_size:
+                stack.append((inside, outside | 1 << w, reach, out_cut))
+            if in_cut <= max_size:
+                stack.append((inside | 1 << w, outside, reach | row[0], in_cut))
+    return pieces, steps
+
+
 # count_valid's backtracking search is exponential; it refuses graphs with
 # more edges than this.
 _COUNT_EDGE_BOUND = 24

@@ -540,6 +540,14 @@ def test_cuts_over_search_budget_exit2(tmp_path, capsys):
     assert err.startswith("refused:") and "Traceback" not in err
 
 
+def test_cuts_on_b201_finish_under_budget(tmp_path, capsys):
+    # its only cuts of size <= 5 are the ones around single vertices
+    path = tmp_path / "b201.pgr"
+    write_graph(path, gen_circulant_b(201))
+    code, out, err = run(capsys, "cuts", str(path), "--max", "5", "--min-side", "2")
+    assert (code, out, err) == (0, "", "")
+
+
 def test_faces_report(b7_file, capsys):
     code, out, _ = run(capsys, "faces", b7_file)
     assert code == 0

@@ -16,12 +16,13 @@ from conftest import (
     build_graph,
     disjoint_union,
     random_multigraph,
+    reference_grow_pieces,
     square_with_chord,
     triangle,
     two_triangles,
     wheel,
 )
-from crossflow import _kernels, embedding
+from crossflow import _kernels, cuts, embedding
 from crossflow.cuts import (
     CutBudgetError,
     EdgeCut,
@@ -35,6 +36,8 @@ from crossflow.cuts import (
     enumerate_robust_cuts,
     make_cut,
     smallest_bond_side,
+    _grow_pieces,
+    _neighbour_masks,
     _scan_masks,
     _small_cut_sets,
 )
@@ -254,6 +257,78 @@ def test_scan_masks_matches_bitmask_reference():
             for m in (1, 2, 3):
                 want = [s for s, c in loose if c <= k and m <= len(s) <= n - m]
                 assert _scan_masks(g, k, m) == want, (g.vertices, k, m)
+
+
+def _growth_cases():
+    """(graph, banned vertex set) pairs: random multigraphs and their
+    edge-deleted copies with the least, the greatest and two random
+    vertices banned, the corpus with t if any, CE0-CE8 with t and d, B_i and A_i
+    with the least vertex."""
+    rng = np.random.default_rng(5)
+    for seed in range(600):
+        g = random_multigraph(seed)
+        for h in (g, without_edges(g, rng)):
+            verts = h.vertices
+            yield h, {verts[0]}
+            yield h, {verts[-1]}
+            yield h, set(map(int, rng.choice(verts, 2)))
+    for seed in range(100):
+        g = gen_random_pt(seed, 12)[0]
+        yield g, {g.tvertex} - {None}
+    for k in range(9):
+        g = gen_counterexample(k)[0]
+        yield g, {g.tvertex, g.dvertex}
+    for i in range(5, 22, 2):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            yield g, {g.vertices[0]}
+
+
+def test_grow_pieces_matches_reference():
+    # branching order and the touch bound change the steps, never the pieces
+    steps = [0, 0]
+    for g, banned in _growth_cases():
+        nbr = _neighbour_masks(g)
+        mask = sum(1 << g.vertices.index(v) for v in banned)
+        for max_size in (3, 5):
+            got, n = _grow_pieces(nbr, max_size, mask)
+            want, n_ref = reference_grow_pieces(nbr, max_size, mask)
+            assert sorted(got) == sorted(want), (g.vertices, banned, max_size)
+            steps[0] += n
+            steps[1] += n_ref
+    assert steps[0] < steps[1]
+
+
+# growth steps (nodes popped by cuts._grow_pieces) of searches that find
+# nothing: the bond search on CE_k with t and d avoided, and the full
+# enumeration on B201.  Branching on the lowest undecided neighbour, with
+# no bound, took 1800 steps on CE3 and 81,204 on CE16 and passed the
+# 2^19-step budget on CE32, CE40 and B201.
+EMPTY_SEARCH_STEPS = {
+    "CE3": 801,
+    "CE16": 13_320,
+    "CE32": 49_608,
+    "CE40": 76_392,
+    "B201": 50_388,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_SEARCH_STEPS))
+def test_empty_small_cut_search_is_bounded(monkeypatch, name):
+    steps = []
+    real = cuts._grow_pieces
+
+    def counted(*args):
+        pieces, n = real(*args)
+        steps.append(n)
+        return pieces, n
+
+    monkeypatch.setattr(cuts, "_grow_pieces", counted)
+    if name == "B201":
+        assert enumerate_robust_cuts(gen_circulant_b(201), 5) == []
+    else:
+        g = gen_counterexample(int(name[2:]))[0]
+        assert smallest_bond_side(g, 5, {g.tvertex, g.dvertex}) is None
+    assert sum(steps) <= EMPTY_SEARCH_STEPS[name]
 
 
 def test_counterexample_cuts_above_old_ceiling():

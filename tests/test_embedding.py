@@ -534,6 +534,16 @@ def test_planarize_counterexample_tw():
     assert euler_characteristic(out) == 2
 
 
+@pytest.mark.parametrize("seed, e, chi", [(133, 11, -4), (238, 8, 0)])
+def test_planarize_unbalanced_remainder_refused(seed, e, chi):
+    # a well-formed input off the projective plane whose remainder cannot
+    # be re-signed: the operation's contract fails, not the data
+    g = random_multigraph(seed)
+    assert euler_characteristic(g) == chi and not is_contractible_chord(g, e)
+    with pytest.raises(OperationError, match="not balanced"):
+        planarize_along_chord(g, e)
+
+
 def test_planarize_contractible_chord_refused():
     g = square_with_chord()
     with pytest.raises(OperationError):
