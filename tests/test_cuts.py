@@ -262,8 +262,8 @@ def test_scan_masks_matches_bitmask_reference():
 def _growth_cases():
     """(graph, banned vertex set) pairs: random multigraphs and their
     edge-deleted copies with the least, the greatest and two random
-    vertices banned, the corpus with t if any, CE0-CE8 with t and d, B_i and A_i
-    with the least vertex."""
+    vertices banned, the corpus with t if any, CE0-CE8 with t and d, and
+    B_i and A_i with the least vertex."""
     rng = np.random.default_rng(5)
     for seed in range(600):
         g = random_multigraph(seed)
