@@ -156,10 +156,9 @@ class EmbeddedGraph:
                 raise StructureError(f"face anchor {a} is not a dart")
             if a in self.specified[:i]:
                 raise StructureError(f"face anchor {a} is given twice")
-        if len(self.specified) == 2:  # b names a's face if (b, +1) is on its orbit pair
+        if len(self.specified) == 2:
             a, b = self.specified
-            orbit = set(_walk_from(self, (a, 1)))
-            if (b, 1) in orbit or _mirror(self, (b, 1)) in orbit:
+            if _anchor_through(self, (a, 1)) == _anchor_through(self, (b, 1)):
                 raise StructureError(f"face anchors {a} and {b} name one face")
         if self.tvertex is not None and self.tvertex not in self.rotation:
             raise StructureError("tvertex is not a vertex")
@@ -542,13 +541,13 @@ def _switch(g: EmbeddedGraph, verts: set[int], track: list[State | None]) -> Non
 
 def _resign_all_positive(g: EmbeddedGraph, track: list[State]) -> None:
     """Switch vertices in place until every sign is +1, relabelling
-    ``track`` alongside.  Raises OperationError if it is not balanced."""
+    ``track`` alongside.  Raises OperationError if it is not balanced.  On
+    a system passing the rotation check (each caller's chi count runs it),
+    the search reads every edge at both darts, so no sign needs a re-check."""
     pot = _balance_potentials(g, set(g.rotation))
     if pot is None:
         raise OperationError("graph is not balanced; cannot re-sign to +1")
     _switch(g, {v for v, s in pot.items() if s == -1}, track)
-    if any(s != 1 for s in g.sign.values()):
-        raise StructureError("re-signing failed")
 
 
 # ----------------------------------------------------- face-updating ops
@@ -636,9 +635,10 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> EmbeddedGraph:
     witnesses = _witnesses(g, dead)
     if None in witnesses:
         # boundary entirely at v: fall back to the first surviving side of a
-        # face incident to v, which joins the merged face
-        at_v = (st for f in trace_faces(g) if v in f.tails for st in f.states)
-        repl = _first_survivor(at_v, dead)
+        # face at v (each corner's +1 state leaves it), in trace order
+        faces = {_face_through(g, (d, 1)) for d in g.rotation[v]}
+        faces = sorted(faces, key=lambda f: _state_key(f.states[0]))
+        repl = _first_survivor((st for f in faces for st in f.states), dead)
         witnesses = [repl if w is None else w for w in witnesses]
     out = g.copy()
     for e in dead:
@@ -703,15 +703,12 @@ def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
     )
     witnesses = _witnesses(g, set(internal))
     swallowed = [i for i, w in enumerate(witnesses) if w is None]
-    merged = None
-    for e in internal:
+    for e in internal:  # connected, >= 2 vertices: some edge is a non-loop
         a, b = out.edges[e]
         if a == b:
             _drop_edge(out, e)
         else:
             merged = _contract_edge_inplace(out, e, witnesses)
-    if merged is None:
-        raise OperationError("side has at least two vertices but no internal edge")
     fresh = g.next_vertex_id()
     out.rotation[fresh] = out.rotation.pop(merged)
     _move_darts(out, out.rotation[fresh], fresh)
@@ -721,10 +718,10 @@ def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
         out.dvertex = None
         out.darcs = {}
     _reanchor(out, witnesses)
-    if swallowed:  # the least canonical anchor of a face at the new vertex
+    if swallowed:  # least canonical anchor at the new vertex: a +1 state per corner
         if not out.rotation[fresh]:
             raise StructureError("no face is incident to the merged vertex")
-        anchor = min(_anchor_through(out, (d, s)) for d in out.rotation[fresh] for s in (1, -1))
+        anchor = min(_anchor_through(out, (d, 1)) for d in out.rotation[fresh])
         for i in swallowed:
             if anchor not in out.specified:
                 out.specified.insert(i, anchor)
@@ -769,7 +766,8 @@ def planarize_along_chord(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     """Given a non-contractible chord ``uv`` of the specified face, return
     the graph minus ``u`` and ``v``, re-signed all-positive: a plane
     embedding whose specified face absorbed the old one.  OperationError
-    when that remainder is not balanced, as on some inputs of chi <= 0."""
+    when that remainder is not balanced or not plane, as on some inputs of
+    chi <= 0."""
     if is_contractible_chord(g, e):
         raise OperationError(f"chord {e} is contractible")
     u, v = g.edges[e]
@@ -779,7 +777,7 @@ def planarize_along_chord(g: EmbeddedGraph, e: int) -> EmbeddedGraph:
     _resign_all_positive(out, track)
     _reanchor(out, list(track))
     if euler_characteristic(out) != 2:
-        raise StructureError("planarization did not produce a plane embedding")
+        raise OperationError("planarization did not produce a plane embedding")
     return out
 
 
@@ -811,11 +809,10 @@ def split_doubled_boundary_vertex(
     * The cut moves the rotation at the two corners of the specified face F
       at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
       faces, F' one or two: Euler characteristic chi(g) + F'.  Its domain
-      is F' = 1, a connected result and chi(g) = 1, else OperationError.
-      Cost: one walk of F in the result, one connectivity search and
-      chi(g).  That walk, re-signed with the result, is the shared face
-      below; it holds every state of F, the two leaving v's corners too,
-      and one corner stays on v, the other moves, so it meets both copies.
+      is F' = 1 and chi(g) = 1, else OperationError (DisconnectedError for
+      a disconnected g, which has no chi).  F' = 1 leaves F's orbit pair on
+      one orbit, the shared face below, whose states leave both copies of
+      ``v``: the result is connected.  Cost: one walk of F, and chi(g).
     * Re-identifying the copies at a corner of each always splits their
       shared face in two, so it needs no check.  Every sign is +1 after
       re-signing, so the +1 face permutation is phi(d) = sigma(rev d), with
@@ -826,11 +823,12 @@ def split_doubled_boundary_vertex(
       phi o (rev a, rev b).  Both corners lie on the shared face, so rev a
       and rev b lie on its +1 cycle, and a cycle composed with a
       transposition of two of its elements splits in two: one piece
-      through rv[gv], the other through rw[gw].
+      through rv[gv], the other through rw[gw]: the arcs of the shared walk
+      between its visits iv (v) and iw (the copy), v's from iv to iw on the
+      +1 orbit, from iw to iv on the -1 orbit (the +1 one mirrored).
 
-    The output's two specified faces are anchored at the new corners, at
-    the darts rv[gv] and rw[gw] that leave them, and they are the two
-    halves of F.  Cost: one walk of one orbit each.
+    The output's two specified faces are F's halves, v's first, anchored by
+    ``_orbit_anchor`` of their arcs: no walk beyond the cut face's.
 
     ``walk`` (F's ``specified_walk``) and ``chi`` (chi(g)) come from a
     caller that holds them already, as the solver does (see ``solver``);
@@ -861,9 +859,7 @@ def split_doubled_boundary_vertex(
     # walk the cut-open face from the first boundary departure that survives
     cut = _walk_from(out, walk.states[p1 if walk.states[p1][0] in arc_a else p2])
     # F's orbit pair (2n states) now holds two orbits of length n, or four
-    if len(cut) != walk.length or not out.is_connected() or (
-        euler_characteristic(g) if chi is None else chi
-    ) != 1:
+    if len(cut) != walk.length or (euler_characteristic(g) if chi is None else chi) != 1:
         raise OperationError("boundary visits do not cut the crosscap")
     _resign_all_positive(out, cut)  # relabels the walk with the graph
     shared = _canonical_walk(out, cut)
@@ -875,5 +871,8 @@ def split_doubled_boundary_vertex(
     del out.rotation[fresh]
     out.rotation[v] = merged_rot
     _move_darts(out, merged_rot, v)
-    _reanchor(out, [(rv[gv], 1), (rw[gw], 1)])
+    # F's halves: the shared walk's two arcs between the corners, v's first
+    i, j = (iv, iw) if shared.states[0][1] == 1 else (iw, iv)
+    arcs, k = shared.states[i:] + shared.states[:i], (j - i) % shared.length
+    out.specified = [_orbit_anchor(out, arcs[:k]), _orbit_anchor(out, arcs[k:])]
     return out

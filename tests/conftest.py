@@ -293,12 +293,17 @@ def count_valid(g, p):
 
 def _replace_everywhere(monkeypatch, old, new) -> None:
     """Bind ``new`` wherever crossflow binds ``old`` (by identity, as
-    solvebench's spans patch their targets)."""
+    solvebench's spans patch their targets): in its modules and in the
+    bodies of the classes they define, so a method counts too."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "crossflow":
-            for attr, value in list(vars(module).items()):
-                if value is old:
-                    monkeypatch.setattr(module, attr, new)
+            classes = [
+                c for c in vars(module).values() if isinstance(c, type) and c.__module__ == name
+            ]
+            for owner in (module, *classes):
+                for attr, value in list(vars(owner).items()):
+                    if value is old:
+                        monkeypatch.setattr(owner, attr, new)
 
 
 def _count_calls(monkeypatch, fn) -> list[int]:

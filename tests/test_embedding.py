@@ -544,6 +544,18 @@ def test_planarize_unbalanced_remainder_refused(seed, e, chi):
         planarize_along_chord(g, e)
 
 
+@pytest.mark.parametrize(
+    "seed, e, chi", [(2043, 2, -2), (2084, 7, -2), (2481, 5, -4), (2991, 3, -1)]
+)
+def test_planarize_non_plane_remainder_refused(seed, e, chi):
+    # a well-formed input off the projective plane whose remainder re-signs
+    # but is not plane: a refusal of the input, not malformed data
+    g = random_multigraph(seed)
+    assert euler_characteristic(g) == chi and not is_contractible_chord(g, e)
+    with pytest.raises(OperationError, match="did not produce a plane embedding"):
+        planarize_along_chord(g, e)
+
+
 def test_planarize_contractible_chord_refused():
     g = square_with_chord()
     with pytest.raises(OperationError):
@@ -620,6 +632,14 @@ def test_split_requires_doubled_visit():
     g = gen_circulant_b(5)  # Hamiltonian boundary, every vertex once
     with pytest.raises(OperationError):
         split_doubled_boundary_vertex(g, boundary_cycle(g)[0])
+
+
+def test_split_disconnected_input_refused():
+    # the split needs chi(g) = 1, and a disconnected g has no chi
+    g = bowtie_crosscap()
+    g.rotation[g.next_vertex_id()] = []
+    with pytest.raises(DisconnectedError):
+        split_doubled_boundary_vertex(g, 0)
 
 
 # -------------------------------------------------------------- value object
@@ -787,6 +807,23 @@ def test_operations_walk_only_a_face_whose_anchor_edge_dies(monkeypatch):
     ops = (contract_subgraph, delete_edge, delete_vertex, lift_pair)
     assert all(done[op.__name__, k] for op in ops for k in (0, 1)), done
     assert done["delete_vertex", 2] > 0
+
+
+def test_delete_vertex_walks_only_the_faces_at_the_vertex(monkeypatch):
+    # a specified face whose whole boundary is at the vertex falls back to
+    # a face at the vertex, found by walking those faces, never all of them
+    graphs = [random_multigraph(seed) for seed in range(300)]
+    fallbacks = 0
+    counts = _count_calls(monkeypatch, embedding._face_orbits)
+    for g in graphs:
+        walk = specified_walk(g)
+        for v in g.vertices:
+            fallbacks += walk.edge_ids() <= set(g.incident(v))
+            try:
+                delete_vertex(g, v)
+            except EmbeddingError:
+                pass
+    assert fallbacks > 0 and counts == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -872,8 +872,9 @@ def test_solver_reaches_the_public_face_operations(monkeypatch):
 # _face_step calls while solving corpus seeds 0..99: a count, unlike wall
 # time, shows a face walked again (14,823 while a face count walked both
 # orbits of each face, 12,839 while the split walked its shared face twice
-# to confirm the re-identification split it)
-CORPUS_FACE_STEPS = 10_513
+# to confirm the re-identification split it, 10,513 while it walked both
+# halves again to anchor them)
+CORPUS_FACE_STEPS = 9_018
 
 
 def test_corpus_face_work_is_bounded(monkeypatch):
@@ -882,6 +883,20 @@ def test_corpus_face_work_is_bounded(monkeypatch):
     for g, p in corpus:
         solve(g, p)
     assert len(steps) <= CORPUS_FACE_STEPS
+
+
+# EmbeddedGraph.is_connected calls while solving corpus seeds 0..99 (401
+# while each split searched its cut-open graph, which chi(g) = 1 and F's
+# one orbit pair at both copies of the vertex already make connected)
+CORPUS_CONNECTIVITY_SEARCHES = 73
+
+
+def test_corpus_connectivity_searches_are_bounded(monkeypatch):
+    corpus = [gen_random_pt(seed, 12) for seed in range(100)]
+    searches = _count_calls(monkeypatch, embedding.EmbeddedGraph.is_connected)
+    for g, p in corpus:
+        solve(g, p)
+    assert 0 < len(searches) <= CORPUS_CONNECTIVITY_SEARCHES
 
 
 # _balance_potentials calls while solving corpus seeds 0..99: each split
