@@ -806,34 +806,37 @@ def split_doubled_boundary_vertex(
     copies of ``v`` are re-identified in the plane.  The result is a plane
     embedding of the same graph with two specified faces meeting at ``v``.
 
-    * The cut moves the rotation at the two corners of the specified face F
-      at ``v`` to a new vertex, so V grows by one, E stays and F becomes F'
-      faces, F' one or two: Euler characteristic chi(g) + F'.  Its domain
-      is F' = 1 and chi(g) = 1, else OperationError (DisconnectedError for
-      a disconnected g, which has no chi).  F' = 1 leaves F's orbit pair on
-      one orbit, the shared face below, whose states leave both copies of
-      ``v``: the result is connected.  Cost: one walk of F, and chi(g).
-    * Re-identifying the copies at a corner of each always splits their
-      shared face in two, so it needs no check.  Every sign is +1 after
-      re-signing, so the +1 face permutation is phi(d) = sigma(rev d), with
-      sigma(d) the dart after d in its rotation.  Let rv and rw be the
-      rotations of the two copies, gv and gw the shared face's corners in
-      them (``_corner_gap``), a = rv[gv-1] and b = rw[gw-1].  The merged
-      rotation sets sigma(a) = rw[gw] and sigma(b) = rv[gv], so phi becomes
-      phi o (rev a, rev b).  Both corners lie on the shared face, so rev a
-      and rev b lie on its +1 cycle, and a cycle composed with a
-      transposition of two of its elements splits in two: one piece
-      through rv[gv], the other through rw[gw]: the arcs of the shared walk
-      between its visits iv (v) and iw (the copy), v's from iv to iw on the
-      +1 orbit, from iw to iv on the -1 orbit (the +1 one mirrored).
-
-    The output's two specified faces are F's halves, v's first, anchored by
-    ``_orbit_anchor`` of their arcs: no walk beyond the cut face's.
+    It reads only F's walk W (the specified face's): v's first two visits
+    p1 < p2, and the corners c1 < c2 that W passes there in v's rotation
+    rot (``_corner_gap``).
+    * The cut moves rot[c2:] + rot[:c1] to a new vertex, so V grows by one,
+      E stays and F becomes F' faces, F' one or two: Euler characteristic
+      chi(g) + F'.  Its domain is F' = 1 and chi(g) = 1, else
+      OperationError (DisconnectedError for a disconnected g, which has no
+      chi), raised before anything is copied.  A walk's orientation bit
+      flips each time it crosses the crosscap, so F' = 1 (a one-sided cut)
+      exactly when W's bits at p1 and p2 differ.  F' = 1 leaves F's orbit
+      pair on one orbit, the shared face, whose states leave both copies
+      of ``v``: the result is connected.
+    * After re-signing, every sign is +1 and the +1 face permutation is
+      phi(d) = sigma(rev d), with sigma(d) the dart after d in its rotation.
+      The cut corners are the wrap points of the copies' rotations rv and
+      rw, and re-signing reverses a rotation but keeps its wrap point, so
+      re-identifying the copies there gives rv + rw.  That sets
+      sigma(rv[-1]) = rw[0] and sigma(rw[-1]) = rv[0], so phi becomes
+      phi o (rev rv[-1], rev rw[-1]), two elements of the shared face's +1
+      cycle, which always splits in two at those corners: into F's halves
+      W[p1:p2] and W[p2:] + W[:p1], as states up to mirroring.
+    * v's half comes first: W[p1:p2] when its first state, re-signed, is
+      +1 and leaves ``v`` or -1 and leaves the copy (its mirror is then a +1
+      arc from ``v``), else the other.  ``_orbit_anchor`` anchors each,
+      reading a state and its mirror alike.
 
     ``walk`` (F's ``specified_walk``) and ``chi`` (chi(g)) come from a
     caller that holds them already, as the solver does (see ``solver``);
-    with None the split walks F itself and, when the cut needs it, counts
-    chi(g) by one ``euler_characteristic(g)`` (a face count, no walks built).
+    then the split walks no face.  With None it takes one
+    ``specified_walk`` and, for a one-sided cut, counts chi(g) by one
+    ``euler_characteristic(g)`` (a face count, no walks built).
     """
     if len(g.specified) != 1:
         raise OperationError("split needs exactly one specified face")
@@ -843,36 +846,26 @@ def split_doubled_boundary_vertex(
     if len(occ) < 2:
         raise OperationError(f"vertex {v} does not repeat on the boundary")
     p1, p2 = occ[0], occ[1]
-    out = g.copy()
-    rot = out.rotation[v]
-    c1, c2 = _corner_gap(rot, walk, p1), _corner_gap(rot, walk, p2)
+    rot = g.rotation[v]
+    c1, c2 = sorted((_corner_gap(rot, walk, p1), _corner_gap(rot, walk, p2)))
     if c1 == c2:
         raise OperationError("boundary visits share a corner; cannot split")
-    if c1 > c2:
-        c1, c2 = c2, c1
-    arc_a = rot[c1:c2]
-    arc_b = rot[c2:] + rot[:c1]
-    fresh = out.next_vertex_id()
-    out.rotation[v] = arc_a
-    out.rotation[fresh] = arc_b
-    _move_darts(out, arc_b, fresh)
-    # walk the cut-open face from the first boundary departure that survives
-    cut = _walk_from(out, walk.states[p1 if walk.states[p1][0] in arc_a else p2])
-    # F's orbit pair (2n states) now holds two orbits of length n, or four
-    if len(cut) != walk.length or (euler_characteristic(g) if chi is None else chi) != 1:
+    one_sided = walk.states[p1][1] != walk.states[p2][1]
+    if not one_sided or (euler_characteristic(g) if chi is None else chi) != 1:
         raise OperationError("boundary visits do not cut the crosscap")
-    _resign_all_positive(out, cut)  # relabels the walk with the graph
-    shared = _canonical_walk(out, cut)
-    iv, iw = shared.tails.index(v), shared.tails.index(fresh)
-    rv = out.rotation[v]
-    rw = out.rotation[fresh]
-    gv, gw = _corner_gap(rv, shared, iv), _corner_gap(rw, shared, iw)
-    merged_rot = rv[gv:] + rv[:gv] + rw[gw:] + rw[:gw]
-    del out.rotation[fresh]
-    out.rotation[v] = merged_rot
-    _move_darts(out, merged_rot, v)
-    # F's halves: the shared walk's two arcs between the corners, v's first
-    i, j = (iv, iw) if shared.states[0][1] == 1 else (iw, iv)
-    arcs, k = shared.states[i:] + shared.states[:i], (j - i) % shared.length
-    out.specified = [_orbit_anchor(out, arcs[:k]), _orbit_anchor(out, arcs[k:])]
+    out = g.copy()
+    fresh = out.next_vertex_id()
+    out.rotation[v] = rot[c1:c2]
+    out.rotation[fresh] = rot[c2:] + rot[:c1]
+    _move_darts(out, out.rotation[fresh], fresh)
+    track = list(walk.states[p1:] + walk.states[:p1])  # W[p1:p2] + W[p2:] + W[:p1]
+    _resign_all_positive(out, track)
+    halves = [track[: p2 - p1], track[p2 - p1 :]]
+    (e, end), s = track[0]
+    if (s == 1) != (out.edges[e][end] == v):
+        halves.reverse()
+    rw = out.rotation.pop(fresh)
+    out.rotation[v] += rw
+    _move_darts(out, rw, v)
+    out.specified = [_orbit_anchor(out, h) for h in halves]
     return out

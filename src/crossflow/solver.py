@@ -25,11 +25,11 @@ with chi of the graph h it cuts.  Euler genus (2 - chi) never rises
 along the recursion: contracting a non-loop edge keeps chi, deleting a
 loop raises it by 0, 1 or 2, and a split's output is plane.  So every h
 has Euler genus at most 1, and is connected.  A split refuses F' = 2
-faces from h's specified face before it reads chi; F' = 1 leaves the cut
-h connected, so chi(h) + 1 <= 2, and the solver hands it chi(h) = 1
-(Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The input's chi is
-counted once, at the first level with a doubled vertex, since most
-solves never split.
+faces, read off the walk's orientation bits, before it reads chi; F' = 1
+leaves the cut h connected, so chi(h) + 1 <= 2, and the solver hands it
+chi(h) = 1 (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The
+input's chi is counted once, at the first level with a doubled vertex,
+since most solves never split.
 """
 
 from __future__ import annotations

@@ -15,11 +15,19 @@ import pytest
 from crossflow import _kernels, families
 from crossflow.embedding import (
     EmbeddedGraph,
+    OperationError,
     StructureError,
+    _canonical_walk,
+    _corner_gap,
     _face_through,
     _mirror,
+    _move_darts,
+    _orbit_anchor,
+    _resign_all_positive,
     _walk_from,
     canonical_anchor,
+    euler_characteristic,
+    specified_walk,
     trace_faces,
 )
 from crossflow.orient import OracleBoundError, _forced_arcs, _oracle_lists, prescription_ok
@@ -224,6 +232,65 @@ def names_the_halves(walk, out):
         and Counter(e for h in halves for e, _ in h.darts)
         == Counter(e for e, _ in walk.darts)
     )
+
+
+def names_the_cut_halves(walk, v, out):
+    """Whether the specified faces of ``out`` are the halves of the face
+    whose walk is ``walk`` at the cut through ``v``'s first two visits
+    p1 < p2: faces with the edge multisets of walk[p1:p2] and
+    walk[p2:] + walk[:p1], in either order."""
+    p1, p2 = [i for i, t in enumerate(walk.tails) if t == v][:2]
+    darts = walk.darts
+    want = [Counter(e for e, _ in darts[p1:p2]), Counter(e for e, _ in darts[p2:] + darts[:p1])]
+    got = [Counter(e for e, _ in _face_through(out, (a, 1)).darts) for a in out.specified]
+    return got in (want, want[::-1])
+
+
+def reference_split(g, v, walk=None, chi=None):
+    """``split_doubled_boundary_vertex`` as it was before it read its cut
+    off F's walk: it walks the cut-open face to count F', re-signs that
+    walk, builds its canonical walk, merges the copies at the corners of
+    the first visits of v and of the copy there, and anchors the halves
+    as that walk's two arcs between them.  The reference the split is
+    tested against."""
+    if len(g.specified) != 1:
+        raise OperationError("split needs exactly one specified face")
+    if walk is None:
+        walk = specified_walk(g)
+    occ = [i for i, t in enumerate(walk.tails) if t == v]
+    if len(occ) < 2:
+        raise OperationError(f"vertex {v} does not repeat on the boundary")
+    p1, p2 = occ[0], occ[1]
+    out = g.copy()
+    rot = out.rotation[v]
+    c1, c2 = _corner_gap(rot, walk, p1), _corner_gap(rot, walk, p2)
+    if c1 == c2:
+        raise OperationError("boundary visits share a corner; cannot split")
+    if c1 > c2:
+        c1, c2 = c2, c1
+    arc_a = rot[c1:c2]
+    arc_b = rot[c2:] + rot[:c1]
+    fresh = out.next_vertex_id()
+    out.rotation[v] = arc_a
+    out.rotation[fresh] = arc_b
+    _move_darts(out, arc_b, fresh)
+    cut = _walk_from(out, walk.states[p1 if walk.states[p1][0] in arc_a else p2])
+    if len(cut) != walk.length or (euler_characteristic(g) if chi is None else chi) != 1:
+        raise OperationError("boundary visits do not cut the crosscap")
+    _resign_all_positive(out, cut)
+    shared = _canonical_walk(out, cut)
+    iv, iw = shared.tails.index(v), shared.tails.index(fresh)
+    rv = out.rotation[v]
+    rw = out.rotation[fresh]
+    gv, gw = _corner_gap(rv, shared, iv), _corner_gap(rw, shared, iw)
+    merged_rot = rv[gv:] + rv[:gv] + rw[gw:] + rw[:gw]
+    del out.rotation[fresh]
+    out.rotation[v] = merged_rot
+    _move_darts(out, merged_rot, v)
+    i, j = (iv, iw) if shared.states[0][1] == 1 else (iw, iv)
+    arcs, k = shared.states[i:] + shared.states[:i], (j - i) % shared.length
+    out.specified = [_orbit_anchor(out, arcs[:k]), _orbit_anchor(out, arcs[k:])]
+    return out
 
 
 def reference_grow_pieces(nbr, max_size, banned):

@@ -18,9 +18,11 @@ from conftest import (
     _record_candidates,
     bowtie_crosscap,
     build_graph,
+    names_the_cut_halves,
     names_the_halves,
     orbit_pairs,
     random_multigraph,
+    reference_split,
     square_with_chord,
     triangle,
     triangle_with_loop,
@@ -573,6 +575,9 @@ def test_split_bowtie():
     assert sorted(out.edges.items()) == sorted(g.edges.items())
     for i in range(2):
         assert 0 in specified_walk(out, i).tails
+    walk = specified_walk(g)
+    assert walk.tails.count(0) == 3  # the merge is at the cut, not at a first visit
+    assert names_the_halves(walk, out) and names_the_cut_halves(walk, 0, out)
 
 
 # sha256 over (seed, v, outcome class, output) for every doubled vertex of
@@ -609,10 +614,95 @@ def test_split_random_multigraphs():
             faces = [_face_through(out, (a, 1)) for a in out.specified]
             assert len(faces) == 2 and faces[0] != faces[1]
             assert names_the_halves(walk, out), (seed, v)
+            assert names_the_cut_halves(walk, v, out), (seed, v)
             for i in range(2):
                 assert v in specified_walk(out, i).tails
     assert accepted > 2000 and off_domain > 3000
     assert h.hexdigest() == SPLIT_OUTCOME_DIGEST
+
+
+def _split_instances(seeds):
+    """(g, v, walk, chi) for every doubled vertex of the random_multigraph
+    seeds, then of bowtie_crosscap."""
+    for g in [*map(random_multigraph, seeds), bowtie_crosscap()]:
+        walk = specified_walk(g)
+        doubled = Counter(walk.tails)
+        chi = euler_characteristic(g)
+        for v in sorted(x for x, c in doubled.items() if c >= 2):
+            yield g, v, walk, chi
+
+
+def _split_outcome(split, *args):
+    try:
+        return serialize_graph(split(*args)), None
+    except EmbeddingError as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_split_matches_reference():
+    # The split reads F' off W's orientation bits and merges at the cut
+    # corners; the reference walks the cut-open face and merges at the
+    # first visits of its canonical walk.  Same text, or the same refusal.
+    outcomes = Counter()
+    for g, v, walk, chi in _split_instances(range(4000)):
+        got = _split_outcome(split_doubled_boundary_vertex, g, v, walk, chi)
+        assert got == _split_outcome(reference_split, g, v, walk, chi), v
+        outcomes["refused" if got[1] else "accepted"] += 1
+    assert outcomes["accepted"] > 2500 and outcomes["refused"] > 11000
+
+
+def test_split_handed_its_walk_walks_no_face(monkeypatch):
+    # Handed W and chi, the split reads every face fact off W: no orbit walk
+    # and no canonical walk.
+    instances = [x for x in _split_instances(range(1000)) if x[3] == 1]
+    walks = _count_calls(monkeypatch, embedding._walk_from)
+    canonical = _count_calls(monkeypatch, embedding._canonical_walk)
+    accepted = 0
+    for g, v, walk, chi in instances:
+        try:
+            split_doubled_boundary_vertex(g, v, walk, chi)
+            accepted += 1
+        except OperationError:
+            pass
+    assert accepted > 600
+    assert walks == [] and canonical == []
+
+
+def test_split_refusal_copies_nothing(monkeypatch):
+    # A two-sided cut (W's bits at v's first two visits agree, F' = 2) or
+    # a chi != 1 input is refused before the graph is copied.
+    instances = list(_split_instances(range(1000)))
+    copies = _count_calls(monkeypatch, EmbeddedGraph.copy)
+    refused = Counter()
+    for g, v, walk, chi in instances:
+        p1, p2 = [i for i, t in enumerate(walk.tails) if t == v][:2]
+        two_sided = walk.states[p1][1] == walk.states[p2][1]
+        if two_sided or chi != 1:
+            with pytest.raises(OperationError, match="do not cut the crosscap"):
+                split_doubled_boundary_vertex(g, v, walk, chi)
+            refused["two-sided" if two_sided else "chi"] += 1
+    assert refused["two-sided"] > 1000 and refused["chi"] > 1000
+    assert copies == []
+
+
+def test_split_merges_at_the_cut_when_the_face_revisits_the_vertex():
+    # Three triangles at vertex 0, edge 3 through the crosscap: the face
+    # visits 0 four times.  The split merges the copies at the cut corners,
+    # so its faces are the halves at v's first two visits.  The reference
+    # merged at the first visit of its canonical walk, another corner, and
+    # named two other faces that split F.
+    edges = {}
+    for i in range(3):  # triangle 0, a, b on edges 3i, 3i + 1, 3i + 2
+        a, b = 2 * i + 1, 2 * i + 2
+        edges.update({3 * i: (0, a), 3 * i + 1: (a, b), 3 * i + 2: (b, 0)})
+    rot0 = [(0, 0), (3, 0), (6, 0), (8, 1), (5, 1), (2, 1)]
+    g = build_graph(edges, signs={3: -1}, rotations={0: rot0}, specified_anchor=(0, 1))
+    walk = specified_walk(g)
+    assert walk.tails.count(0) == 4 and euler_characteristic(g) == 1
+    out, ref = split_doubled_boundary_vertex(g, 0), reference_split(g, 0)
+    assert _chi_by_full_trace(out) == _chi_by_full_trace(ref) == 2
+    assert names_the_halves(walk, out) and names_the_cut_halves(walk, 0, out)
+    assert names_the_halves(walk, ref) and not names_the_cut_halves(walk, 0, ref)
 
 
 def test_split_degree_two_vertices():

@@ -11,6 +11,7 @@ from conftest import (
     _count_calls,
     _replace_everywhere,
     disjoint_union,
+    names_the_cut_halves,
     names_the_halves,
     random_multigraph,
     triangle,
@@ -844,7 +845,8 @@ def test_solver_splits_name_the_two_halves(monkeypatch):
     def checked_split(g, v, walk, chi):
         out = split(g, v, walk, chi)
         assert embedding.euler_characteristic(g) == 1
-        assert names_the_halves(embedding.specified_walk(g), out), v
+        walk = embedding.specified_walk(g)
+        assert names_the_halves(walk, out) and names_the_cut_halves(walk, v, out), v
         accepted.append(v)
         return out
 
@@ -873,16 +875,19 @@ def test_solver_reaches_the_public_face_operations(monkeypatch):
 # time, shows a face walked again (14,823 while a face count walked both
 # orbits of each face, 12,839 while the split walked its shared face twice
 # to confirm the re-identification split it, 10,513 while it walked both
-# halves again to anchor them)
-CORPUS_FACE_STEPS = 9_018
+# halves again to anchor them, 9,018 while it walked its cut-open face to
+# count F' and built that face's canonical walk to find the halves)
+CORPUS_FACE_STEPS = 7_523
 
 
 def test_corpus_face_work_is_bounded(monkeypatch):
     corpus = [gen_random_pt(seed, 12) for seed in range(100)]
     steps = _count_calls(monkeypatch, embedding._face_step)
+    canonical = _count_calls(monkeypatch, embedding._canonical_walk)
     for g, p in corpus:
         solve(g, p)
     assert len(steps) <= CORPUS_FACE_STEPS
+    assert canonical == []  # 328 while each split canonicalised its cut face
 
 
 # EmbeddedGraph.is_connected calls while solving corpus seeds 0..99 (401
