@@ -15,10 +15,9 @@ from functools import partial
 
 from .cuts import CutBudgetError, check_class, classify_cut, enumerate_robust_cuts
 from .embedding import (
-    DisconnectedError,
     EmbeddedGraph,
     EmbeddingError,
-    euler_characteristic,
+    OperationError,
     face_of_anchor,
     trace_faces,
 )
@@ -177,10 +176,10 @@ def _cmd_faces(args: argparse.Namespace) -> int:
     g, _ = _read(args.input, parse_graph)
     faces = trace_faces(g)
     marked = {face_of_anchor(g, faces, a) for a in g.specified}
-    try:
-        lines = [f"chi {euler_characteristic(g)}"]
-    except DisconnectedError:  # chi is defined only for a connected graph
-        lines = []
+    if not g.rotation:
+        raise OperationError("empty graph has no embedding")
+    # chi is defined only for a connected graph; a lone vertex's face is its empty walk
+    lines = [f"chi {len(g.rotation) - len(g.edges) + len(faces)}"] if g.is_connected() else []
     for i, f in enumerate(faces):
         tag = " specified" if i in marked else ""
         walk = ",".join(str(t) for t in f.tails)

@@ -1,5 +1,5 @@
 """Prescriptions, orientations mod 3, the oracle (a frontier DP that
-decides, and reads the witness by self-reduction), the greedy
+decides, and reads the witness back through its own states), the greedy
 direct-and-delete engine, and the reduction steps it and the solver make.
 
 A prescription assigns every vertex a residue in {-1, 0, +1}; its total
@@ -226,18 +226,19 @@ def _oracle_lists(g, p, directed):
 
 
 @functools.lru_cache(maxsize=4096)
-def _edge_moves(sa: int, sb: int, ra: int, rb: int) -> dict[int, tuple[int, ...]]:
+def _edge_moves(sa: int, sb: int, ra: int, rb: int) -> dict[int, tuple[tuple[int, int], ...]]:
     """What one edge does to a state, keyed by the state's bits in the
-    edge's two slots (at bit offsets sa and sb): the deltas to add.  Tail
-    at a steps a's residue by -1 and b's by +1 mod 3; tail at b the
-    reverse.  ra (rb) is a's (b's) need when this edge is its last, else
-    -1: then only a move landing on it survives, and clears the slot.
+    edge's two slots (at bit offsets sa and sb): (delta to add, which end
+    is the tail, 0 for a and 1 for b) pairs.  Tail at a steps a's residue
+    by -1 and b's by +1 mod 3; tail at b the reverse.  ra (rb) is a's
+    (b's) need when this edge is its last, else -1: then only a move
+    landing on it survives, and clears the slot.
     """
     table = {}
     for xa in range(3):
         for xb in range(3):
             moves = []
-            for ya, yb in (((xa + 2) % 3, (xb + 1) % 3), ((xa + 1) % 3, (xb + 2) % 3)):
+            for rev, ya, yb in ((0, (xa + 2) % 3, (xb + 1) % 3), (1, (xa + 1) % 3, (xb + 2) % 3)):
                 if ra >= 0:
                     if ya != ra:
                         continue
@@ -246,7 +247,7 @@ def _edge_moves(sa: int, sb: int, ra: int, rb: int) -> dict[int, tuple[int, ...]
                     if yb != rb:
                         continue
                     yb = 0
-                moves.append(((ya - xa) << sa) + ((yb - xb) << sb))
+                moves.append((((ya - xa) << sa) + ((yb - xb) << sb), rev))
             table[xa << sa | xb << sb] = tuple(moves)
     return table
 
@@ -281,9 +282,11 @@ def _search_rank(n: int, lo: list[int], hi: list[int]) -> list[int]:
     return rank
 
 
-def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], rank: list[int]) -> bool:
-    """Whether the free edges lo[j]-hi[j] can be directed so that every
-    vertex's in-minus-out sum over them is need[v] mod 3.
+def _frontier_first(lo: list[int], hi: list[int], need: list[int], rank: list[int]) -> int | None:
+    """The least mask over the ways to direct the m free edges lo[j]-hi[j]
+    so that each vertex's in-minus-out sum over them is need[v] mod 3, or
+    None: bit m-1-j is set when edge j has its tail at hi[j], so the least
+    mask is the first way in edge order, tail-at-lo first.
 
     Frontier-based search.  Vertices are visited in the order of ``rank``,
     which must rank every vertex with an edge; each edge is taken when its
@@ -292,22 +295,26 @@ def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], rank: li
     with edges on both sides of the sweep).  A vertex takes a slot at its
     first edge and gives it back at its last, where it must sit on its
     need.  Raises OracleBoundError once more than
-    ``_FRONTIER_STATE_BUDGET`` states have been created.
+    ``_FRONTIER_STATE_BUDGET`` states have been created.  The run keeps
+    each edge's states, and a backward pass gives each state the least
+    mask of the later edges that reaches the end.  That is exact: which
+    edges can follow depends on the state alone, and the bits are disjoint.
     """
-    n = len(need)
+    n, m = len(need), len(lo)
     left = [0] * n  # edges not yet taken
     for a, b in zip(lo, hi):
         left[a] += 1
         left[b] += 1
     if any(need[v] and not left[v] for v in range(n)):
-        return False
+        return None
     slot = [-1] * n
     spare: list[int] = []
     width = 0
     states = {0}
     created = 0
+    steps = []  # (states before the edge, its slot mask, its moves, its bit)
     later_first = [sorted((rank[a], rank[b]), reverse=True) for a, b in zip(lo, hi)]
-    for j in sorted(range(len(lo)), key=later_first.__getitem__):
+    for j in sorted(range(m), key=later_first.__getitem__):
         a, b = lo[j], hi[j]
         for x in (a, b):
             if slot[x] < 0:
@@ -324,38 +331,40 @@ def _frontier_orientable(lo: list[int], hi: list[int], need: list[int], rank: li
                 spare.append(slot[x])
         mask = 3 << sa | 3 << sb
         moves = _edge_moves(sa, sb, ra, rb)
-        states = {s + d for s in states for d in moves[s & mask]}
+        steps.append((states, mask, moves, 1 << (m - 1 - j)))
+        states = {s + d for s in states for d, _ in moves[s & mask]}
         if not states:
-            return False
+            return None
         created += len(states)
         if created > _FRONTIER_STATE_BUDGET:
             raise OracleBoundError(
                 f"the frontier DP passed its budget of {_FRONTIER_STATE_BUDGET} "
-                f"states at frontier width {width} ({len(lo)} free edges)"
+                f"states at frontier width {width} ({m} free edges)"
             )
-    return True
+    best = {0: 0}  # at the end every slot has been given back
+    for states, mask, moves, bit in reversed(steps):
+        later, best = best, {}
+        for s in states:
+            masks = [later[s + d] | bit * rev for d, rev in moves[s & mask] if s + d in later]
+            if masks:
+                best[s] = min(masks)
+    return best[0]
 
 
 def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     """Decide whether a valid total orientation extends the graph's forced
     arcs, and return the first one.
 
-    A frontier DP over the undirected edges decides: when it finds none,
-    the answer is None.  For an orientable instance the witness is read by
-    self-reduction with the same DP: the undirected edges are taken in id
-    order, and each gets its tail at the lower endpoint when the DP still
-    finds the remaining edges orientable, else the reverse.  That is the
-    first valid orientation in lexicographic order, with tail-at-lower
-    first.  Every run visits the vertices in the decision run's order, so a
-    read run's states at each edge project the decision run's: a run past
-    ``_FRONTIER_STATE_BUDGET`` states raises OracleBoundError, but never a
-    read run of an instance whose decision fits.  A loop adds
-    nothing to a residue, so loops stay out of the DP, and each undirected
-    loop is directed at its vertex, ``(u, u)``.  A loop forced ``in`` at
-    the directed vertex has its tail there whichever way it runs, so no
-    orientation extends it, and the answer is None.  The result's
-    ``fixed`` names the forced arcs.  A malformed prescription raises
-    OrientationError (``_check_prescription``).
+    One frontier DP run over the undirected edges (``_frontier_first``)
+    decides, and reads back through its own states the first valid
+    orientation in edge id order, tail-at-lower first, or None.  A run
+    past ``_FRONTIER_STATE_BUDGET`` states raises OracleBoundError.  A
+    loop adds nothing to a residue, so loops stay out of the DP, and each
+    undirected loop is directed at its vertex, ``(u, u)``.  A loop forced
+    ``in`` at the directed vertex has its tail there whichever way it
+    runs, so no orientation extends it, and the answer is None.  The
+    result's ``fixed`` names the forced arcs.  A malformed prescription
+    raises OrientationError (``_check_prescription``).
     """
     if not _check_prescription(g, p):
         return None
@@ -364,22 +373,13 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     directed = _forced_arcs(g)
     free, lo, hi, cur, tgt = _oracle_lists(g, p, directed)
     need = [(t - c) % 3 for t, c in zip(tgt, cur)]
-    rank = _search_rank(len(need), lo, hi)
-    if not _frontier_orientable(lo, hi, need, rank):
+    first = _frontier_first(lo, hi, need, _search_rank(len(need), lo, hi))
+    if first is None:
         return None
     direction = dict(directed)
     for j, e in enumerate(free):
-        a, b = lo[j], hi[j]
-        u, v = min(g.edges[e]), max(g.edges[e])
-        # tail at a leaves a one more to take in, and b one less
-        need[a] = (need[a] + 1) % 3
-        need[b] = (need[b] - 1) % 3
-        if _frontier_orientable(lo[j + 1 :], hi[j + 1 :], need, rank):
-            direction[e] = (u, v)
-        else:
-            need[a] = (need[a] - 2) % 3
-            need[b] = (need[b] + 2) % 3
-            direction[e] = (v, u)
+        u, v = sorted(g.edges[e])
+        direction[e] = (v, u) if first >> (len(free) - 1 - j) & 1 else (u, v)
     for e, (u, v) in g.edges.items():
         if u == v:
             direction.setdefault(e, (u, u))

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crossflow import _kernels, families
+from crossflow import _kernels, families, orient
 from crossflow.embedding import (
     EmbeddedGraph,
     OperationError,
@@ -184,6 +184,21 @@ def random_multigraph(seed, max_vertices=9, max_extra=6):
     return g
 
 
+def petal_graph(seed, k):
+    """k triangles at vertex 0 (triangle i on 0, 2i+1, 2i+2, by edges 3i,
+    3i+1, 3i+2), with random signs and a random rotation at 0; no face is
+    specified.  A face of it may visit vertex 0 up to 2k times."""
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges.update({3 * i: (0, a), 3 * i + 1: (a, b), 3 * i + 2: (b, 0)})
+    signs = {e: (-1 if rng.random() < 0.5 else 1) for e in edges}
+    rot0 = [d for i in range(k) for d in ((3 * i, 0), (3 * i + 2, 1))]
+    rot0 = [rot0[int(j)] for j in rng.permutation(len(rot0))]
+    return build_graph(edges, signs=signs, rotations={0: rot0})
+
+
 def orbit_pairs(g):
     """Every face orbit of an embedding with edges, in discovery order, and
     each face as the indices of its two mirror orbits: every orbit walked,
@@ -324,6 +339,89 @@ def reference_grow_pieces(nbr, max_size, banned):
             if in_cut <= max_size:
                 stack.append((inside | 1 << w, outside, reach | row[0], in_cut))
     return pieces, steps
+
+
+def _reference_orientable(lo, hi, need, rank):
+    """The oracle's frontier DP as a decision only: whether the free edges
+    lo[j]-hi[j] can be directed to meet ``need``, in the same vertex and
+    edge order, slots and state budget as ``orient._frontier_first``."""
+    n = len(need)
+    left = [0] * n
+    for a, b in zip(lo, hi):
+        left[a] += 1
+        left[b] += 1
+    if any(need[v] and not left[v] for v in range(n)):
+        return False
+    slot = [-1] * n
+    spare = []
+    width = 0
+    states = {0}
+    created = 0
+    later_first = [sorted((rank[a], rank[b]), reverse=True) for a, b in zip(lo, hi)]
+    for j in sorted(range(len(lo)), key=later_first.__getitem__):
+        a, b = lo[j], hi[j]
+        for x in (a, b):
+            if slot[x] < 0:
+                slot[x] = spare.pop() if spare else width
+                width = max(width, slot[x] + 1)
+        sa, sb = 2 * slot[a], 2 * slot[b]
+        left[a] -= 1
+        left[b] -= 1
+        ra = -1 if left[a] else need[a]
+        rb = -1 if left[b] else need[b]
+        for x in (a, b):
+            if not left[x]:
+                spare.append(slot[x])
+        mask = 3 << sa | 3 << sb
+        moves = orient._edge_moves(sa, sb, ra, rb)
+        states = {s + d for s in states for d, _ in moves[s & mask]}
+        if not states:
+            return False
+        created += len(states)
+        if created > orient._FRONTIER_STATE_BUDGET:
+            raise OracleBoundError(
+                f"the frontier DP passed its budget of {orient._FRONTIER_STATE_BUDGET} "
+                f"states at frontier width {width} ({len(lo)} free edges)"
+            )
+    return True
+
+
+def reference_oracle_solve(g, p):
+    """``oracle_solve`` as it was when it read its witness by
+    self-reduction: one decision run, then one more run per free edge, in
+    id order, each giving the edge its tail at the lower endpoint when the
+    remaining edges can still be directed, else the reverse.  The reference
+    the one-run read is tested against."""
+    if not orient._check_prescription(g, p):
+        return None
+    if any(way == "in" and g.is_loop(e) for e, way in g.darcs.items()):
+        return None
+    directed = _forced_arcs(g)
+    free, lo, hi, cur, tgt = _oracle_lists(g, p, directed)
+    need = [(t - c) % 3 for t, c in zip(tgt, cur)]
+    rank = orient._search_rank(len(need), lo, hi)
+    if not _reference_orientable(lo, hi, need, rank):
+        return None
+    direction = dict(directed)
+    for j, e in enumerate(free):
+        a, b = lo[j], hi[j]
+        u, v = min(g.edges[e]), max(g.edges[e])
+        # tail at a leaves a one more to take in, and b one less
+        need[a] = (need[a] + 1) % 3
+        need[b] = (need[b] - 1) % 3
+        if _reference_orientable(lo[j + 1 :], hi[j + 1 :], need, rank):
+            direction[e] = (u, v)
+        else:
+            need[a] = (need[a] - 2) % 3
+            need[b] = (need[b] + 2) % 3
+            direction[e] = (v, u)
+    for e, (u, v) in g.edges.items():
+        if u == v:
+            direction.setdefault(e, (u, u))
+    o = orient.Orientation(direction=direction, fixed=frozenset(g.darcs))
+    if not orient.is_valid_orientation(g, p, o):
+        raise orient.OrientationError("the oracle read an invalid orientation")
+    return o
 
 
 # count_valid's backtracking search is exponential; it refuses graphs with

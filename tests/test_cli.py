@@ -15,9 +15,10 @@ import pytest
 
 import crossflow
 from conftest import _count_calls, build_graph, cycle_graph, triangle_with_loop, two_triangles
+from crossflow import embedding
 from crossflow import solver as solver_module
 from crossflow.cli import main
-from crossflow.embedding import EmbeddedGraph, StructureError
+from crossflow.embedding import EmbeddedGraph, StructureError, specified_walk
 from crossflow.families import gen_circulant_b, gen_counterexample, gen_random_pt
 from crossflow.orient import prescription_ok, random_prescription
 from crossflow.pgr import PgrError, parse_graph, read_graph, serialize_graph, write_graph
@@ -603,6 +604,17 @@ def test_faces_searches_connectivity_once(b7_file, tmp_path, monkeypatch, capsys
         calls.clear()
         assert run(capsys, "faces", path)[0] == 0
         assert len(calls) == 1, path
+
+
+def test_faces_walks_each_face_once(b7_file, monkeypatch, capsys):
+    # 2|E| face steps trace every face, and chi is read off them; only the
+    # specified faces are walked again, to find which of them the anchors
+    # name (the Euler count walked all 2|E| states again)
+    g = gen_circulant_b(7)
+    specified = sum(specified_walk(g, i).length for i in range(len(g.specified)))
+    steps = _count_calls(monkeypatch, embedding._face_step)
+    assert run(capsys, "faces", b7_file)[0] == 0
+    assert len(steps) == 2 * len(g.edges) + specified
 
 
 def test_check_class_pass(b7_file, tmp_path, capsys):

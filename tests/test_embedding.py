@@ -21,6 +21,7 @@ from conftest import (
     names_the_cut_halves,
     names_the_halves,
     orbit_pairs,
+    petal_graph,
     random_multigraph,
     reference_split,
     square_with_chord,
@@ -703,6 +704,33 @@ def test_split_merges_at_the_cut_when_the_face_revisits_the_vertex():
     assert _chi_by_full_trace(out) == _chi_by_full_trace(ref) == 2
     assert names_the_halves(walk, out) and names_the_cut_halves(walk, 0, out)
     assert names_the_halves(walk, ref) and not names_the_cut_halves(walk, 0, ref)
+
+
+def test_split_at_vertices_the_face_visits_three_or_more_times():
+    # Petal graphs with chi = 1, each face specified in turn: at every
+    # vertex the face visits three or more times, an accepted split names
+    # the halves at the cut through the first two visits and is plane; a
+    # refusal is OperationError
+    outcomes = Counter()
+    for seed in range(500):
+        for k in (2, 3, 4):
+            g = petal_graph(seed, k)
+            if euler_characteristic(g) != 1:
+                continue
+            for f in trace_faces(g):
+                g.specified = [canonical_anchor(g, f)]
+                walk = specified_walk(g)
+                for v in sorted(x for x, c in Counter(walk.tails).items() if c >= 3):
+                    try:
+                        out = split_doubled_boundary_vertex(g, v)
+                    except OperationError:
+                        outcomes["refused"] += 1
+                        continue
+                    assert names_the_cut_halves(walk, v, out), (seed, k, v)
+                    assert _chi_by_full_trace(out) == 2 and len(out.specified) == 2
+                    outcomes["accepted", walk.tails.count(v) > 3] += 1
+    assert outcomes["accepted", False] > 100 and outcomes["accepted", True] > 20
+    assert outcomes["refused"] > 50
 
 
 def test_split_degree_two_vertices():

@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _count_calls,
+    _replace_everywhere,
     build_graph,
     count_valid,
     cycle_graph,
     free_edge_counts,
     random_multigraph,
+    reference_oracle_solve,
     triangle,
     triangle_with_loop,
 )
@@ -53,6 +56,7 @@ from crossflow.orient import (
     residue,
 )
 from crossflow.pgr import serialize_graph
+from crossflow.solver import solve
 
 
 def enumerate_all_orientations(g, p, forced=None):
@@ -341,14 +345,16 @@ def test_counterexample_solvable_without_directed_vertex():
     assert got is not None and is_valid_orientation(g2, p, got)
 
 
-def test_oracle_reads_witness_past_old_threshold():
+def test_oracle_reads_witness_past_old_threshold(monkeypatch):
     # B51 has 102 free edges, far past the free-edge threshold that used to
-    # bound the witness search; the DP's self-reduction reads the witness
+    # bound the witness search; the DP reads the witness from its one run
     g = gen_circulant_b(51)
+    runs = _count_calls(monkeypatch, orient._frontier_first)
     for s in (0, 1):
         p = random_prescription(g, s)
         o = oracle_solve(g, p)
         assert o is not None and is_valid_orientation(g, p, o), s
+        assert len(runs) == s + 1, s
 
 
 def test_oracle_decides_none_past_the_bound():
@@ -371,9 +377,8 @@ def test_frontier_state_budget_refuses():
 
 
 def test_oracle_reads_witness_near_the_state_budget():
-    # K11 minus a 5-edge matching: the decision run creates about 154000 of
-    # the 262144 states, and the read runs, one per free edge, stay within
-    # the budget too
+    # K11 minus a 5-edge matching: the one DP run creates about 154000 of
+    # the 262144 states, and reads the witness back through them
     missing = {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)}
     edges = {}
     for u in range(11):
@@ -458,21 +463,67 @@ def test_frontier_dp_agrees_with_count_valid():
     assert min(decided.values()) > 200
 
 
+def _oracle_outcome(solve, g, p):
+    """What ``solve`` answers: its directions and forced arcs, None, or
+    the refusal's message."""
+    try:
+        o = solve(g, p)
+    except OracleBoundError as err:
+        return str(err)
+    return None if o is None else (o.direction, o.fixed)
+
+
+def test_oracle_matches_the_self_reduction_reference(monkeypatch):
+    # the one-run read gives the witness, the None and the refusal that one
+    # decision run and one run per free edge gave: on the oracle calls made
+    # while solving corpus seeds 0..399, random multigraphs, B_i and A_i
+    # under three prescriptions each, CE0-CE5, and K11 past the budget
+    calls = []
+    real = orient.oracle_solve
+
+    def recorded(g, p):
+        calls.append((g.copy(), dict(p)))
+        return real(g, p)
+
+    with monkeypatch.context() as m:
+        _replace_everywhere(m, real, recorded)
+        for seed in range(400):
+            solve(*gen_random_pt(seed, 12))
+    assert len(calls) == 1357
+    cases = list(calls)
+    for seed in range(3000):
+        g = random_multigraph(seed)
+        cases.append((g, random_prescription(g, seed)))
+    for i in range(5, 52, 2):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            zero = {v: 0 for v in g.vertices}
+            cases += [(g, q) for q in (zero, random_prescription(g, 0), random_prescription(g, 1))]
+    cases += [gen_counterexample(k)[:2] for k in range(6)]
+    k11 = build_graph(dict(enumerate((u, v) for u in range(11) for v in range(u + 1, 11))))
+    cases.append((k11, {v: 0 for v in k11.vertices}))
+    outcomes = Counter()
+    for g, p in cases:
+        got = _oracle_outcome(oracle_solve, g, p)
+        assert got == _oracle_outcome(reference_oracle_solve, g, p)
+        outcomes[type(got).__name__] += 1
+    assert outcomes["str"] == 1 and min(outcomes["NoneType"], outcomes["tuple"]) > 1000
+
+
 class _DecisionDone(Exception):
     pass
 
 
 def _decision_states(monkeypatch, g, p):
-    """The least budget under which the oracle's decision run finishes,
-    found by bisection with every later run cut off."""
-    decide = orient._frontier_orientable
+    """The least budget under which the oracle's one DP run finishes,
+    found by bisection, each try stopped once the run returns."""
+    decide = orient._frontier_first
 
     def decision_only(*args):
         decide(*args)
         raise _DecisionDone
 
     with monkeypatch.context() as m:
-        m.setattr(orient, "_frontier_orientable", decision_only)
+        m.setattr(orient, "_frontier_first", decision_only)
         lo, hi = 0, orient._FRONTIER_STATE_BUDGET
         while lo + 1 < hi:
             mid = (lo + hi) // 2
@@ -487,10 +538,9 @@ def _decision_states(monkeypatch, g, p):
 
 
 def test_witness_read_fits_the_decision_budget(monkeypatch):
-    # with the budget cut to what the decision run needs, the witness is
-    # still read, and it is the witness read under the full budget; a read
-    # run that chose its own search order would make more states than the
-    # decision run on 6 of these instances (seeds 64, 80, 90, 96, 104, 146)
+    # with the budget cut to what the DP run needs to decide, the witness
+    # is still read, and it is the witness read under the full budget: the
+    # read walks back through the states the run kept and creates none
     orientable = 0
     for seed in range(200):
         g = random_multigraph(seed, max_vertices=9, max_extra=8)
@@ -524,10 +574,10 @@ def test_decision_run_state_counts_pinned(monkeypatch):
 
 def test_oracle_rejects_a_wrong_kernel_hit(monkeypatch):
     # the check must be an explicit raise, so that it also holds under -O:
-    # a DP that always answers yes makes every edge tail-at-lower, which
+    # a DP that always answers mask 0 makes every edge tail-at-lower, which
     # gives residues 1, 0, -1; with every residue 1 the triangle has no
     # valid orientation
-    monkeypatch.setattr(orient, "_frontier_orientable", lambda *_: True)
+    monkeypatch.setattr(orient, "_frontier_first", lambda *_: 0)
     with pytest.raises(OrientationError):
         oracle_solve(triangle(), {0: 1, 1: 1, 2: 1})
 

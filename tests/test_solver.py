@@ -920,6 +920,22 @@ def test_corpus_balance_searches_are_bounded(monkeypatch):
     assert len(searches) <= CORPUS_BALANCE_SEARCHES
 
 
+# frontier DP runs while solving corpus seeds 0..99: one per oracle call
+# (1,494 while the oracle read its witness by self-reduction, one more run
+# per free edge)
+CORPUS_DP_RUNS = 344
+
+
+def test_corpus_dp_runs_are_bounded(monkeypatch):
+    corpus = [gen_random_pt(seed, 12) for seed in range(100)]
+    runs = _count_calls(monkeypatch, orient_module._frontier_first)
+    oracles = _count_calls(monkeypatch, oracle_solve)
+    for g, p in corpus:
+        solve(g, p)
+    assert len(runs) <= len(oracles)
+    assert len(runs) <= CORPUS_DP_RUNS
+
+
 def test_each_public_call_checks_its_prescription_once(monkeypatch):
     # solve, oracle_solve, is_valid_orientation and greedy_direct_and_delete
     # each read _check_prescription once, and every engine answer is
