@@ -463,11 +463,11 @@ def test_frontier_dp_agrees_with_count_valid():
     assert min(decided.values()) > 200
 
 
-def _oracle_outcome(solve, g, p):
-    """What ``solve`` answers: its directions and forced arcs, None, or
+def _oracle_outcome(oracle, g, p):
+    """What ``oracle`` answers: its directions and forced arcs, None, or
     the refusal's message."""
     try:
-        o = solve(g, p)
+        o = oracle(g, p)
     except OracleBoundError as err:
         return str(err)
     return None if o is None else (o.direction, o.fixed)
