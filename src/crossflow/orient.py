@@ -182,47 +182,45 @@ def is_valid_orientation(g: EmbeddedGraph, p: dict[int, int], o: Orientation) ->
 # ----------------------------------------------------------------- oracle
 
 
-def _forced_arcs(g: EmbeddedGraph) -> dict[int, tuple[int, int]]:
-    """The directed vertex's arcs as (tail, head) by edge id."""
-    arcs = {}
-    for e, way in g.darcs.items():
-        u, v = g.edges[e]
-        other = v if u == g.dvertex else u
-        arcs[e] = (g.dvertex, other) if way == "out" else (other, g.dvertex)
-    return arcs
-
-
 # One frontier DP run refuses once it has created more states than this, over
 # all its steps.  No step starts from more, and a step at most doubles its
 # set, so this bounds the DP's time and memory.
 _FRONTIER_STATE_BUDGET = 1 << 18
 
 
-def _oracle_lists(g, p, directed):
-    """The oracle's instance over vertex indices: the free edge ids, their
-    lower and higher endpoints, the in-minus-out sum of the directed edges
-    at each vertex, and its target residue.  Loops are left out: either
-    way round, a loop adds nothing to a residue."""
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    cur = [0] * n
-    tgt = [p[v] for v in verts]
+def _oracle_instance(g: EmbeddedGraph, p: dict[int, int]):
+    """The oracle's instance, from one pass over the edges in id order:
+    the free edge ids; their lower and higher ends, as indices into
+    ``g.vertices``; each vertex's need mod 3, its residue less the
+    in-minus-out sum of its forced arcs; and the directions fixed before
+    the search, by edge id: each forced arc as (tail, head), and each
+    undirected loop at its vertex, ``(u, u)``.  Either way round a loop
+    adds nothing to a residue, so loops stay out of the search.  A loop
+    forced ``in`` at the directed vertex has its tail there whichever way
+    it runs, so no orientation extends it: then None."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    need = [p[v] % 3 for v in index]
     free, lo, hi = [], [], []
+    fixed = {}
     for e in sorted(g.edges):
         u, v = g.edges[e]
+        way = g.darcs.get(e)
         if u == v:
-            continue
-        if e in directed:
-            t, h = directed[e]
-            cur[index[t]] -= 1
-            cur[index[h]] += 1
-        else:
+            if way == "in":
+                return None
+            fixed[e] = (u, u)
+        elif way is None:
             a, b = index[u], index[v]
             free.append(e)
             lo.append(min(a, b))
             hi.append(max(a, b))
-    return free, lo, hi, cur, tgt
+        else:
+            other = v if u == g.dvertex else u
+            t, h = (g.dvertex, other) if way == "out" else (other, g.dvertex)
+            fixed[e] = (t, h)
+            need[index[t]] = (need[index[t]] + 1) % 3
+            need[index[h]] = (need[index[h]] - 1) % 3
+    return free, lo, hi, need, fixed
 
 
 @functools.lru_cache(maxsize=4096)
@@ -282,25 +280,26 @@ def _search_rank(n: int, lo: list[int], hi: list[int]) -> list[int]:
     return rank
 
 
-def _frontier_first(lo: list[int], hi: list[int], need: list[int], rank: list[int]) -> int | None:
+def _frontier_first(lo: list[int], hi: list[int], need: list[int]) -> int | None:
     """The least mask over the ways to direct the m free edges lo[j]-hi[j]
     so that each vertex's in-minus-out sum over them is need[v] mod 3, or
     None: bit m-1-j is set when edge j has its tail at hi[j], so the least
     mask is the first way in edge order, tail-at-lo first.
 
-    Frontier-based search.  Vertices are visited in the order of ``rank``,
-    which must rank every vertex with an edge; each edge is taken when its
-    later endpoint is visited, those to earlier vertices first.  A state
-    packs, 2 bits per slot, the residue so far of each open vertex (one
-    with edges on both sides of the sweep).  A vertex takes a slot at its
-    first edge and gives it back at its last, where it must sit on its
-    need.  Raises OracleBoundError once more than
-    ``_FRONTIER_STATE_BUDGET`` states have been created.  The run keeps
-    each edge's states, and a backward pass gives each state the least
-    mask of the later edges that reaches the end.  That is exact: which
-    edges can follow depends on the state alone, and the bits are disjoint.
+    Frontier-based search.  Vertices are visited in ``_search_rank``'s
+    order; each edge is taken when its later endpoint is visited, those to
+    earlier vertices first.  A state packs, 2 bits per slot, the residue
+    so far of each open vertex (one with edges on both sides of the
+    sweep).  A vertex takes a slot at its first edge and gives it back at
+    its last, where it must sit on its need.  Raises OracleBoundError once
+    more than ``_FRONTIER_STATE_BUDGET`` states have been created.  The
+    run keeps each edge's states, and a backward pass gives each state the
+    least mask of the later edges that reaches the end.  That is exact:
+    which edges can follow depends on the state alone, and the bits are
+    disjoint.
     """
     n, m = len(need), len(lo)
+    rank = _search_rank(n, lo, hi)
     left = [0] * n  # edges not yet taken
     for a, b in zip(lo, hi):
         left[a] += 1
@@ -355,34 +354,27 @@ def oracle_solve(g: EmbeddedGraph, p: dict[int, int]) -> Orientation | None:
     """Decide whether a valid total orientation extends the graph's forced
     arcs, and return the first one.
 
-    One frontier DP run over the undirected edges (``_frontier_first``)
-    decides, and reads back through its own states the first valid
-    orientation in edge id order, tail-at-lower first, or None.  A run
-    past ``_FRONTIER_STATE_BUDGET`` states raises OracleBoundError.  A
-    loop adds nothing to a residue, so loops stay out of the DP, and each
-    undirected loop is directed at its vertex, ``(u, u)``.  A loop forced
-    ``in`` at the directed vertex has its tail there whichever way it
-    runs, so no orientation extends it, and the answer is None.  The
-    result's ``fixed`` names the forced arcs.  A malformed prescription
-    raises OrientationError (``_check_prescription``).
+    One frontier DP run (``_frontier_first``) over the instance
+    ``_oracle_instance`` builds decides, and reads back through its own
+    states the first valid orientation in edge id order, tail-at-lower
+    first, or None.  A run past ``_FRONTIER_STATE_BUDGET`` states raises
+    OracleBoundError.  The result's ``fixed`` names the forced arcs.  A
+    malformed prescription raises OrientationError
+    (``_check_prescription``).
     """
     if not _check_prescription(g, p):
         return None
-    if any(way == "in" and g.is_loop(e) for e, way in g.darcs.items()):
+    instance = _oracle_instance(g, p)
+    if instance is None:
         return None
-    directed = _forced_arcs(g)
-    free, lo, hi, cur, tgt = _oracle_lists(g, p, directed)
-    need = [(t - c) % 3 for t, c in zip(tgt, cur)]
-    first = _frontier_first(lo, hi, need, _search_rank(len(need), lo, hi))
+    free, lo, hi, need, direction = instance
+    first = _frontier_first(lo, hi, need)
     if first is None:
         return None
-    direction = dict(directed)
+    verts = g.vertices
     for j, e in enumerate(free):
-        u, v = sorted(g.edges[e])
+        u, v = verts[lo[j]], verts[hi[j]]
         direction[e] = (v, u) if first >> (len(free) - 1 - j) & 1 else (u, v)
-    for e, (u, v) in g.edges.items():
-        if u == v:
-            direction.setdefault(e, (u, u))
     o = Orientation(direction=direction, fixed=frozenset(g.darcs))
     if not is_valid_orientation(g, p, o):
         raise OrientationError("the oracle read an invalid orientation")

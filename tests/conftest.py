@@ -30,7 +30,7 @@ from crossflow.embedding import (
     specified_walk,
     trace_faces,
 )
-from crossflow.orient import OracleBoundError, _forced_arcs, _oracle_lists, prescription_ok
+from crossflow.orient import OracleBoundError, prescription_ok
 
 
 def build_graph(edges, signs=None, rotations=None, specified_anchor=None):
@@ -341,6 +341,44 @@ def reference_grow_pieces(nbr, max_size, banned):
     return pieces, steps
 
 
+def reference_forced_arcs(g):
+    """The directed vertex's arcs as (tail, head) by edge id."""
+    arcs = {}
+    for e, way in g.darcs.items():
+        u, v = g.edges[e]
+        other = v if u == g.dvertex else u
+        arcs[e] = (g.dvertex, other) if way == "out" else (other, g.dvertex)
+    return arcs
+
+
+def reference_oracle_lists(g, p, directed):
+    """The oracle's instance over vertex indices, built as it was before
+    ``orient._oracle_instance``: the free edge ids, their lower and higher
+    endpoints, the in-minus-out sum of the directed edges at each vertex,
+    and its target residue.  Loops are left out: either way round, a loop
+    adds nothing to a residue."""
+    verts = g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    cur = [0] * n
+    tgt = [p[v] for v in verts]
+    free, lo, hi = [], [], []
+    for e in sorted(g.edges):
+        u, v = g.edges[e]
+        if u == v:
+            continue
+        if e in directed:
+            t, h = directed[e]
+            cur[index[t]] -= 1
+            cur[index[h]] += 1
+        else:
+            a, b = index[u], index[v]
+            free.append(e)
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+    return free, lo, hi, cur, tgt
+
+
 def _reference_orientable(lo, hi, need, rank):
     """The oracle's frontier DP as a decision only: whether the free edges
     lo[j]-hi[j] can be directed to meet ``need``, in the same vertex and
@@ -396,8 +434,8 @@ def reference_oracle_solve(g, p):
         return None
     if any(way == "in" and g.is_loop(e) for e, way in g.darcs.items()):
         return None
-    directed = _forced_arcs(g)
-    free, lo, hi, cur, tgt = _oracle_lists(g, p, directed)
+    directed = reference_forced_arcs(g)
+    free, lo, hi, cur, tgt = reference_oracle_lists(g, p, directed)
     need = [(t - c) % 3 for t, c in zip(tgt, cur)]
     rank = orient._search_rank(len(need), lo, hi)
     if not _reference_orientable(lo, hi, need, rank):
@@ -451,7 +489,7 @@ def count_valid(g, p):
         )
     if not prescription_ok(g, p):
         return 0
-    free, lo, hi, cur, tgt = _oracle_lists(g, p, _forced_arcs(g))
+    free, lo, hi, cur, tgt = reference_oracle_lists(g, p, reference_forced_arcs(g))
     und = free_edge_counts(len(cur), lo, hi)
     return int(_kernels.orient_search(lo, hi, cur, und, tgt, 1, np.zeros(0, np.int8)))
 

@@ -15,7 +15,7 @@ import pytest
 
 import crossflow
 from conftest import _count_calls, build_graph, cycle_graph, triangle_with_loop, two_triangles
-from crossflow import embedding
+from crossflow import embedding, families
 from crossflow import solver as solver_module
 from crossflow.cli import main
 from crossflow.embedding import EmbeddedGraph, StructureError, specified_walk
@@ -656,6 +656,13 @@ def test_corpus_single_seed(capsys):
     code, out, _ = run(capsys, "corpus", "--seeds", "7")
     assert code == 0
     assert [l.split()[:2] for l in out.splitlines()] == [["seed", "7"]]
+
+
+def test_corpus_reports_a_seed_the_generator_gives_up_on(capsys, monkeypatch):
+    monkeypatch.setattr(families, "_RANDOM_PT_ATTEMPTS", 0)
+    code, out, _ = run(capsys, "corpus", "--seeds", "3")
+    assert code == 0
+    assert out == "seed 3 error=no instance passed the class filter in 0 attempts (seed 3)\n"
 
 
 # sha256 of `crossflow corpus --seeds 0..399 --max-vertices 12`: the

@@ -154,6 +154,10 @@ def test_edge_connectivity_needs_two_vertices():
         edge_connectivity(g)
 
 
+def test_edge_connectivity_of_a_disconnected_graph_is_zero():
+    assert edge_connectivity(two_triangles()) == 0
+
+
 # ---------------------------------------------------------- enumeration
 
 

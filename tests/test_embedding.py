@@ -390,6 +390,13 @@ def test_whole_b5_not_in_disk():
     assert not side_in_open_disk(g, frozenset(g.vertices))
 
 
+def test_side_with_a_one_sided_loop_not_in_disk():
+    # a -1 loop at vertex 0 is an induced cycle through the crosscap
+    g = build_graph({0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (0, 0)}, signs={3: -1})
+    assert not side_in_open_disk(g, {0})
+    assert side_in_open_disk(g, {1, 2})
+
+
 def test_counterexample_pair_side_in_disk():
     g, p, dspec = gen_counterexample(0)
     u2, u3 = 2, 3  # gen_counterexample's ids: u_i = i

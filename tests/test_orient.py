@@ -24,6 +24,8 @@ from conftest import (
     cycle_graph,
     free_edge_counts,
     random_multigraph,
+    reference_forced_arcs,
+    reference_oracle_lists,
     reference_oracle_solve,
     triangle,
     triangle_with_loop,
@@ -45,8 +47,6 @@ from crossflow.orient import (
     ScheduleError,
     _abstract_digest,
     _check_prescription,
-    _forced_arcs,
-    _oracle_lists,
     greedy_direct_and_delete,
     is_valid_orientation,
     oracle_solve,
@@ -411,8 +411,8 @@ def _without_partial(g, p, partial):
 
 def _first_witness(g, p):
     """The free edges' directions in the backtracker's first witness, read
-    from the same instance lists the oracle builds."""
-    free, lo, hi, cur, tgt = _oracle_lists(g, p, _forced_arcs(g))
+    from the instance lists of the reference builder."""
+    free, lo, hi, cur, tgt = reference_oracle_lists(g, p, reference_forced_arcs(g))
     und = free_edge_counts(len(cur), lo, hi)
     out = np.zeros(len(free), dtype=np.int8)
     assert _kernels.orient_search(lo, hi, cur, und, tgt, 0, out)

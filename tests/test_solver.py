@@ -13,6 +13,7 @@ from conftest import (
     disjoint_union,
     names_the_cut_halves,
     names_the_halves,
+    petal_graph,
     random_multigraph,
     triangle,
     triangle_with_loop,
@@ -223,6 +224,36 @@ def test_solve_split_path():
     o, trace = solve(g, p)
     assert "SplitBoundaryVertex" in [s.kind for s in trace.steps]
     assert o is not None and is_valid_orientation(g, p, o)
+
+
+def test_stage_three_tries_the_next_vertex_after_a_refused_split(monkeypatch):
+    # petal_graph(0, 3) with its face through (0, 0), a chi = 1 face that
+    # visits vertex 0 four times, specified: after three contractions the
+    # split at vertex 0 is refused, and stage 3 goes on to vertex 8
+    g = petal_graph(0, 3)
+    g.specified = [(0, 0)]
+    g.validate()
+    split = solver_module.split_doubled_boundary_vertex
+    tried = []
+
+    def recorded(h, v, walk, chi):
+        try:
+            out = split(h, v, walk, chi)
+        except embedding.EmbeddingError:
+            tried.append((v, "refused"))
+            raise
+        tried.append((v, "split"))
+        return out
+
+    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", recorded)
+    p = {v: 0 for v in g.vertices}
+    o, trace = solve(g, p)
+    assert tried[:2] == [(0, "refused"), (8, "split")]
+    splits = [s.arguments for s in trace.steps if s.kind == "SplitBoundaryVertex"]
+    assert (0,) not in splits and splits[0] == (8,)
+    assert o is not None and is_valid_orientation(g, p, o)
+    monkeypatch.undo()
+    assert replay(g, trace).matches
 
 
 def test_solve_invalid_prescription_is_none_without_steps():
@@ -577,6 +608,16 @@ def test_replay_reports_a_changed_outcome():
     rep = replay(g, ReductionTrace(trace.steps, "none", trace.prescription))
     assert not rep.matches and rep.mismatch_index is None
     assert rep.reason == "outcome changed: recorded none, got valid"
+
+
+def test_replay_reports_a_different_step_count():
+    # the recorded steps agree with the re-solve's as far as they go
+    g, p = gen_random_pt(0, 9)
+    _, trace = solve(g, p)
+    n = len(trace.steps)
+    rep = replay(g, ReductionTrace(trace.steps[:-1], trace.outcome, trace.prescription))
+    assert not rep.matches and rep.mismatch_index == n - 1
+    assert rep.reason == f"recorded {n - 1} steps, re-solve took {n}"
 
 
 def test_replay_flags_tampered_digest():
