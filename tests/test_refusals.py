@@ -76,6 +76,14 @@ def _stale_anchor():
     return g
 
 
+def _loop_face():
+    # the face inside triangle_with_loop's loop, bounded by the loop alone
+    g = triangle_with_loop()
+    g.specified = [(3, 1)]
+    g.validate()
+    return g
+
+
 def _three_faces():
     g = wheel(4)
     g.specified = [canonical_anchor(g, f) for f in trace_faces(g)[:3]]
@@ -144,6 +152,11 @@ def _odd_cut():
 REFUSALS = {
     # face-updating operations
     "delete_edge-unknown": (lambda: delete_edge(triangle(), 9), OperationError, "unknown edge 9"),
+    "delete_edge-the-whole-face": (
+        lambda: delete_edge(_loop_face(), 3),
+        OperationError,
+        "specified face is bounded by that edge alone",
+    ),
     "delete_vertex-unknown": (
         lambda: delete_vertex(triangle(), 9),
         OperationError,
