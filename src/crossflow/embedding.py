@@ -689,8 +689,10 @@ def contract_subgraph(g: EmbeddedGraph, side) -> EmbeddedGraph:
     only when the side swallows the edge of its anchor.
     """
     verts = set(side)
-    if not verts or not verts <= set(g.rotation):
+    if not verts:
         raise OperationError("side must be a non-empty set of vertices")
+    if not verts <= g.rotation.keys():
+        raise OperationError(f"unknown vertex {min(verts - g.rotation.keys())}")
     if not _induced_connected(g, verts):
         raise DisconnectedError("side does not induce a connected subgraph")
     if len(verts) == len(g.rotation):
@@ -798,6 +800,28 @@ def _corner_gap(rot: list[Dart], walk: FaceWalk, p: int) -> int:
     raise StructureError("face corner darts are not adjacent in the rotation")
 
 
+def _split_cut(
+    g: EmbeddedGraph, v: int, walk: FaceWalk | None, chi: int | None
+) -> tuple[int, int, int, int]:
+    """The split's domain check, copying nothing: (p1, p2, c1, c2) of
+    ``split_doubled_boundary_vertex(g, v, walk, chi)``, or its refusal.
+    ``walk`` may be None only when g has not exactly one specified face."""
+    if len(g.specified) != 1:
+        raise OperationError("split needs exactly one specified face")
+    occ = [i for i, t in enumerate(walk.tails) if t == v]
+    if len(occ) < 2:
+        raise OperationError(f"vertex {v} does not repeat on the boundary")
+    p1, p2 = occ[0], occ[1]
+    rot = g.rotation[v]
+    c1, c2 = sorted((_corner_gap(rot, walk, p1), _corner_gap(rot, walk, p2)))
+    if c1 == c2:
+        raise OperationError("boundary visits share a corner; cannot split")
+    one_sided = walk.states[p1][1] != walk.states[p2][1]
+    if not one_sided or (euler_characteristic(g) if chi is None else chi) != 1:
+        raise OperationError("boundary visits do not cut the crosscap")
+    return p1, p2, c1, c2
+
+
 def split_doubled_boundary_vertex(
     g: EmbeddedGraph, v: int, walk: FaceWalk | None = None, chi: int | None = None
 ) -> EmbeddedGraph:
@@ -836,23 +860,13 @@ def split_doubled_boundary_vertex(
     caller that holds them already, as the solver does (see ``solver``);
     then the split walks no face.  With None it takes one
     ``specified_walk`` and, for a one-sided cut, counts chi(g) by one
-    ``euler_characteristic(g)`` (a face count, no walks built).
+    ``euler_characteristic(g)`` (a face count, no walks built).  The
+    domain checks are ``_split_cut``'s, which the solver also calls alone.
     """
-    if len(g.specified) != 1:
-        raise OperationError("split needs exactly one specified face")
-    if walk is None:
+    if walk is None and len(g.specified) == 1:
         walk = specified_walk(g)
-    occ = [i for i, t in enumerate(walk.tails) if t == v]
-    if len(occ) < 2:
-        raise OperationError(f"vertex {v} does not repeat on the boundary")
-    p1, p2 = occ[0], occ[1]
+    p1, p2, c1, c2 = _split_cut(g, v, walk, chi)
     rot = g.rotation[v]
-    c1, c2 = sorted((_corner_gap(rot, walk, p1), _corner_gap(rot, walk, p2)))
-    if c1 == c2:
-        raise OperationError("boundary visits share a corner; cannot split")
-    one_sided = walk.states[p1][1] != walk.states[p2][1]
-    if not one_sided or (euler_characteristic(g) if chi is None else chi) != 1:
-        raise OperationError("boundary visits do not cut the crosscap")
     out = g.copy()
     fresh = out.next_vertex_id()
     out.rotation[v] = rot[c1:c2]

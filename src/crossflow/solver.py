@@ -21,16 +21,22 @@ Family detection and contraction find their own faces from the anchors,
 and contraction walks a face only when it swallows the anchor's edge.
 Splits are tried only when the input to ``solve`` is projective (chi 1),
 their domain.  Each level that tries one walks its specified face once,
-lists the doubled vertices from that walk and hands it to every split,
-with chi of the graph h it cuts.  Euler genus (2 - chi) never rises
-along the recursion: contracting a non-loop edge keeps chi, deleting a
-loop raises it by 0, 1 or 2, and a split's output is plane.  So every h
-has Euler genus at most 1, and is connected.  A split refuses F' = 2
-faces, read off the walk's orientation bits, before it reads chi; F' = 1
-leaves the cut h connected, so chi(h) + 1 <= 2, and the solver hands it
-chi(h) = 1 (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  The
-input's chi is counted once, at the first level with a doubled vertex,
-since most solves never split.
+lists the doubled vertices from that walk and hands it to each split's
+check, ``embedding._split_cut``, with chi of the graph h it cuts.  Euler
+genus (2 - chi) never rises along the recursion: contracting a non-loop
+edge keeps chi, deleting a loop raises it by 0, 1 or 2, and a split's
+output is plane.  So every h has Euler genus at most 1, and is
+connected.  A split refuses F' = 2 faces, read off the walk's
+orientation bits, before it reads chi; F' = 1 leaves the cut h
+connected, so chi(h) + 1 <= 2, and the solver hands it chi(h) = 1 (Mohar
+and Thomassen, *Graphs on Surfaces*, 2001).  The input's chi is counted
+once, at the first level with a doubled vertex, since most solves never
+split.  Where stage 2 found no cut side, an accepted split is recorded,
+not built, and the oracle runs on h.  That is exact: the split keeps h's
+edges, forced arcs and protected vertex, so at its output's level
+detection (two specified faces) and the cut search (which reads only
+those) find nothing, stage 3 needs one face, and the oracle, like the
+step digests, reads no embedding.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .cuts import CutBudgetError, smallest_bond_side
 from .embedding import (
     EmbeddedGraph,
     EmbeddingError,
+    _split_cut,
     contract_subgraph,
     euler_characteristic,
     split_doubled_boundary_vertex,
@@ -261,23 +268,25 @@ def _solve_inner(
             return decided
 
     # 3. cut the crosscap at a doubled boundary vertex
+    steps = []
     if len(g.specified) == 1:
         walk = specified_walk(g)
         doubled = [v for v, c in sorted(Counter(walk.tails).items()) if c >= 2]
         for v in doubled if doubled and top.chi == 1 else ():
             try:
-                flat = split_doubled_boundary_vertex(g, v, walk, 1)
+                _split_cut(g, v, walk, 1)
             except EmbeddingError:
                 continue
-            steps = [
-                ReductionStep("SplitBoundaryVertex", (v,), _deferred_digest(flat))
-            ]
+            split = ReductionStep("SplitBoundaryVertex", (v,), _deferred_digest(g))
+            if side is None:  # recorded only: see the module docstring
+                steps = [split]
+                break
             try:
-                o3, sub3 = _solve_inner(flat, p, top)
+                o3, sub3 = _solve_inner(split_doubled_boundary_vertex(g, v, walk, 1), p, top)
             except SolverRefusal:
                 break
             # same abstract multigraph, so this answer is decisive either way
-            return o3, steps + sub3
+            return o3, [split, *sub3]
 
     # 4. oracle: the frontier DP decides and reads the witness
     n_free = sum(1 for e, (u, v) in g.edges.items() if u != v and e not in g.darcs)
@@ -288,7 +297,7 @@ def _solve_inner(
             f"{exc}, and no schedule, usable 2-robust cut of size <= 5, or "
             "doubled boundary vertex applies"
         ) from exc
-    return o4, [ReductionStep("OracleCall", (n_free,), _deferred_digest(g))]
+    return o4, [*steps, ReductionStep("OracleCall", (n_free,), _deferred_digest(g))]
 
 
 def solve(g: EmbeddedGraph, p: dict[int, int]) -> tuple[Orientation | None, ReductionTrace]:

@@ -38,6 +38,7 @@ from crossflow.embedding import (
     StructureError,
     _face_through,
     _mirror,
+    _split_cut,
     _switch,
     _walk_from,
     boundary_cycle,
@@ -656,6 +657,27 @@ def test_split_matches_reference():
         got = _split_outcome(split_doubled_boundary_vertex, g, v, walk, chi)
         assert got == _split_outcome(reference_split, g, v, walk, chi), v
         outcomes["refused" if got[1] else "accepted"] += 1
+    assert outcomes["accepted"] > 2500 and outcomes["refused"] > 11000
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except EmbeddingError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_split_cut_refuses_exactly_when_the_split_does():
+    # _split_cut holds every domain check of the split, so the solver can
+    # ask it alone: handed the walk and chi, it refuses exactly when the
+    # split, walking and counting for itself, refuses, and alike; nothing
+    # the split does after it refuses.
+    outcomes = Counter()
+    for g, v, walk, chi in _split_instances(range(4000)):
+        refusal = _refusal(_split_cut, g, v, walk, chi)
+        assert refusal == _refusal(split_doubled_boundary_vertex, g, v), (v, refusal)
+        outcomes["refused" if refusal else "accepted"] += 1
     assert outcomes["accepted"] > 2500 and outcomes["refused"] > 11000
 
 

@@ -170,7 +170,7 @@ REFUSALS = {
     "contract-unknown-vertex": (
         lambda: contract_subgraph(triangle(), {9}),
         OperationError,
-        "side must be a non-empty set of vertices",
+        "unknown vertex 9",
     ),
     "contract-disconnected-side": (
         lambda: contract_subgraph(cycle_graph(4), {0, 2}),

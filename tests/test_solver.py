@@ -233,22 +233,22 @@ def test_stage_three_tries_the_next_vertex_after_a_refused_split(monkeypatch):
     g = petal_graph(0, 3)
     g.specified = [(0, 0)]
     g.validate()
-    split = solver_module.split_doubled_boundary_vertex
+    cut = solver_module._split_cut
     tried = []
 
     def recorded(h, v, walk, chi):
         try:
-            out = split(h, v, walk, chi)
+            found = cut(h, v, walk, chi)
         except embedding.EmbeddingError:
             tried.append((v, "refused"))
             raise
-        tried.append((v, "split"))
-        return out
+        tried.append((v, "accepted"))
+        return found
 
-    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", recorded)
+    monkeypatch.setattr(solver_module, "_split_cut", recorded)
     p = {v: 0 for v in g.vertices}
     o, trace = solve(g, p)
-    assert tried[:2] == [(0, "refused"), (8, "split")]
+    assert tried[:2] == [(0, "refused"), (8, "accepted")]
     splits = [s.arguments for s in trace.steps if s.kind == "SplitBoundaryVertex"]
     assert (0,) not in splits and splits[0] == (8,)
     assert o is not None and is_valid_orientation(g, p, o)
@@ -831,29 +831,36 @@ def _same_when_walked_here(fn, carried, fresh):
 
 
 def test_carried_face_data_matches_a_fresh_count(monkeypatch):
-    # Only the split takes face data: its walk equals a fresh walk of the
-    # specified face, it gets chi(g) = 1, never None (splits are tried only
-    # on a chi = 1 input), and it gives the same result when it walks and
-    # counts the face data itself.
+    # Only the split's cut check and the split take face data: the walk
+    # equals a fresh walk of the specified face, chi(g) = 1, never None
+    # (splits are tried only on a chi = 1 input), and each gives the same
+    # result when it counts chi (the split: and walks the face) itself.
     seen = Counter()
-    split = solver_module.split_doubled_boundary_vertex
 
-    def checked_split(g, v, walk, chi):
-        assert walk == embedding.specified_walk(g)
-        if chi is None:
-            seen["fallback"] += 1
-        else:
-            assert chi == embedding.euler_characteristic(g)
-            seen["carried"] += 1
-        return _same_when_walked_here(split, (g, v, walk, chi), (g, v, None, None))
+    def checked(fn, fresh_walk):
+        def check(g, v, walk, chi):
+            assert walk == embedding.specified_walk(g)
+            if chi is None:
+                seen["fallback"] += 1
+            else:
+                assert chi == embedding.euler_characteristic(g)
+                seen[fn.__name__] += 1
+            return _same_when_walked_here(fn, (g, v, walk, chi), (g, v, fresh_walk(g), None))
 
-    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", checked_split)
+        return check
+
+    cut, split = solver_module._split_cut, solver_module.split_doubled_boundary_vertex
+    monkeypatch.setattr(solver_module, "_split_cut", checked(cut, embedding.specified_walk))
+    monkeypatch.setattr(
+        solver_module, "split_doubled_boundary_vertex", checked(split, lambda g: None)
+    )
     for g, p in _carried_face_data_instances():
         try:
             solve(g, p)
         except (solver_module.SolverRefusal, embedding.EmbeddingError):
             pass
-    assert seen["carried"] > 1000 and seen["fallback"] == 0
+    assert seen["_split_cut"] > 1000 and seen["split_doubled_boundary_vertex"] > 0
+    assert seen["fallback"] == 0
 
 
 def test_solver_splits_only_projective_inputs(monkeypatch):
@@ -879,19 +886,21 @@ def test_solver_splits_only_projective_inputs(monkeypatch):
 
 def test_solver_splits_name_the_two_halves(monkeypatch):
     # Every split the solver accepts on the corpus cuts a projective input,
-    # and its two specified faces are the halves of the input's one face.
-    split = solver_module.split_doubled_boundary_vertex
+    # and its two specified faces, built here, are the halves of the
+    # input's one face.
+    cut = solver_module._split_cut
     accepted = []
 
-    def checked_split(g, v, walk, chi):
-        out = split(g, v, walk, chi)
+    def checked_cut(g, v, walk, chi):
+        found = cut(g, v, walk, chi)
         assert embedding.euler_characteristic(g) == 1
+        out = embedding.split_doubled_boundary_vertex(g, v, walk, chi)
         walk = embedding.specified_walk(g)
         assert names_the_halves(walk, out) and names_the_cut_halves(walk, v, out), v
         accepted.append(v)
-        return out
+        return found
 
-    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", checked_split)
+    monkeypatch.setattr(solver_module, "_split_cut", checked_cut)
     for seed in range(100):
         solve(*gen_random_pt(seed, 12))
     assert len(accepted) > 300
@@ -899,8 +908,11 @@ def test_solver_splits_name_the_two_halves(monkeypatch):
 
 def test_solver_reaches_the_public_face_operations(monkeypatch):
     # The solver calls each face operation by its one public name, so a
-    # wrapper around that name (a solvebench span) sees every call.
+    # wrapper around that name (a solvebench span) sees every call.  The
+    # corpus builds no split (each of its splits feeds only the oracle, see
+    # solver); random multigraphs still build some.
     corpus = [gen_random_pt(seed, 12) for seed in range(20)]
+    multigraphs = [random_multigraph(seed) for seed in range(20)]
     ops = (
         solver_module.detect_family,
         embedding.contract_subgraph,
@@ -909,7 +921,52 @@ def test_solver_reaches_the_public_face_operations(monkeypatch):
     calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in ops}
     for g, p in corpus:
         solve(g, p)
+    assert calls["detect_family"] and calls["contract_subgraph"]
+    assert calls["split_doubled_boundary_vertex"] == []
+    for seed, g in enumerate(multigraphs):
+        solve(g, random_prescription(g, seed))
     assert all(calls.values()), {name: len(c) for name, c in calls.items()}
+
+
+def test_a_recorded_split_would_only_run_the_oracle(monkeypatch):
+    # Stage 3 records, and does not build, a split at a level where stage 2
+    # found no cut side.  Built here, each such split keeps g's edges,
+    # forced arcs and protected vertex, has two specified faces and no cut
+    # side, and its own level runs only the oracle, to g's answer (see
+    # solver).  A stage change that breaks this premise fails here.
+    real = solver_module._solve_inner
+    split = solver_module.split_doubled_boundary_vertex
+    built, recorded = [], []
+
+    def building(g, v, walk, chi):
+        built.append(g)
+        return split(g, v, walk, chi)
+
+    def level(g, p, top):
+        o, steps = real(g, p, top)
+        if steps and steps[0].kind == "SplitBoundaryVertex":
+            if not any(b is g for b in built):
+                recorded.append((g, p, top, o, steps))
+        return o, steps
+
+    monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", building)
+    monkeypatch.setattr(solver_module, "_solve_inner", level)
+    for seed in range(100):
+        solve(*gen_random_pt(seed, 12))
+    for seed in range(600):
+        g = random_multigraph(seed)
+        solve(g, random_prescription(g, seed))
+    monkeypatch.undo()
+    for g, p, top, o, steps in recorded:
+        (v,) = steps[0].arguments
+        flat = embedding.split_doubled_boundary_vertex(g, v, embedding.specified_walk(g), 1)
+        kept = (g.edges, g.darcs, g.dvertex, g.tvertex)
+        assert (flat.edges, flat.darcs, flat.dvertex, flat.tvertex) == kept
+        assert len(flat.specified) == 2
+        assert solver_module._pick_cut_side(flat) is None
+        assert solver_module._solve_inner(flat, p, top) == (o, steps[1:])
+        assert [st.kind for st in steps[1:]] == ["OracleCall"]
+    assert len(recorded) > 500 and len(built) > 20
 
 
 # _face_step calls while solving corpus seeds 0..99: a count, unlike wall
@@ -945,20 +1002,23 @@ def test_corpus_connectivity_searches_are_bounded(monkeypatch):
     assert 0 < len(searches) <= CORPUS_CONNECTIVITY_SEARCHES
 
 
-# _balance_potentials calls while solving corpus seeds 0..99: each split
-# re-signs its plane output, and none searches for h's balance, since a
-# split that reads chi is handed chi(h) = 1
-CORPUS_BALANCE_SEARCHES = 328
+# _balance_potentials calls while solving corpus seeds 0..99: only a built
+# split re-signs (its plane output), and the corpus builds none, since each
+# of its splits comes at a level with no cut side and feeds only the
+# oracle (328 while every accepted split was built, see solver)
+CORPUS_BALANCE_SEARCHES = 0
 
 
 def test_corpus_balance_searches_are_bounded(monkeypatch):
     corpus = [gen_random_pt(seed, 12) for seed in range(100)]
     searches = _count_calls(monkeypatch, embedding._balance_potentials)
     resigns = _count_calls(monkeypatch, embedding._resign_all_positive)
+    splits = _count_calls(monkeypatch, embedding.split_doubled_boundary_vertex)
     for g, p in corpus:
         solve(g, p)
     assert len(searches) == len(resigns)  # one search per re-signing
     assert len(searches) <= CORPUS_BALANCE_SEARCHES
+    assert splits == []
 
 
 # frontier DP runs while solving corpus seeds 0..99: one per oracle call
