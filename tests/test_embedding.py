@@ -671,8 +671,8 @@ def _refusal(fn, *args):
 def test_split_cut_refuses_exactly_when_the_split_does():
     # _split_cut holds every domain check of the split, so the solver can
     # ask it alone: handed the walk and chi, it refuses exactly when the
-    # split, walking and counting for itself, refuses, and alike; nothing
-    # the split does after it refuses.
+    # split (walking and counting for itself) refuses, with the same class
+    # and text, so nothing the split does after the check refuses.
     outcomes = Counter()
     for g, v, walk, chi in _split_instances(range(4000)):
         refusal = _refusal(_split_cut, g, v, walk, chi)

@@ -834,7 +834,7 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
     # Only the split's cut check and the split take face data: the walk
     # equals a fresh walk of the specified face, chi(g) = 1, never None
     # (splits are tried only on a chi = 1 input), and each gives the same
-    # result when it counts chi (the split: and walks the face) itself.
+    # result when it counts chi itself (the split also walks the face).
     seen = Counter()
 
     def checked(fn, fresh_walk):
