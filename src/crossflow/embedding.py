@@ -177,23 +177,24 @@ class EmbeddedGraph:
 def _check_rotation_system(g: EmbeddedGraph) -> None:
     """Raise StructureError unless each edge has a sign of +-1 and two ends
     among the vertices, and each rotation lists the darts leaving its vertex."""
-    edges = g.edges
+    edges, sign = g.edges, g.sign
     degree = dict.fromkeys(g.rotation, 0)
     for e, (u, v) in edges.items():
         if u not in degree or v not in degree:
             raise StructureError(f"edge {e} has a missing endpoint")
-        if g.sign.get(e) not in (1, -1):
+        if sign.get(e) not in (1, -1):
             raise StructureError(f"edge {e} has no sign")
         degree[u] += 1
         degree[v] += 1
-    if set(g.sign) != set(edges):
+    if sign.keys() != edges.keys():
         raise StructureError("sign table does not match the edge set")
     # the vertex's darts: as many, none repeated, each leaving the vertex
     for v, rot in g.rotation.items():
         if len(rot) != degree[v] or len(set(rot)) != len(rot):
             raise StructureError(f"rotation at vertex {v} is malformed")
         for e, end in rot:
-            if e not in edges or end not in (0, 1) or edges[e][end] != v:
+            uv = edges.get(e)
+            if uv is None or (end != 0 and end != 1) or uv[end] != v:
                 raise StructureError(f"rotation at vertex {v} is malformed")
 
 

@@ -163,8 +163,10 @@ def is_valid_orientation(g: EmbeddedGraph, p: dict[int, int], o: Orientation) ->
         raise OrientationError(f"unknown edge {min(o.direction.keys() - g.edges.keys())}")
     _check_prescription(g, p)
     balance = {v: -r for v, r in p.items()}  # in minus out, less p
+    edges = g.edges
     for e, (t, h) in o.direction.items():
-        if g.edges[e] != (t, h) and g.edges[e] != (h, t):
+        u, v = edges[e]
+        if (u != t or v != h) and (u != h or v != t):
             raise OrientationError(f"edge {e} directed between non-endpoints")
         balance[t] -= 1  # a loop adds -1 and +1 at its vertex
         balance[h] += 1

@@ -20,7 +20,10 @@ reproduces it byte for byte.
 
 Parsing is one pass over the lines with int() inline: each line's shape,
 integers, signs, residues and duplicates, then that rot lines, edge ends
-and p lines name declared vertices, then EmbeddedGraph.validate().
+and p lines name declared vertices, then EmbeddedGraph.validate().  The
+pass tests line kinds by how often a file holds them: edge, rot, vertex
+and p (a few per vertex), then face, tvertex/dvertex and darc (a few per
+file).  The kinds exclude each other, so the order changes no result.
 
 Orientation files hold one `<edge_id> <tail_vertex>` line per edge,
 read and written here as plain edge-keyed dicts, and prescription files
@@ -95,6 +98,8 @@ _INT_FIELDS = {
     "threshold": ("threshold",), "step": ("step index",),
 }
 _MORE_INTS = {"rot": "dart edge id", "face": "dart edge id", "step": "step argument"}
+# a sign, and a dart's end in rot and face lines, each read by one lookup
+_SIGNS, _ENDS = {"+1": 1, "-1": -1}, {"0": 0, "1": 1}
 
 
 def _int_error(kind: str, args: list[str], ln: int) -> PgrError:
@@ -133,78 +138,78 @@ def parse_graph(text: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
     edges, sign, rotation = g.edges, g.sign, g.rotation
     rot_lines: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     prescription: dict[int, int] = {}
-    header = False
     # the comment rule of _lines, inline: a generator per line costs about 5% here
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        tok = raw.split("#", 1)[0].split()
+    lines = enumerate(text.splitlines(), start=1)
+    for ln, raw in lines:
+        if tok := (raw.partition("#")[0] if "#" in raw else raw).split():
+            break
+    else:
+        raise PgrError("empty file")
+    if tok != ["pgr", "1"]:
+        raise PgrError("first declaration must be 'pgr 1'", ln)
+    for ln, raw in lines:
+        tok = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tok:
             continue
-        if not header:
-            if tok != ["pgr", "1"]:
-                raise PgrError("first declaration must be 'pgr 1'", ln)
-            header = True
-            continue
-        kind, args = tok[0], tok[1:]
+        kind = tok[0]
         try:
-            if kind == "vertex":
-                if len(args) != 1:
-                    raise PgrError("vertex takes one id", ln)
-                v = int(args[0])
-                if v in rotation:
-                    raise PgrError(f"duplicate vertex {v}", ln)
-                rotation[v] = []
-            elif kind == "edge":
-                if len(args) != 4:
+            if kind == "edge":
+                if len(tok) != 5:
                     raise PgrError("edge takes id, two endpoints and a sign", ln)
-                e = int(args[0])
+                e = int(tok[1])
                 if e in edges:
                     raise PgrError(f"duplicate edge {e}", ln)
-                u, v = int(args[1]), int(args[2])
-                if args[3] not in ("+1", "-1"):
-                    raise PgrError(f"sign must be +1 or -1, got {args[3]!r}", ln)
+                u, v = int(tok[2]), int(tok[3])
+                if (s := _SIGNS.get(tok[4])) is None:
+                    raise PgrError(f"sign must be +1 or -1, got {tok[4]!r}", ln)
                 edges[e] = (u, v)
-                sign[e] = 1 if args[3] == "+1" else -1
+                sign[e] = s
             elif kind == "rot":
-                if len(args) < 2:
+                if len(tok) < 3:
                     raise PgrError("rot takes a vertex and at least one dart", ln)
-                v = int(args[0])
+                v = int(tok[1])
                 if v in rot_lines:
                     raise PgrError(f"duplicate rot for vertex {v}", ln)
                 rot = []
-                for t in args[1:]:
-                    e, dot, end = t.partition(".")
-                    if not dot or end not in ("0", "1"):
+                for t in tok[2:]:
+                    e, _, end = t.partition(".")
+                    if (end := _ENDS.get(end)) is None:
                         raise PgrError(f"dart must look like <edge>.<0|1>, got {t!r}", ln)
-                    rot.append((int(e), 0 if end == "0" else 1))
+                    rot.append((int(e), end))
                 rot_lines[v] = (ln, rot)
+            elif kind == "vertex":
+                if len(tok) != 2:
+                    raise PgrError("vertex takes one id", ln)
+                v = int(tok[1])
+                if v in rotation:
+                    raise PgrError(f"duplicate vertex {v}", ln)
+                rotation[v] = []
+            elif kind == "p":
+                _read_residue(tok[1:], ln, prescription)
             elif kind == "face":
-                if len(args) != 1:
+                if len(tok) != 2:
                     raise PgrError("face takes one dart", ln)
                 if len(g.specified) == 2:
                     raise PgrError("at most two face anchors", ln)
-                e, dot, end = args[0].partition(".")
-                if not dot or end not in ("0", "1"):
-                    raise PgrError(f"dart must look like <edge>.<0|1>, got {args[0]!r}", ln)
-                g.specified.append((int(e), 0 if end == "0" else 1))
+                e, _, end = tok[1].partition(".")
+                if (end := _ENDS.get(end)) is None:
+                    raise PgrError(f"dart must look like <edge>.<0|1>, got {tok[1]!r}", ln)
+                g.specified.append((int(e), end))
             elif kind in ("tvertex", "dvertex"):
-                if len(args) != 1 or getattr(g, kind) is not None:
+                if len(tok) != 2 or getattr(g, kind) is not None:
                     raise PgrError(f"{kind} takes one id, once", ln)
-                setattr(g, kind, int(args[0]))
+                setattr(g, kind, int(tok[1]))
             elif kind == "darc":
-                if len(args) != 2 or args[1] not in ("in", "out"):
+                if len(tok) != 3 or tok[2] not in ("in", "out"):
                     raise PgrError("darc takes an edge id and in|out", ln)
-                e = int(args[0])
+                e = int(tok[1])
                 if e in g.darcs:
                     raise PgrError(f"duplicate darc for edge {e}", ln)
-                g.darcs[e] = args[1]
-            elif kind == "p":
-                _read_residue(args, ln, prescription)
+                g.darcs[e] = tok[2]
             else:
                 raise PgrError(f"unknown declaration {kind!r}", ln)
         except ValueError:
-            raise _int_error(kind, args, ln) from None
-    if not header:
-        raise PgrError("empty file")
+            raise _int_error(kind, tok[1:], ln) from None
 
     for v, (ln, rot) in rot_lines.items():
         if v not in rotation:
@@ -214,9 +219,11 @@ def parse_graph(text: str) -> tuple[EmbeddedGraph, dict[int, int] | None]:
     if stray:
         e, x = min(stray, key=lambda ex: ex[0])  # least edge, its first missing end
         raise PgrError(f"edge {e} uses undeclared vertex {x}")
-    for v, rot in rotation.items():
-        if not rot and any(v in uv for uv in edges.values()):
-            raise PgrError(f"vertex {v} has incident edges but no rot line")
+    if not all(rotation.values()):  # read the edges' ends once, not once per such vertex
+        ends = {x for uv in edges.values() for x in uv}
+        for v, rot in rotation.items():
+            if not rot and v in ends:
+                raise PgrError(f"vertex {v} has incident edges but no rot line")
     for v in prescription:
         if v not in rotation:
             raise PgrError(f"prescription names undeclared vertex {v}")

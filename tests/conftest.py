@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crossflow import _kernels, families, orient
+from crossflow import _kernels, families, orient, pgr
 from crossflow.embedding import (
     EmbeddedGraph,
     OperationError,
@@ -460,6 +460,133 @@ def reference_oracle_solve(g, p):
     if not orient.is_valid_orientation(g, p, o):
         raise orient.OrientationError("the oracle read an invalid orientation")
     return o
+
+
+def reference_check_rotation_system(g):
+    """``embedding._check_rotation_system`` as it was before it read each
+    dart's edge by one lookup and compared key views: the reference for
+    the graphs ``reference_parse_graph`` validates."""
+    edges = g.edges
+    degree = dict.fromkeys(g.rotation, 0)
+    for e, (u, v) in edges.items():
+        if u not in degree or v not in degree:
+            raise StructureError(f"edge {e} has a missing endpoint")
+        if g.sign.get(e) not in (1, -1):
+            raise StructureError(f"edge {e} has no sign")
+        degree[u] += 1
+        degree[v] += 1
+    if set(g.sign) != set(edges):
+        raise StructureError("sign table does not match the edge set")
+    # the vertex's darts: as many, none repeated, each leaving the vertex
+    for v, rot in g.rotation.items():
+        if len(rot) != degree[v] or len(set(rot)) != len(rot):
+            raise StructureError(f"rotation at vertex {v} is malformed")
+        for e, end in rot:
+            if e not in edges or end not in (0, 1) or edges[e][end] != v:
+                raise StructureError(f"rotation at vertex {v} is malformed")
+
+
+def reference_parse_graph(text):
+    """``pgr.parse_graph`` as it was before its loop tested line kinds
+    by how often they occur and read signs and dart ends by one lookup
+    each: the reference its graphs, prescriptions and errors are tested
+    against."""
+    g = EmbeddedGraph()
+    edges, sign, rotation = g.edges, g.sign, g.rotation
+    rot_lines: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    prescription: dict[int, int] = {}
+    header = False
+    # the comment rule of _lines, inline: a generator per line costs about 5% here
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        if not header:
+            if tok != ["pgr", "1"]:
+                raise pgr.PgrError("first declaration must be 'pgr 1'", ln)
+            header = True
+            continue
+        kind, args = tok[0], tok[1:]
+        try:
+            if kind == "vertex":
+                if len(args) != 1:
+                    raise pgr.PgrError("vertex takes one id", ln)
+                v = int(args[0])
+                if v in rotation:
+                    raise pgr.PgrError(f"duplicate vertex {v}", ln)
+                rotation[v] = []
+            elif kind == "edge":
+                if len(args) != 4:
+                    raise pgr.PgrError("edge takes id, two endpoints and a sign", ln)
+                e = int(args[0])
+                if e in edges:
+                    raise pgr.PgrError(f"duplicate edge {e}", ln)
+                u, v = int(args[1]), int(args[2])
+                if args[3] not in ("+1", "-1"):
+                    raise pgr.PgrError(f"sign must be +1 or -1, got {args[3]!r}", ln)
+                edges[e] = (u, v)
+                sign[e] = 1 if args[3] == "+1" else -1
+            elif kind == "rot":
+                if len(args) < 2:
+                    raise pgr.PgrError("rot takes a vertex and at least one dart", ln)
+                v = int(args[0])
+                if v in rot_lines:
+                    raise pgr.PgrError(f"duplicate rot for vertex {v}", ln)
+                rot = []
+                for t in args[1:]:
+                    e, dot, end = t.partition(".")
+                    if not dot or end not in ("0", "1"):
+                        raise pgr.PgrError(f"dart must look like <edge>.<0|1>, got {t!r}", ln)
+                    rot.append((int(e), 0 if end == "0" else 1))
+                rot_lines[v] = (ln, rot)
+            elif kind == "face":
+                if len(args) != 1:
+                    raise pgr.PgrError("face takes one dart", ln)
+                if len(g.specified) == 2:
+                    raise pgr.PgrError("at most two face anchors", ln)
+                e, dot, end = args[0].partition(".")
+                if not dot or end not in ("0", "1"):
+                    raise pgr.PgrError(f"dart must look like <edge>.<0|1>, got {args[0]!r}", ln)
+                g.specified.append((int(e), 0 if end == "0" else 1))
+            elif kind in ("tvertex", "dvertex"):
+                if len(args) != 1 or getattr(g, kind) is not None:
+                    raise pgr.PgrError(f"{kind} takes one id, once", ln)
+                setattr(g, kind, int(args[0]))
+            elif kind == "darc":
+                if len(args) != 2 or args[1] not in ("in", "out"):
+                    raise pgr.PgrError("darc takes an edge id and in|out", ln)
+                e = int(args[0])
+                if e in g.darcs:
+                    raise pgr.PgrError(f"duplicate darc for edge {e}", ln)
+                g.darcs[e] = args[1]
+            elif kind == "p":
+                pgr._read_residue(args, ln, prescription)
+            else:
+                raise pgr.PgrError(f"unknown declaration {kind!r}", ln)
+        except ValueError:
+            raise pgr._int_error(kind, args, ln) from None
+    if not header:
+        raise pgr.PgrError("empty file")
+
+    for v, (ln, rot) in rot_lines.items():
+        if v not in rotation:
+            raise pgr.PgrError(f"rot for undeclared vertex {v}", ln)
+        rotation[v] = rot
+    stray = [(e, x) for e, uv in edges.items() for x in uv if x not in rotation]
+    if stray:
+        e, x = min(stray, key=lambda ex: ex[0])  # least edge, its first missing end
+        raise pgr.PgrError(f"edge {e} uses undeclared vertex {x}")
+    for v, rot in rotation.items():
+        if not rot and any(v in uv for uv in edges.values()):
+            raise pgr.PgrError(f"vertex {v} has incident edges but no rot line")
+    for v in prescription:
+        if v not in rotation:
+            raise pgr.PgrError(f"prescription names undeclared vertex {v}")
+    try:
+        g.validate()
+    except StructureError as exc:
+        raise pgr.PgrError(str(exc)) from None
+    return g, prescription or None
 
 
 # count_valid's backtracking search is exponential; it refuses graphs with

@@ -1,12 +1,24 @@
 """The .pgr text format: canonical serialization, parsing, error reporting."""
 
 import dataclasses
+import random
+import re
+import time
+from collections import Counter
 
 import pytest
 
-from conftest import bowtie_crosscap, random_multigraph, triangle
+from conftest import (
+    bowtie_crosscap,
+    random_multigraph,
+    reference_check_rotation_system,
+    reference_parse_graph,
+    triangle,
+)
+from crossflow import embedding
 from crossflow.embedding import EmbeddedGraph
 from crossflow.families import gen_a, gen_circulant_b, gen_counterexample, gen_random_pt
+from crossflow.orient import random_prescription
 from crossflow.pgr import (
     PgrError,
     digest_graph,
@@ -228,6 +240,29 @@ PARSE_ERRORS = [
     (TRI + "darc 0 in\n", None, "darcs given without a dvertex"),
     (TRI + "dvertex 2\ndarc 0 in\n", None, "darc edge 0 is not incident to dvertex"),
     (TRI + "rot 0 0.0\n", 11, "duplicate rot for vertex 0"),
+    # two faults on one line: the one reported first is pinned
+    (H + "rot 0 q:1\n", 2, "dart must look like <edge>.<0|1>, got 'q:1'"),
+    (H + "rot 0 q.2\n", 2, "dart must look like <edge>.<0|1>, got 'q.2'"),
+    (H + "rot x 0:1\n", 2, "vertex id must be an integer, got 'x'"),
+    (H + "rot 0 0.1\nrot 0 q:1\n", 3, "duplicate rot for vertex 0"),
+    (H + "rot 0 1.0.1\n", 2, "dart must look like <edge>.<0|1>, got '1.0.1'"),
+    (H + "rot 0 3.\n", 2, "dart must look like <edge>.<0|1>, got '3.'"),
+    (H + "face q.2\n", 2, "dart must look like <edge>.<0|1>, got 'q.2'"),
+    (H + "face .1\n", 2, "dart edge id must be an integer, got ''"),
+    (H + "face 0.1\nface 0.0\nface q:2\n", 4, "at most two face anchors"),
+    (V2 + "edge 0 0 1 +1\nedge 0 1 0 2\n", 5, "duplicate edge 0"),
+    (V2 + "edge 0 0 y 2\n", 4, "endpoint must be an integer, got 'y'"),
+    (V2 + "edge x 0 1 2\n", 4, "edge id must be an integer, got 'x'"),
+    (V2 + "edge x 0 1\n", 4, "edge takes id, two endpoints and a sign"),
+    (H + "vertex x 1\n", 2, "vertex takes one id"),
+    (H + "vertex 0\nvertex 0 x\n", 3, "vertex takes one id"),
+    (H + "p 0 0\np 0 5\n", 3, "residue must be -1, 0 or 1, got 5"),
+    (H + "p x 5\n", 2, "vertex id must be an integer, got 'x'"),
+    (H + "tvertex 0\ntvertex x\n", 3, "tvertex takes one id, once"),
+    (H + "darc x sideways\n", 2, "darc takes an edge id and in|out"),
+    (H + "darc 0 in\ndarc 0 sideways\n", 3, "darc takes an edge id and in|out"),
+    (H + "pgr 1\n", 2, "unknown declaration 'pgr'"),
+    (H + "edge#\n", 2, "edge takes id, two endpoints and a sign"),
 ]
 
 
@@ -267,6 +302,88 @@ ACCEPTED_INTEGERS = [
 def test_parse_accepts_int_spellings(text, canonical):
     g, p = parse_graph(text)
     assert serialize_graph(g, p) == canonical
+
+
+def test_edge_ends_are_read_once_for_isolated_vertices():
+    # "incident edges but no rot line" reads the edges' ends once, not
+    # once per vertex with an empty rotation: 10,000 isolated vertices
+    # beside a cycle of 10,000 edges parse in linear time
+    n = 10_000
+    lines = ["pgr 1", *(f"vertex {v}" for v in range(2 * n))]
+    lines += [f"edge {e} {e} {(e + 1) % n} +1" for e in range(n)]
+    lines += [f"rot {v} {v}.0 {(v - 1) % n}.1" for v in range(n)]
+    text = "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    g, _ = parse_graph(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(g.rotation) == 2 * n and len(g.edges) == n
+    with pytest.raises(PgrError) as exc:
+        parse_graph(text.replace(f"rot {n - 1} ", "# rot "))
+    assert str(exc.value) == f"vertex {n - 1} has incident edges but no rot line"
+
+
+# tokens a mutant puts in place of a token, or between two
+MUTANT_TOKENS = (
+    "#", "x", "3.", ".1", "1.0.1", "0", "1", "2", "-1", "+1", "0.0", "1.1", "0.2",
+    "in", "out", "pgr", "vertex", "edge", "rot", "face", "tvertex", "dvertex", "darc", "p",
+)
+
+
+def _mutant(lines: list[str], rng: random.Random) -> str:
+    """One to three edits of ``lines``: delete, duplicate or swap lines,
+    or replace one or two tokens of a line, or insert one, from
+    MUTANT_TOKENS."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(len(lines)), rng.randrange(6)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tok = lines[i].split(" ")
+            if op < 5:
+                for _ in range(op - 2):
+                    tok[rng.randrange(len(tok))] = rng.choice(MUTANT_TOKENS)
+            else:
+                tok.insert(rng.randrange(len(tok) + 1), rng.choice(MUTANT_TOKENS))
+            lines[i] = " ".join(tok)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def _parsed(parse, text):
+    """Everything a parse gives, dict orders included, or its error."""
+    try:
+        g, p = parse(text)
+    except Exception as exc:  # the class and the message are compared
+        return type(exc), str(exc), getattr(exc, "line", None)
+    fields = (g.edges, g.sign, g.rotation, g.darcs)
+    return serialize_graph(g, p), [list(f.items()) for f in fields], p, g.specified, g.tvertex, g.dvertex
+
+
+def test_parse_matches_the_reference_on_mutants(monkeypatch):
+    # seeded mutants of corpus, circulant and counterexample texts give
+    # the graph, prescription and marks, or the error class, message and
+    # line, that the line-by-line reference parser and rotation check gave
+    sources = [serialize_graph(*gen_random_pt(s, 12)) for s in range(30)]
+    for i in (5, 7, 9):
+        for g in (gen_circulant_b(i), gen_a(i)):
+            sources.append(serialize_graph(g, random_prescription(g, i)))
+    sources += [serialize_graph(*gen_counterexample(k)[:2]) for k in (0, 1)]
+    rng = random.Random(39)
+    texts = [_mutant(sources[j % len(sources)].splitlines(), rng) for j in range(6000)]
+    got = [_parsed(parse_graph, t) for t in texts]
+    monkeypatch.setattr(embedding, "_check_rotation_system", reference_check_rotation_system)
+    want = [_parsed(reference_parse_graph, t) for t in texts]
+    differ = [t for t, a, b in zip(texts, got, want) if a != b]
+    assert not differ, differ[:3]
+    kinds = Counter("parsed" if isinstance(w[0], str) else re.sub(r"\d+|'.*'", "N", w[1]) for w in want)
+    assert kinds["parsed"] >= 300 and len(kinds) >= 30, kinds
 
 
 ORIENTATION_ERRORS = [

@@ -865,16 +865,25 @@ def test_carried_face_data_matches_a_fresh_count(monkeypatch):
 
 def test_solver_splits_only_projective_inputs(monkeypatch):
     # Stage 3 cuts the crosscap only when the input to solve has chi 1, the
-    # split's domain: on random multigraphs of any genus every split call
-    # cuts a chi = 1 graph from a chi = 1 input, and the answers stand.
+    # split's domain: on random multigraphs of any genus every split the
+    # check accepts, built or recorded, and every split call cuts a chi = 1
+    # graph from a chi = 1 input, and the answers stand.
     split = solver_module.split_doubled_boundary_vertex
-    top_chi = []
+    cut = solver_module._split_cut
+    top_chi, accepted = [], []
 
     def checked_split(g, v, walk, chi):
         assert embedding.euler_characteristic(g) == 1 and top_chi == [1], v
         return split(g, v, walk, chi)
 
+    def checked_cut(g, v, walk, chi):
+        found = cut(g, v, walk, chi)
+        assert embedding.euler_characteristic(g) == 1 and top_chi == [1], v
+        accepted.append(v)
+        return found
+
     monkeypatch.setattr(solver_module, "split_doubled_boundary_vertex", checked_split)
+    monkeypatch.setattr(solver_module, "_split_cut", checked_cut)
     outcomes = Counter()
     for seed in range(600):
         g = random_multigraph(seed)
@@ -882,6 +891,7 @@ def test_solver_splits_only_projective_inputs(monkeypatch):
         o, _ = solve(g, random_prescription(g, seed))
         outcomes["none" if o is None else "valid"] += 1
     assert outcomes == {"valid": 376, "none": 224}
+    assert len(accepted) == 229
 
 
 def test_solver_splits_name_the_two_halves(monkeypatch):
